@@ -179,25 +179,25 @@ std::string emit_dag(std::ostringstream& body, const StencilSpec& spec,
         expr = lhs + " / " + rhs;
         break;
       case NodeKind::kMin:
-        expr = "fminf(" + lhs + ", " + rhs + ")";
+        expr = "__builtin_fminf(" + lhs + ", " + rhs + ")";
         break;
       case NodeKind::kMax:
-        expr = "fmaxf(" + lhs + ", " + rhs + ")";
+        expr = "__builtin_fmaxf(" + lhs + ", " + rhs + ")";
         break;
       case NodeKind::kNeg:
         expr = "-" + lhs;
         break;
       case NodeKind::kAbs:
-        expr = "fabsf(" + lhs + ")";
+        expr = "__builtin_fabsf(" + lhs + ")";
         break;
       case NodeKind::kExp2:
-        expr = "exp2f(" + lhs + ")";
+        expr = "__builtin_exp2f(" + lhs + ")";
         break;
       case NodeKind::kLog2:
-        expr = "log2f(" + lhs + ")";
+        expr = "__builtin_log2f(" + lhs + ")";
         break;
       case NodeKind::kSqrt:
-        expr = "sqrtf(" + lhs + ")";
+        expr = "__builtin_sqrtf(" + lhs + ")";
         break;
       case NodeKind::kRcp:
         expr = "1.0f / " + lhs;
@@ -299,14 +299,14 @@ std::string emit_cpp(const StencilSpec& spec, const CodegenOptions& opt) {
   std::ostringstream os;
   os << "// generated by ispborder native backend: " << spec.name << " ("
      << (isp ? "isp" : "naive") << ", " << to_string(opt.pattern)
-     << " border handling, window " << w.m << "x" << w.n << ")\n";
-  os << "#include <math.h>\n\n";
+     << " border handling, window " << w.m << "x" << w.n << ")\n\n";
   os << "extern \"C\" void " << cpp_kernel_symbol(spec, opt) << "(\n";
-  os << "    const float* const* in, const int* pitch_in_v,\n";
-  os << "    float* out, int pitch_out, int sx, int sy,\n";
+  os << "    const float* const* __restrict__ in,\n";
+  os << "    const int* __restrict__ pitch_in_v,\n";
+  os << "    float* __restrict__ out, int pitch_out, int sx, int sy,\n";
   os << "    int y_begin, int y_end)\n{\n";
   for (i32 i = 0; i < spec.num_inputs; ++i) {
-    os << "  const float* in" << i << " = in[" << i << "];\n";
+    os << "  const float* __restrict__ in" << i << " = in[" << i << "];\n";
     os << "  const int pitch_in" << i << " = pitch_in_v[" << i << "];\n";
   }
 

@@ -4,10 +4,15 @@
 // Sibling of cuda_printer with the same lowering contract: the DAG is
 // emitted as one single-operation float statement per node, in node order,
 // using the same libm float entry points as StencilSpec::evaluate
-// (fminf/fmaxf/fabsf/exp2f/log2f/sqrtf), so the compiled code is
-// bit-identical to the CPU reference and the simulator provided the TU is
-// built with FP contraction off (the JIT passes -ffp-contract=off). Float
-// constants are printed as C99 hex literals, which round-trip exactly.
+// (fminf/fmaxf/fabsf/exp2f/log2f/sqrtf, spelled as __builtin_* so the TU
+// needs no #include), so the compiled code is bit-identical to the CPU
+// reference and the simulator provided the TU is built with FP contraction
+// off (the JIT passes -ffp-contract=off). Float constants are printed as
+// C99 hex literals, which round-trip exactly.
+//
+// Every pointer parameter and local is __restrict__: the host never lets
+// the output alias an input, and without the promise the compiler cannot
+// vectorize the guard-free Body loop.
 //
 // Region/guard structure: the ISP variants keep the paper's 9-way
 // partition, but at pixel granularity and computed inside the emitted
@@ -22,9 +27,10 @@
 //
 // ABI of the emitted entry point (see cpp_kernel_symbol):
 //
-//   extern "C" void <sym>(const float* const* in, const int* pitch_in,
-//                         float* out, int pitch_out, int sx, int sy,
-//                         int y_begin, int y_end);
+//   extern "C" void <sym>(const float* const* __restrict__ in,
+//                         const int* __restrict__ pitch_in,
+//                         float* __restrict__ out, int pitch_out,
+//                         int sx, int sy, int y_begin, int y_end);
 //
 // `in`/`pitch_in` hold num_inputs image base pointers and element pitches;
 // the function writes output rows [y_begin, y_end) only, so the host can
@@ -38,7 +44,7 @@
 
 namespace ispb::codegen {
 
-/// Emits the full translation unit (includes + one extern "C" function).
+/// Emits the full translation unit: one extern "C" function, no includes.
 [[nodiscard]] std::string emit_cpp(const StencilSpec& spec,
                                    const CodegenOptions& options);
 

@@ -4,9 +4,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <sstream>
 
 #include "codegen/cpp_printer.hpp"
@@ -21,11 +24,17 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Flags every JIT TU gets. -ffp-contract=off keeps the emitted
-/// one-operation-per-statement sequence bit-identical to
-/// StencilSpec::evaluate (no FMA fusing); everything else is plain
-/// IEEE-conforming optimization.
-constexpr std::string_view kFixedFlags = "-O2 -fPIC -shared -ffp-contract=off";
+/// Flags every JIT TU gets; none of them changes a value bit (DESIGN.md
+/// §16). -ffp-contract=off keeps the emitted one-operation-per-statement
+/// sequence bit-identical to StencilSpec::evaluate (no FMA fusing).
+/// -fvect-cost-model=dynamic lets -O2 vectorize the guard-free Body loop,
+/// which -O2's default very-cheap model rejects. -fno-math-errno only drops
+/// the errno store, so sqrtf inlines to the correctly rounded instruction
+/// and vectorizes. Never -ffast-math; no target-specific -march until the
+/// stem carries a host fingerprint.
+constexpr std::string_view kFixedFlags =
+    "-O2 -fvect-cost-model=dynamic -fno-math-errno -fPIC -shared "
+    "-ffp-contract=off";
 
 std::atomic<i64> g_open_modules{0};
 std::atomic<u64> g_tmp_counter{0};
@@ -71,6 +80,54 @@ std::string resolved_compiler(const JitConfig& config) {
   return env_or("ISPB_NATIVE_CXX", env_or("CXX", "c++"));
 }
 
+/// The file the shell runs for `driver`: a name without '/' is looked up on
+/// $PATH; anything else (or a name found nowhere) is returned as given.
+std::string driver_path(const std::string& driver) {
+  if (driver.find('/') != std::string::npos) return driver;
+  const char* path = std::getenv("PATH");
+  std::string_view dirs = path != nullptr ? path : "";
+  while (!dirs.empty()) {
+    const std::size_t colon = dirs.find(':');
+    const std::string_view dir = dirs.substr(0, colon);
+    dirs = colon == std::string_view::npos ? "" : dirs.substr(colon + 1);
+    const fs::path candidate = fs::path(dir.empty() ? "." : dir) / driver;
+    std::error_code ec;
+    if (fs::is_regular_file(candidate, ec) &&
+        ::access(candidate.c_str(), X_OK) == 0) {
+      return candidate.string();
+    }
+  }
+  return driver;
+}
+
+/// First line of `<driver> --version` ("" when it prints nothing), run once
+/// per driver path per process: a toolchain upgrade changes the artifact
+/// stem, so a shared cache dir never dlopens an object built by another
+/// compiler.
+std::string compiler_version(const std::string& compiler) {
+  static std::mutex mu;
+  static std::map<std::string, std::string> memo;
+  const std::string path = driver_path(compiler);
+  std::lock_guard lock(mu);
+  if (const auto it = memo.find(path); it != memo.end()) return it->second;
+  std::string line;
+  const std::string cmd = shell_quote(path) + " --version 2>/dev/null";
+  if (FILE* pipe = ::popen(cmd.c_str(), "r"); pipe != nullptr) {
+    char buf[256];
+    if (std::fgets(buf, sizeof(buf), pipe) != nullptr) line = buf;
+    ::pclose(pipe);
+  }
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return memo.emplace(path, std::move(line)).first->second;
+}
+
+std::string jit_flags(const JitConfig& config) {
+  return std::string(kFixedFlags) +
+         (config.extra_flags.empty() ? "" : " " + config.extra_flags);
+}
+
 void write_file_or_throw(const fs::path& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw IoError("cannot open '" + path.string() + "' for writing");
@@ -101,17 +158,14 @@ NativeModulePtr load_module(const fs::path& so_path,
 }
 
 /// Shared naming between jit_compile and artifact_stem: the stem is a pure
-/// function of the emitted source, the compiler driver and the flag set.
-std::string compute_stem(const codegen::StencilSpec& spec,
-                         const codegen::CodegenOptions& options,
+/// function of the emitted source, the compiler driver, its version and the
+/// flag set.
+std::string compute_stem(const std::string& source, const std::string& symbol,
                          const JitConfig& config) {
-  const std::string source = emit_cpp(spec, options);
-  const std::string symbol = cpp_kernel_symbol(spec, options);
   const std::string compiler = resolved_compiler(config);
-  const std::string flags =
-      std::string(kFixedFlags) +
-      (config.extra_flags.empty() ? "" : " " + config.extra_flags);
-  const u64 hash = fnv64(flags, fnv64(compiler, fnv64(source)));
+  const u64 hash =
+      fnv64(jit_flags(config),
+            fnv64(compiler_version(compiler), fnv64(compiler, fnv64(source))));
   return symbol + "." + hex64(hash);
 }
 
@@ -120,7 +174,8 @@ std::string compute_stem(const codegen::StencilSpec& spec,
 std::string artifact_stem(const codegen::StencilSpec& spec,
                           const codegen::CodegenOptions& options,
                           const JitConfig& config) {
-  return compute_stem(spec, options, config);
+  return compute_stem(emit_cpp(spec, options),
+                      cpp_kernel_symbol(spec, options), config);
 }
 
 std::string resolved_cache_dir(const JitConfig& config) {
@@ -164,12 +219,8 @@ NativeModulePtr jit_compile(const codegen::StencilSpec& spec,
 
   const std::string source = emit_cpp(spec, options);
   const std::string symbol = cpp_kernel_symbol(spec, options);
-  const std::string compiler = resolved_compiler(config);
-  const std::string flags =
-      std::string(kFixedFlags) +
-      (config.extra_flags.empty() ? "" : " " + config.extra_flags);
   const fs::path dir = resolved_cache_dir(config);
-  const std::string base = compute_stem(spec, options, config);
+  const std::string base = compute_stem(source, symbol, config);
   const fs::path so_path = dir / (base + ".so");
 
   obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
@@ -201,7 +252,8 @@ NativeModulePtr jit_compile(const codegen::StencilSpec& spec,
     write_file_or_throw(cpp_tmp, source);
     fs::rename(cpp_tmp, cpp_path);
 
-    const std::string cmd = shell_quote(compiler) + " " + flags + " -o " +
+    const std::string cmd = shell_quote(resolved_compiler(config)) + " " +
+                            jit_flags(config) + " -o " +
                             shell_quote(so_tmp.string()) + " " +
                             shell_quote(cpp_path.string()) + " 2> " +
                             shell_quote(err_path.string());

@@ -15,7 +15,9 @@
 //
 // Bit-exactness: the TU is compiled with -ffp-contract=off (no FMA
 // fusing) and no fast-math, so the emitted single-operation statements
-// execute exactly the float sequence of StencilSpec::evaluate.
+// execute exactly the float sequence of StencilSpec::evaluate — in vector
+// lanes too: the dynamic vectorizer cost model and -fno-math-errno change
+// which instructions run, never which values they produce.
 #pragma once
 
 #include <memory>
@@ -33,9 +35,11 @@ struct JitConfig {
   std::string cache_dir;
   /// Compiler driver; "" = $ISPB_NATIVE_CXX, else $CXX, else "c++".
   std::string compiler;
-  /// Flags appended after the fixed set (-O2 -fPIC -shared
-  /// -ffp-contract=off). Useful for tests ("-O0") — never needed in
-  /// production.
+  /// Flags appended after the fixed set (-O2 -fvect-cost-model=dynamic
+  /// -fno-math-errno -fPIC -shared -ffp-contract=off), so they win where
+  /// they conflict. Tests pass "-O0" to keep big TUs' compile time down;
+  /// production passes nothing. Part of the artifact stem. Anything added
+  /// here must keep value bits: never -ffast-math or -ffp-contract=fast.
   std::string extra_flags;
   /// Reuse an existing on-disk .so for the same source hash instead of
   /// recompiling. Tests that must observe real compiles point cache_dir at
@@ -46,9 +50,11 @@ struct JitConfig {
 /// The directory `config` resolves to (creating nothing).
 [[nodiscard]] std::string resolved_cache_dir(const JitConfig& config);
 
-/// The artifact stem ("<symbol>.<source-hash>", no directory or extension)
+/// The artifact stem ("<symbol>.<hash>", no directory or extension)
 /// jit_compile would use for (spec, options, config) — computed without
-/// compiling or touching the disk. KernelCache pins in-flight fills'
+/// compiling or touching the disk. The hash covers the emitted source, the
+/// compiler driver, the first line of its `--version` (run once per driver
+/// path per process) and the flag set. KernelCache pins in-flight fills'
 /// expected artifacts against GC with this (see gc_native_artifacts).
 [[nodiscard]] std::string artifact_stem(const codegen::StencilSpec& spec,
                                         const codegen::CodegenOptions& options,

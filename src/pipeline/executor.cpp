@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -16,12 +17,15 @@ namespace ispb::pipeline {
 
 namespace {
 
+/// Image slots of one run: [0] the caller's source, [i + 1] stage i's output.
+using Slots = std::span<const Image<f32>* const>;
+
 /// Compiles (through the cache) and launches one stage with a fixed
 /// variant on the given engine; the building block the primary path, the
 /// breaker's naive fallback and the backend fallback all share.
 ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
                                            const ExecutorConfig& config,
-                                           const std::vector<Image<f32>>& images,
+                                           Slots slots,
                                            Image<f32>& out,
                                            codegen::Variant variant,
                                            exec::Backend backend) {
@@ -42,7 +46,7 @@ ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
   std::vector<const Image<f32>*> inputs;
   inputs.reserve(stage.input_images.size());
   for (i32 img : stage.input_images) {
-    inputs.push_back(&images[static_cast<std::size_t>(img)]);
+    inputs.push_back(slots[static_cast<std::size_t>(img)]);
   }
 
   // Device-level fault point: fires for every launch attempt on this
@@ -76,7 +80,7 @@ ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
 /// breaker — the transparent naive fallback (the runtime isp+m).
 ExecutorResult::Stage run_stage_interp_once(
     const KernelGraph::Stage& stage, const ExecutorConfig& config,
-    const std::vector<Image<f32>>& images, Image<f32>& out) {
+    Slots slots, Image<f32>& out) {
   const filters::AppSimConfig& sim_cfg = config.sim;
 
   resilience::CircuitBreaker* breaker = nullptr;
@@ -87,7 +91,7 @@ ExecutorResult::Stage run_stage_interp_once(
       // Open breaker: serve the naive variant without planning or touching
       // the (still failing) specialized path at all.
       ExecutorResult::Stage s =
-          launch_stage_variant(stage, config, images, out,
+          launch_stage_variant(stage, config, slots, out,
                                codegen::Variant::kNaive,
                                exec::Backend::kInterpreted);
       s.served_by_fallback = true;
@@ -105,7 +109,7 @@ ExecutorResult::Stage run_stage_interp_once(
       variant = plan.variant;
     }
     ExecutorResult::Stage s = launch_stage_variant(
-        stage, config, images, out, variant, exec::Backend::kInterpreted);
+        stage, config, slots, out, variant, exec::Backend::kInterpreted);
     if (breaker != nullptr) breaker->record_success();
     return s;
   } catch (const ContractError&) {
@@ -116,7 +120,7 @@ ExecutorResult::Stage run_stage_interp_once(
     // Abandon the specialized path for this request and serve naive; the
     // caller still sees kOk, with the degradation visible in variant_used.
     ExecutorResult::Stage s =
-        launch_stage_variant(stage, config, images, out,
+        launch_stage_variant(stage, config, slots, out,
                              codegen::Variant::kNaive,
                              exec::Backend::kInterpreted);
     s.served_by_fallback = true;
@@ -133,10 +137,10 @@ ExecutorResult::Stage run_stage_interp_once(
 /// bad geometry fails on every engine.
 ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
                                      const ExecutorConfig& config,
-                                     const std::vector<Image<f32>>& images,
+                                     Slots slots,
                                      Image<f32>& out, exec::Backend backend) {
   if (backend != exec::Backend::kNative) {
-    return run_stage_interp_once(stage, config, images, out);
+    return run_stage_interp_once(stage, config, slots, out);
   }
 
   resilience::CircuitBreaker* breaker = nullptr;
@@ -144,7 +148,7 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
     breaker = &config.breakers->get(stage.spec.name + "#native");
     if (!breaker->allow()) {
       ExecutorResult::Stage s =
-          run_stage_interp_once(stage, config, images, out);
+          run_stage_interp_once(stage, config, slots, out);
       s.backend_fallback = true;
       return s;
     }
@@ -153,7 +157,7 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
   resilience::fault_point("executor.stage", stage.spec.name);
   try {
     ExecutorResult::Stage s = launch_stage_variant(
-        stage, config, images, out, config.sim.variant,
+        stage, config, slots, out, config.sim.variant,
         exec::Backend::kNative);
     if (breaker != nullptr) breaker->record_success();
     return s;
@@ -162,7 +166,7 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
   } catch (...) {
     if (breaker == nullptr) throw;
     breaker->record_failure();
-    ExecutorResult::Stage s = run_stage_interp_once(stage, config, images, out);
+    ExecutorResult::Stage s = run_stage_interp_once(stage, config, slots, out);
     s.backend_fallback = true;
     return s;
   }
@@ -171,14 +175,14 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
 /// Runs one stage under the retry policy and publishes resilience metrics.
 ExecutorResult::Stage run_stage(const KernelGraph::Stage& stage,
                                 const ExecutorConfig& config,
-                                const std::vector<Image<f32>>& images,
+                                Slots slots,
                                 Image<f32>& out, exec::Backend backend) {
   resilience::RetryOutcome outcome;
   ExecutorResult::Stage s;
   try {
     s = resilience::retry_call(
         config.retry, config.clock,
-        [&] { return run_stage_once(stage, config, images, out, backend); },
+        [&] { return run_stage_once(stage, config, slots, out, backend); },
         &outcome);
   } catch (...) {
     if (obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
@@ -236,13 +240,19 @@ ExecutorResult PipelineExecutor::run(
   span.arg("backend", std::string(exec::to_string(engine)));
 
   const std::size_t n = graph.stages.size();
-  // images[0] = source copy, images[i + 1] = stage i output. A stage writes
-  // only its own slot and reads only slots of completed dependencies, so no
-  // synchronization beyond scheduling order is needed.
-  std::vector<Image<f32>> images;
-  images.reserve(n + 1);
-  images.push_back(source);
-  for (std::size_t i = 0; i < n; ++i) images.emplace_back(source.size());
+  // slots[0] = the caller's source, read in place: run() is synchronous, so
+  // the caller's reference outlives every stage, and no stage writes it.
+  // slots[i + 1] = outputs[i], stage i's output. A stage writes only its own
+  // output and reads only slots of completed dependencies, so no
+  // synchronization beyond scheduling order is needed — and no output ever
+  // aliases an input, which the native kernels' __restrict__ relies on.
+  std::vector<Image<f32>> outputs;
+  outputs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) outputs.emplace_back(source.size());
+  std::vector<const Image<f32>*> slots;
+  slots.reserve(n + 1);
+  slots.push_back(&source);
+  for (const Image<f32>& img : outputs) slots.push_back(&img);
 
   ExecutorResult result;
   result.stages.resize(n);
@@ -257,8 +267,8 @@ ExecutorResult PipelineExecutor::run(
   if (concurrency <= 1 || n == 1) {
     // Inline: stage order is already topological.
     for (std::size_t i = 0; i < n; ++i) {
-      result.stages[i] = run_stage(graph.stages[i], config, images,
-                                   images[i + 1], engine);
+      result.stages[i] =
+          run_stage(graph.stages[i], config, slots, outputs[i], engine);
     }
   } else {
     // Kahn scheduling over a dedicated pool (see header for why not the
@@ -307,8 +317,8 @@ ExecutorResult PipelineExecutor::run(
         ExecutorResult::Stage outcome;
         std::exception_ptr error;
         try {
-          outcome = run_stage(graph.stages[idx], config, images,
-                              images[idx + 1], engine);
+          outcome = run_stage(graph.stages[idx], config, slots,
+                              outputs[idx], engine);
         } catch (...) {
           error = std::current_exception();
         }
@@ -341,7 +351,7 @@ ExecutorResult PipelineExecutor::run(
   for (const ExecutorResult::Stage& stage : result.stages) {
     result.total_time_ms += stage.stats.time_ms;
   }
-  result.output = std::move(images.back());
+  result.output = std::move(outputs.back());
   return result;
 }
 

@@ -86,7 +86,10 @@ class PipelineExecutor {
 
   /// Runs every stage of `graph` over `source`, honoring the dependency
   /// structure. Rethrows the first stage failure after in-flight stages
-  /// drain. `backend` overrides ExecutorConfig::backend for this run
+  /// drain. `source` is read in place, never copied: stages reading image 0
+  /// read the caller's buffer (any pitch), and only stage outputs are
+  /// allocated. The run is synchronous, so the caller's reference outlives
+  /// it. `backend` overrides ExecutorConfig::backend for this run
   /// (per-request selection in the server); `variant` pins every stage to
   /// one variant with model selection disabled (fleet brownout serves
   /// kNaive this way).

@@ -1,17 +1,27 @@
 // Execution-backend subsystem tests: the C++ printer's lowering contract,
-// the JIT's bit-exactness and on-disk artifact reuse, the full executor
+// the JIT's bit-exactness (special values at the production flags
+// included), artifact naming and on-disk reuse, the full executor
 // bit-identity matrix (5 apps x 4 patterns x 3 variants, native vs
-// run_app_reference), the backend.compile fault -> interpreted fallback
-// path, and the KernelCache native-module lifecycle (single-flight,
-// refcounted eviction, artifact GC, variant canonicalization).
+// run_app_reference), in-place reads of a padded source, the
+// backend.compile fault -> interpreted fallback path, and the KernelCache
+// native-module lifecycle (single-flight, refcounted eviction, artifact
+// GC, variant canonicalization).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <regex>
 #include <thread>
 #include <vector>
 
@@ -69,6 +79,31 @@ bool bit_identical(const Image<f32>& a, const Image<f32>& b) {
   return true;
 }
 
+/// "" when `got` and `want` are bit-identical apart from NaN payloads, else
+/// the first differing pixel with both bit patterns. IEEE 754 leaves open
+/// which operand's NaN an operation propagates, and GCC reorders the
+/// operands of commutative ops at any -O level above -O0 (vectorized or
+/// not), so a +NaN input meeting a generated -NaN can come out with either
+/// sign. NaN-ness itself, signed zeros, infinities and subnormals must match
+/// bit for bit.
+std::string first_mismatch(const Image<f32>& got, const Image<f32>& want) {
+  if (got.size() != want.size()) return "size mismatch";
+  for (i32 y = 0; y < got.height(); ++y) {
+    for (i32 x = 0; x < got.width(); ++x) {
+      const u32 g = std::bit_cast<u32>(got(x, y));
+      const u32 w = std::bit_cast<u32>(want(x, y));
+      if (g != w && !(std::isnan(got(x, y)) && std::isnan(want(x, y)))) {
+        char buf[96];
+        std::snprintf(buf, sizeof(buf), "(%d, %d): got 0x%08x (%g), want 0x%08x (%g)",
+                      x, y, g, static_cast<double>(got(x, y)), w,
+                      static_cast<double>(want(x, y)));
+        return buf;
+      }
+    }
+  }
+  return "";
+}
+
 std::vector<const Image<f32>*> bind_inputs(const codegen::StencilSpec& spec,
                                            const Image<f32>& source) {
   return std::vector<const Image<f32>*>(
@@ -109,6 +144,82 @@ TEST(CppPrinter, EmitsExternCEntryAndCanonicalSymbol) {
   EXPECT_NE(tiled_src.find("tile["), std::string::npos) << tiled_src;
 }
 
+// The TU is self-contained (no header parse on every JIT run), and every
+// pointer it declares — the entry point's parameters and the per-input
+// locals — carries __restrict__, without which the Body loop cannot
+// vectorize.
+TEST(CppPrinter, EmitsNoIncludesAndRestrictsEveryPointer) {
+  const std::regex pointer_decl(R"((float|int)\*(\s*const\*)?\s+(\w+))");
+  for (const filters::MultiKernelApp& app : filters::all_apps()) {
+    for (const auto& stage : app.stages) {
+      for (codegen::Variant variant :
+           {codegen::Variant::kNaive, codegen::Variant::kIsp,
+            codegen::Variant::kIspTiled}) {
+        codegen::CodegenOptions opt;
+        opt.variant = variant;
+        const std::string src = codegen::emit_cpp(stage.spec, opt);
+        const std::string combo = stage.spec.name + "/" +
+                                  std::string(codegen::to_string(variant));
+        EXPECT_EQ(src.find("#include"), std::string::npos) << combo;
+        // in, pitch_in_v, out and one inN per input.
+        const auto first =
+            std::sregex_iterator(src.begin(), src.end(), pointer_decl);
+        EXPECT_EQ(std::distance(first, std::sregex_iterator()),
+                  3 + stage.spec.num_inputs)
+            << combo;
+        for (auto it = first; it != std::sregex_iterator(); ++it) {
+          EXPECT_EQ((*it)[3].str(), "__restrict__")
+              << combo << ": " << it->str();
+        }
+      }
+    }
+  }
+}
+
+// A toolchain upgrade must change the artifact name: the stem hashes the
+// first line of `<driver> --version`, not just the driver's name. Three
+// drivers share one name on different $PATHs; a and c report the same
+// version, b another.
+TEST(Jit, ArtifactStemTracksCompilerVersion) {
+  const TempDir dir("stem");
+  const auto make_driver = [&](const std::string& sub,
+                               const std::string& version) {
+    const fs::path bin = dir.path / sub;
+    fs::create_directories(bin);
+    const fs::path driver = bin / "ispb-test-cxx";
+    {
+      std::ofstream script(driver);
+      script << "#!/bin/sh\necho '" << version << "'\necho 'more text'\n";
+    }
+    fs::permissions(driver, fs::perms::owner_all);
+    return bin;
+  };
+  const fs::path a = make_driver("a", "ispb-test-cxx 12.2.0");
+  const fs::path b = make_driver("b", "ispb-test-cxx 13.1.0");
+  const fs::path c = make_driver("c", "ispb-test-cxx 12.2.0");
+
+  const filters::MultiKernelApp app = filters::make_gaussian_app();
+  const codegen::StencilSpec& spec = app.stages.front().spec;
+  codegen::CodegenOptions opt;
+  opt.variant = codegen::Variant::kIsp;
+  exec::JitConfig config = fast_jit(dir);
+  config.compiler = "ispb-test-cxx";
+
+  const char* env_path = std::getenv("PATH");
+  const std::string saved = env_path != nullptr ? env_path : "";
+  const auto stem_with = [&](const fs::path& bin) {
+    ::setenv("PATH", (bin.string() + ":" + saved).c_str(), 1);
+    return exec::artifact_stem(spec, opt, config);
+  };
+  const std::string stem_a = stem_with(a);
+  const std::string stem_b = stem_with(b);
+  const std::string stem_c = stem_with(c);
+  ::setenv("PATH", saved.c_str(), 1);
+
+  EXPECT_NE(stem_a, stem_b);
+  EXPECT_EQ(stem_a, stem_c);  // the version, not the driver's location
+}
+
 TEST(Jit, CompilesBitExactKernelAndReusesDiskArtifact) {
   const TempDir dir("jit");
   const filters::MultiKernelApp app = filters::make_gaussian_app();
@@ -133,6 +244,101 @@ TEST(Jit, CompilesBitExactKernelAndReusesDiskArtifact) {
   const exec::NativeModulePtr again = exec::jit_compile(spec, opt, fast_jit(dir));
   EXPECT_EQ(again->artifact_path(), module->artifact_path());
   EXPECT_EQ(fs::last_write_time(artifact), mtime);
+}
+
+/// Noise salted with IEEE special values: a sparse grid of +-NaN, +-Inf,
+/// -0.0, +0.0 and subnormals in the left half, and subnormal-scale noise
+/// (so sums and products of taps underflow gradually) in the bottom half.
+/// The top-right quadrant stays plain noise, so wide windows there still
+/// produce finite outputs.
+Image<f32> make_special_image(Size2 size, u64 seed) {
+  using limits = std::numeric_limits<f32>;
+  const f32 specials[] = {limits::quiet_NaN(),   -limits::quiet_NaN(),
+                          limits::infinity(),    -limits::infinity(),
+                          -0.0f,                 0.0f,
+                          limits::denorm_min(),  -limits::denorm_min(),
+                          limits::min() / 64.0f, -limits::min() / 3.0f};
+  constexpr i32 kSpecials = static_cast<i32>(std::size(specials));
+  Image<f32> img = make_noise_image(size, seed);
+  for (i32 y = 0; y < size.y; ++y) {
+    for (i32 x = 0; x < size.x; ++x) {
+      if (y >= size.y / 2) img(x, y) *= 0x1p-140f;
+      if (x < size.x / 2 && x % 5 == 2 && y % 4 == 1) {
+        img(x, y) = specials[(x / 5 + y / 4 + static_cast<i32>(seed)) %
+                             kSpecials];
+      }
+    }
+  }
+  return img;
+}
+
+// Vectorized loops, __builtin_fminf/fmaxf/sqrtf and -fno-math-errno must
+// keep std::fmin/fmax/sqrt semantics bit for bit — NaN-ness, signed zeros,
+// infinities and subnormals included; only NaN payloads may differ (see
+// first_mismatch). Compiled with the production flag set
+// (no -O0 override), which is what vectorizes the Body. Every stage of
+// every app is checked against dsl::run_reference directly, so point
+// stages (sobel's sqrt, night's fmax tonemap) see the special values too.
+TEST(JitSpecialValues, BitIdenticalToReferenceAtProductionFlags) {
+  const TempDir dir("special");
+  const exec::JitConfig production{dir.path.string(), "", "", true};
+  const Size2 size{40, 40};
+  std::vector<Image<f32>> images;
+  for (u64 seed = 1; seed <= 2; ++seed) {
+    images.push_back(make_special_image(size, seed));
+  }
+
+  struct Case {
+    const codegen::StencilSpec* spec;
+    codegen::CodegenOptions options;
+    exec::NativeModulePtr module;
+  };
+  std::vector<filters::MultiKernelApp> apps = filters::all_apps();
+  std::vector<Case> cases;
+  for (const filters::MultiKernelApp& app : apps) {
+    for (const auto& stage : app.stages) {
+      for (BorderPattern pattern : kAllBorderPatterns) {
+        for (codegen::Variant variant :
+             {codegen::Variant::kNaive, codegen::Variant::kIsp,
+              codegen::Variant::kIspTiled}) {
+          Case c{&stage.spec, {}, nullptr};
+          c.options.pattern = pattern;
+          c.options.variant = variant;
+          cases.push_back(std::move(c));
+        }
+      }
+    }
+  }
+
+  // Optimized compiles dominate the test; spread them over a few threads.
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> compilers;
+  const unsigned threads =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+  for (unsigned t = 0; t < threads; ++t) {
+    compilers.emplace_back([&] {
+      for (std::size_t i = next.fetch_add(1); i < cases.size();
+           i = next.fetch_add(1)) {
+        cases[i].module =
+            exec::jit_compile(*cases[i].spec, cases[i].options, production);
+      }
+    });
+  }
+  for (std::thread& th : compilers) th.join();
+
+  for (const Case& c : cases) {
+    std::vector<const Image<f32>*> inputs;
+    for (i32 k = 0; k < c.spec->num_inputs; ++k) {
+      inputs.push_back(&images[static_cast<std::size_t>(k)]);
+    }
+    const Image<f32> reference = dsl::run_reference(
+        *c.spec, c.options.pattern, c.options.border_constant, inputs);
+    Image<f32> out(size);
+    (void)exec::run_native_module(*c.module, inputs, out);
+    EXPECT_EQ(first_mismatch(out, reference), "")
+        << c.spec->name << "/" << to_string(c.options.pattern) << "/"
+        << codegen::to_string(c.options.variant);
+  }
 }
 
 // The acceptance matrix: every app, every border pattern, every variant —
@@ -212,6 +418,55 @@ TEST(ExecutorInterpreted, TiledBitIdenticalToReferenceAcrossAppsPatterns) {
       }
     }
   }
+}
+
+// The executor reads the caller's source in place. Sobel's dx and dy read
+// image 0 and the magnitude reads images 1 and 2, on both engines and both
+// schedules. The source is 77 wide, so each row ends in padding up to the
+// pitch; the padding holds NaN, which would reach the output if any stage
+// addressed the source with the wrong pitch. The source is never written.
+TEST(Executor, ReadsPaddedSourceInPlace) {
+  const TempDir dir("inplace");
+  pipeline::KernelCache cache;
+  cache.set_jit(fast_jit(dir));
+  const filters::MultiKernelApp app = filters::make_sobel_app();
+  const pipeline::KernelGraph graph = pipeline::build_graph(app);
+
+  const Image<f32> noise = make_noise_image({77, 53}, 11);
+  Image<f32> source(noise.size());
+  ASSERT_GT(source.pitch(), source.width());
+  source.fill(std::numeric_limits<f32>::quiet_NaN());
+  for (i32 y = 0; y < source.height(); ++y) {
+    for (i32 x = 0; x < source.width(); ++x) source(x, y) = noise(x, y);
+  }
+  const std::vector<f32> before(source.buffer().begin(),
+                                source.buffer().end());
+  const Image<f32> reference =
+      filters::run_app_reference(app, noise, BorderPattern::kMirror);
+
+  for (exec::Backend backend :
+       {exec::Backend::kNative, exec::Backend::kInterpreted}) {
+    for (i32 concurrency : {1, 2}) {
+      pipeline::ExecutorConfig cfg;
+      cfg.sim.pattern = BorderPattern::kMirror;
+      cfg.sim.variant = codegen::Variant::kIsp;
+      cfg.concurrency = concurrency;
+      cfg.cache = &cache;
+      cfg.backend = backend;
+      const pipeline::PipelineExecutor executor(cfg);
+      const pipeline::ExecutorResult result = executor.run(graph, source);
+      const std::string combo = std::string(exec::to_string(backend)) +
+                                "/concurrency " + std::to_string(concurrency);
+      EXPECT_TRUE(bit_identical(result.output, reference)) << combo;
+      for (const auto& stage : result.stages) {
+        EXPECT_EQ(stage.backend_used, backend) << combo << " " << stage.kernel;
+        EXPECT_FALSE(stage.backend_fallback) << combo << " " << stage.kernel;
+      }
+    }
+  }
+  EXPECT_EQ(std::memcmp(before.data(), source.buffer().data(),
+                        before.size() * sizeof(f32)),
+            0);
 }
 
 TEST(ExecutorNative, DegenerateGeometryServesAllChecksNaive) {
