@@ -91,26 +91,36 @@ void parallel_for(i64 begin, i64 end, const std::function<void(i64)>& body,
   const i64 chunks = std::min<i64>(pool.size() * 4, count / grain);
   const i64 chunk_size = (count + chunks - 1) / chunks;
 
+  // Joins on this call's chunks only: the global pool is shared, and
+  // waiting for it to go idle would make concurrent callers wait for each
+  // other's work.
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
-  std::mutex error_mutex;
+  std::mutex mutex;
+  std::condition_variable done;
+  i64 pending = (count + chunk_size - 1) / chunk_size;
 
-  for (i64 c = 0; c < chunks; ++c) {
-    const i64 lo = begin + c * chunk_size;
+  for (i64 lo = begin; lo < end; lo += chunk_size) {
     const i64 hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
     pool.submit([&, lo, hi] {
-      if (failed.load(std::memory_order_relaxed)) return;
-      try {
-        for (i64 i = lo; i < hi; ++i) body(i);
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
+      std::exception_ptr error;
+      if (!failed.load(std::memory_order_relaxed)) {
+        try {
+          for (i64 i = lo; i < hi; ++i) body(i);
+        } catch (...) {
+          error = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+        }
       }
+      // Notify under the lock: the caller may return (and destroy `done`)
+      // as soon as it can observe pending == 0.
+      std::lock_guard lock(mutex);
+      if (error && !first_error) first_error = error;
+      if (--pending == 0) done.notify_all();
     });
   }
-  pool.wait_idle();
+  std::unique_lock lock(mutex);
+  done.wait(lock, [&] { return pending == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -56,8 +56,10 @@ class ThreadPool {
 };
 
 /// Runs `body(i)` for i in [begin, end) across the global pool, splitting the
-/// range into contiguous chunks. Rethrows the first exception thrown by any
-/// chunk. Falls back to a serial loop for tiny ranges or a 1-thread pool.
+/// range into contiguous chunks. Returns once this call's chunks are done;
+/// it never waits for other callers' tasks on the pool. Rethrows the first
+/// exception thrown by any chunk. Falls back to a serial loop for tiny
+/// ranges or a 1-thread pool.
 void parallel_for(i64 begin, i64 end, const std::function<void(i64)>& body,
                   i64 grain = 1);
 

@@ -64,6 +64,9 @@ BackendRun InterpretedBackend::run(const codegen::StencilSpec& spec,
     kernel = std::make_shared<const dsl::CompiledKernel>(
         dsl::compile_kernel(spec, options));
   }
+  // A sampled launch leaves unsampled blocks unwritten; zero them so the
+  // output is fully defined (run()'s contract).
+  if (sampled) output.fill(0.0f);
   const dsl::SimRun sim_run =
       dsl::launch_on_sim(device, *kernel, inputs, output, block, sampled);
   BackendRun run;

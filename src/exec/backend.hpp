@@ -59,8 +59,10 @@ class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
   [[nodiscard]] virtual Backend kind() const = 0;
-  /// Executes `spec` over `output.size()`. Inputs must match the output
-  /// size; throws ContractError on geometry violations (never retried or
+  /// Executes `spec` over `output.size()` and defines every in-bounds
+  /// output pixel, whatever `output` held before: callers may pass an
+  /// Image(Size2, Uninitialized). Inputs must match the output size; throws
+  /// ContractError on geometry violations (never retried or
   /// circuit-broken by the executor).
   virtual BackendRun run(const codegen::StencilSpec& spec,
                          const codegen::CodegenOptions& options,
@@ -71,7 +73,8 @@ class ExecutionBackend {
 };
 
 /// Wraps dsl::compile_kernel + dsl::launch_on_sim; compiles through
-/// `cache` when non-null.
+/// `cache` when non-null. A `sampled` launch runs only a sample of the
+/// blocks, so the output is zero-filled first and unsampled pixels read 0.
 class InterpretedBackend final : public ExecutionBackend {
  public:
   explicit InterpretedBackend(pipeline::KernelCache* cache = nullptr)

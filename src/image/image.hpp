@@ -7,13 +7,41 @@
 #pragma once
 
 #include <algorithm>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace ispb {
+
+/// Tag selecting the Image constructor that leaves pixels unwritten.
+struct Uninitialized {};
+
+/// std::allocator whose value-less construct default-initializes, so
+/// `resize(n)` of a trivial element type allocates without writing. Copies
+/// and explicit values construct exactly as std::allocator does.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 /// Row-padded 2-D image over a trivially copyable pixel type.
 template <typename T>
@@ -35,6 +63,22 @@ class Image {
   }
 
   explicit Image(Size2 size) : Image(size.x, size.y) {}
+
+  /// Same geometry as Image(Size2), but pixels are left indeterminate for a
+  /// writer that defines every one of them (a stage output). Padding
+  /// columns are still zeroed, so buffer() never exposes unwritten memory
+  /// outside the image.
+  Image(Size2 size, Uninitialized) : size_(size) {
+    ISPB_EXPECTS(size.x > 0 && size.y > 0);
+    pitch_ = round_up(size.x, kRowAlign);
+    data_.resize(static_cast<std::size_t>(pitch_) * size.y);
+    if (pitch_ > size.x) {
+      for (i32 y = 0; y < size.y; ++y) {
+        T* row = data_.data() + flat(0, y);
+        std::fill(row + size.x, row + pitch_, T{});
+      }
+    }
+  }
 
   [[nodiscard]] Size2 size() const { return size_; }
   [[nodiscard]] i32 width() const { return size_.x; }
@@ -112,7 +156,7 @@ class Image {
 
   Size2 size_{};
   i32 pitch_ = 0;
-  std::vector<T> data_;
+  std::vector<T, DefaultInitAllocator<T>> data_;
 };
 
 }  // namespace ispb

@@ -242,17 +242,27 @@ ExecutorResult PipelineExecutor::run(
   const std::size_t n = graph.stages.size();
   // slots[0] = the caller's source, read in place: run() is synchronous, so
   // the caller's reference outlives every stage, and no stage writes it.
-  // slots[i + 1] = outputs[i], stage i's output. A stage writes only its own
-  // output and reads only slots of completed dependencies, so no
-  // synchronization beyond scheduling order is needed — and no output ever
-  // aliases an input, which the native kernels' __restrict__ relies on.
-  std::vector<Image<f32>> outputs;
-  outputs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) outputs.emplace_back(source.size());
+  // slots[i + 1] = stage i's output, the plan's buffer for stage i. The
+  // buffers are allocated uninitialized: every backend defines each output
+  // pixel. A stage writes only its own buffer and reads only slots of
+  // completed dependencies; the plan hands a buffer on only once its
+  // previous holder and all that holder's readers are ancestors of the new
+  // stage. So no synchronization beyond scheduling order is needed, and no
+  // output ever aliases an input, which the native kernels' __restrict__
+  // relies on.
+  const KernelGraph::BufferPlan plan = graph.buffer_plan();
+  std::vector<Image<f32>> buffers;
+  buffers.reserve(static_cast<std::size_t>(plan.buffers));
+  for (i32 b = 0; b < plan.buffers; ++b) {
+    buffers.emplace_back(source.size(), Uninitialized{});
+  }
+  const auto output_of = [&](std::size_t stage) -> Image<f32>& {
+    return buffers[static_cast<std::size_t>(plan.stage_buffer[stage])];
+  };
   std::vector<const Image<f32>*> slots;
   slots.reserve(n + 1);
   slots.push_back(&source);
-  for (const Image<f32>& img : outputs) slots.push_back(&img);
+  for (std::size_t i = 0; i < n; ++i) slots.push_back(&output_of(i));
 
   ExecutorResult result;
   result.stages.resize(n);
@@ -268,7 +278,7 @@ ExecutorResult PipelineExecutor::run(
     // Inline: stage order is already topological.
     for (std::size_t i = 0; i < n; ++i) {
       result.stages[i] =
-          run_stage(graph.stages[i], config, slots, outputs[i], engine);
+          run_stage(graph.stages[i], config, slots, output_of(i), engine);
     }
   } else {
     // Kahn scheduling over a dedicated pool (see header for why not the
@@ -318,7 +328,7 @@ ExecutorResult PipelineExecutor::run(
         std::exception_ptr error;
         try {
           outcome = run_stage(graph.stages[idx], config, slots,
-                              outputs[idx], engine);
+                              output_of(idx), engine);
         } catch (...) {
           error = std::current_exception();
         }
@@ -351,7 +361,7 @@ ExecutorResult PipelineExecutor::run(
   for (const ExecutorResult::Stage& stage : result.stages) {
     result.total_time_ms += stage.stats.time_ms;
   }
-  result.output = std::move(outputs.back());
+  result.output = std::move(output_of(n - 1));
   return result;
 }
 

@@ -5,8 +5,9 @@
 // stage starts the moment both finish; Night's Atrous chain degrades to
 // sequential execution naturally (each stage unblocks the next). Stage
 // results are bit-identical to filters::run_app_reference regardless of
-// schedule: stages only share images through completed dependencies, and
-// each simulated launch is deterministic.
+// schedule: stages only share images through completed dependencies, a
+// buffer is reused only after every reader of its previous contents has
+// finished (KernelGraph::buffer_plan), and each launch is deterministic.
 //
 // Threading: the executor owns a pool sized to the graph's parallelism. It
 // deliberately does NOT run stage bodies on ThreadPool::global() — the
@@ -87,9 +88,12 @@ class PipelineExecutor {
   /// Runs every stage of `graph` over `source`, honoring the dependency
   /// structure. Rethrows the first stage failure after in-flight stages
   /// drain. `source` is read in place, never copied: stages reading image 0
-  /// read the caller's buffer (any pitch), and only stage outputs are
-  /// allocated. The run is synchronous, so the caller's reference outlives
-  /// it. `backend` overrides ExecutorConfig::backend for this run
+  /// read the caller's buffer (any pitch). Stage outputs live in the
+  /// graph's buffer_plan(): one uninitialized image per planned buffer,
+  /// each pixel written once by the stage that owns it, and a buffer whose
+  /// output is dead is reused within the run (night's five stages share
+  /// two). The run is synchronous, so the caller's reference outlives it.
+  /// `backend` overrides ExecutorConfig::backend for this run
   /// (per-request selection in the server); `variant` pins every stage to
   /// one variant with model selection disabled (fleet brownout serves
   /// kNaive this way).

@@ -26,6 +26,47 @@ i32 KernelGraph::depth() const {
   return max_level;
 }
 
+KernelGraph::BufferPlan KernelGraph::buffer_plan() const {
+  const std::size_t n = stages.size();
+  // ancestor[i][j]: stage j (transitively) produces an input of stage i.
+  // Deps point to earlier stages, so one pass in index order closes it.
+  std::vector<std::vector<bool>> ancestor(n, std::vector<bool>(n, false));
+  std::vector<std::vector<i32>> readers(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (i32 dep : stages[i].deps) {
+      const auto d = static_cast<std::size_t>(dep);
+      readers[d].push_back(static_cast<i32>(i));
+      ancestor[i][d] = true;
+      for (std::size_t k = 0; k < d; ++k) {
+        if (ancestor[d][k]) ancestor[i][k] = true;
+      }
+    }
+  }
+
+  BufferPlan plan;
+  plan.stage_buffer.resize(n);
+  std::vector<i32> holder;  // holder[b]: latest stage assigned buffer b
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto is_ancestor = [&](i32 s) {
+      return ancestor[i][static_cast<std::size_t>(s)];
+    };
+    const auto free_for_i = [&](i32 h) {
+      const std::vector<i32>& r = readers[static_cast<std::size_t>(h)];
+      return is_ancestor(h) && std::all_of(r.begin(), r.end(), is_ancestor);
+    };
+    const auto reuse = std::find_if(holder.begin(), holder.end(), free_for_i);
+    if (reuse == holder.end()) {
+      plan.stage_buffer[i] = static_cast<i32>(holder.size());
+      holder.push_back(static_cast<i32>(i));
+    } else {
+      plan.stage_buffer[i] = static_cast<i32>(reuse - holder.begin());
+      *reuse = static_cast<i32>(i);
+    }
+  }
+  plan.buffers = static_cast<i32>(holder.size());
+  return plan;
+}
+
 void KernelGraph::validate() const {
   if (stages.empty()) throw ContractError("KernelGraph '" + name + "' is empty");
   for (std::size_t i = 0; i < stages.size(); ++i) {

@@ -44,6 +44,17 @@ struct KernelGraph {
   /// concurrently.
   [[nodiscard]] i32 depth() const;
 
+  /// Which output buffer each stage writes. Stage i may reuse the buffer of
+  /// its latest earlier holder j only if j and every stage reading j's
+  /// output are ancestors of i: under any schedule those reads have then
+  /// finished before i starts. A stage is never its own ancestor, so no
+  /// stage writes a buffer it reads.
+  struct BufferPlan {
+    i32 buffers = 0;                ///< distinct buffers to allocate
+    std::vector<i32> stage_buffer;  ///< stage i writes stage_buffer[i]
+  };
+  [[nodiscard]] BufferPlan buffer_plan() const;
+
   /// Structural checks: nonempty, every input image id in [0, stage image),
   /// deps consistent with input_images. Throws ContractError on violation.
   void validate() const;

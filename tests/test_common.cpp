@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -169,6 +173,50 @@ TEST(ParallelFor, PropagatesExceptions) {
                      if (i == 57) throw std::runtime_error("boom");
                    }),
       std::runtime_error);
+}
+
+// parallel_for joins on its own chunks only. Thread A's body blocks one
+// pool worker on a gate; thread B's parallel_for must still return while A
+// is blocked, instead of waiting for the whole pool to drain.
+TEST(ParallelFor, DoesNotWaitForOtherCallersChunks) {
+  if (ThreadPool::global().size() < 3) {
+    GTEST_SKIP() << "needs at least 3 pool workers";
+  }
+  std::mutex mu;
+  std::condition_variable gate;
+  bool open = false;
+  std::atomic<bool> a_blocked{false};
+  std::thread a([&] {
+    parallel_for(0, 64, [&](i64 i) {
+      if (i != 0) return;
+      a_blocked = true;
+      std::unique_lock lock(mu);
+      gate.wait(lock, [&] { return open; });
+    });
+  });
+  while (!a_blocked) std::this_thread::yield();
+
+  std::atomic<bool> b_done{false};
+  std::atomic<i64> b_sum{0};
+  std::thread b([&] {
+    parallel_for(0, 64, [&](i64 i) { b_sum += i; });
+    b_done = true;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!b_done && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool returned_while_a_blocked = b_done;
+  {
+    std::lock_guard lock(mu);
+    open = true;
+  }
+  gate.notify_all();
+  a.join();
+  b.join();
+  EXPECT_TRUE(returned_while_a_blocked);
+  EXPECT_EQ(b_sum.load(), 64 * 63 / 2);
 }
 
 TEST(Stats, GeometricMean) {

@@ -2,12 +2,16 @@
 // the JIT's bit-exactness (special values at the production flags
 // included), artifact naming and on-disk reuse, the full executor
 // bit-identity matrix (5 apps x 4 patterns x 3 variants, native vs
-// run_app_reference), in-place reads of a padded source, the
+// run_app_reference), in-place reads of a padded source, no unwritten
+// output pixel on a poisoned heap, the
 // backend.compile fault -> interpreted fallback path, and the KernelCache
 // native-module lifecycle (single-flight, refcounted eviction, artifact
 // GC, variant canonicalization).
 #include <gtest/gtest.h>
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <atomic>
@@ -467,6 +471,119 @@ TEST(Executor, ReadsPaddedSourceInPlace) {
   EXPECT_EQ(std::memcmp(before.data(), source.buffer().data(),
                         before.size() * sizeof(f32)),
             0);
+}
+
+/// Poisons the heap for one scope. Under glibc's M_PERTURB every byte of a
+/// fresh allocation reads 0x5a (and of a freed block 0xa5), so an output
+/// pixel no stage writes comes out as 0x5a5a5a5a instead of a lucky zero
+/// or a recycled, correct-looking value. Elsewhere (and under ASan, which
+/// ignores M_PERTURB) it does nothing; the back-to-back runs below still
+/// catch a buffer that keeps an earlier run's pixels.
+class PoisonedHeap {
+ public:
+  PoisonedHeap() { set(0xA5); }
+  ~PoisonedHeap() { set(0); }
+  PoisonedHeap(const PoisonedHeap&) = delete;
+  PoisonedHeap& operator=(const PoisonedHeap&) = delete;
+
+ private:
+  static void set([[maybe_unused]] int byte) {
+#ifdef __GLIBC__
+    mallopt(M_PERTURB, byte);
+#endif
+  }
+};
+
+/// Every app and pattern at a padded-pitch size (131 wide) and an unpadded
+/// one, on a poisoned heap, against run_app_reference. Each cell runs two
+/// different sources of one size back to back, so the second output must
+/// not inherit the first's pixels either.
+void expect_every_pixel_written(exec::Backend backend,
+                                codegen::Variant variant) {
+  const TempDir dir("poison");
+  pipeline::KernelCache cache(256);
+  cache.set_jit(fast_jit(dir));
+  const PoisonedHeap poison;
+  for (const Size2 size : {Size2{131, 75}, Size2{64, 64}}) {
+    const Image<f32> first = make_noise_image(size, 7);
+    const Image<f32> second = make_noise_image(size, 8);
+    for (const filters::MultiKernelApp& app : filters::all_apps()) {
+      const pipeline::KernelGraph graph = pipeline::build_graph(app);
+      for (BorderPattern pattern : kAllBorderPatterns) {
+        pipeline::ExecutorConfig cfg;
+        cfg.sim.pattern = pattern;
+        cfg.sim.variant = variant;
+        cfg.concurrency = 1;
+        cfg.cache = &cache;
+        cfg.backend = backend;
+        const pipeline::PipelineExecutor executor(cfg);
+        for (const Image<f32>* source : {&first, &second}) {
+          const pipeline::ExecutorResult result = executor.run(graph, *source);
+          const Image<f32> reference =
+              filters::run_app_reference(app, *source, pattern);
+          EXPECT_EQ(first_mismatch(result.output, reference), "")
+              << app.name << "/" << to_string(pattern) << " at " << size.x
+              << "x" << size.y << (source == &first ? " first" : " second");
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecutorPoisonedHeap, NativeIspWritesEveryPixel) {
+  expect_every_pixel_written(exec::Backend::kNative, codegen::Variant::kIsp);
+}
+
+TEST(ExecutorPoisonedHeap, NativeNaiveWritesEveryPixel) {
+  expect_every_pixel_written(exec::Backend::kNative, codegen::Variant::kNaive);
+}
+
+TEST(ExecutorPoisonedHeap, NativeTiledWritesEveryPixel) {
+  expect_every_pixel_written(exec::Backend::kNative,
+                             codegen::Variant::kIspTiled);
+}
+
+TEST(ExecutorPoisonedHeap, InterpretedFullWritesEveryPixel) {
+  expect_every_pixel_written(exec::Backend::kInterpreted,
+                             codegen::Variant::kIsp);
+}
+
+// A sampled interpreted launch runs only representative blocks. The
+// executor's output must equal chaining launch_on_sim into zero-filled
+// images, as the executor did before stage outputs were left
+// uninitialized: unsampled pixels read exactly 0, never heap garbage.
+TEST(ExecutorPoisonedHeap, SampledInterpretedMatchesZeroFilledLaunch) {
+  const PoisonedHeap poison;
+  const Image<f32> source = make_noise_image({131, 75}, 9);
+  pipeline::ExecutorConfig cfg;
+  cfg.sim.sampled = true;
+  cfg.concurrency = 1;
+  cfg.backend = exec::Backend::kInterpreted;
+  const pipeline::PipelineExecutor executor(cfg);
+  for (const filters::MultiKernelApp& app : filters::all_apps()) {
+    std::vector<Image<f32>> images;
+    images.push_back(source);
+    for (const auto& stage : app.stages) {
+      codegen::CodegenOptions options;
+      options.pattern = cfg.sim.pattern;
+      options.variant = cfg.sim.variant;
+      options.border_constant = cfg.sim.constant;
+      options.tile_block = cfg.sim.block;
+      const dsl::CompiledKernel kernel =
+          dsl::compile_kernel(stage.spec, options);
+      std::vector<const Image<f32>*> inputs;
+      for (i32 img : stage.input_bindings) {
+        inputs.push_back(&images[static_cast<std::size_t>(img)]);
+      }
+      Image<f32> out(source.size());  // zero-filled
+      (void)dsl::launch_on_sim(cfg.sim.device, kernel, inputs, out,
+                               cfg.sim.block, true);
+      images.push_back(std::move(out));
+    }
+    const pipeline::ExecutorResult result =
+        executor.run(pipeline::build_graph(app), source);
+    EXPECT_TRUE(bit_identical(result.output, images.back())) << app.name;
+  }
 }
 
 TEST(ExecutorNative, DegenerateGeometryServesAllChecksNaive) {

@@ -1,11 +1,14 @@
 // Unit tests for the image substrate: container, generators, comparison, I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <filesystem>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "image/compare.hpp"
@@ -40,6 +43,46 @@ TEST(Image, ZeroInitialized) {
   Image<i32> img(5, 5);
   for (i32 y = 0; y < 5; ++y) {
     for (i32 x = 0; x < 5; ++x) EXPECT_EQ(img(x, y), 0);
+  }
+}
+
+// Image(Size2, Uninitialized) has the zeroing constructor's geometry and
+// zero padding columns; once every pixel is written, copies and moves keep
+// each of them. A freed buffer of -1s sits where the allocation is likely
+// to land, so padding that were left unwritten would read -1.
+TEST(Image, UninitializedKeepsGeometryAndZeroPadding) {
+  EXPECT_THROW(Image<f32>(Size2{0, 4}, Uninitialized{}), ContractError);
+  for (const Size2 size : {Size2{17, 9}, Size2{64, 4}, Size2{131, 75}}) {
+    const Image<f32> zeroed(size);
+    {
+      std::vector<f32> dirty(zeroed.buffer().size(), -1.0f);
+      ASSERT_EQ(dirty.front(), -1.0f);
+    }
+    Image<f32> img(size, Uninitialized{});
+    EXPECT_EQ(img.size(), zeroed.size());
+    EXPECT_EQ(img.pitch(), zeroed.pitch());
+    ASSERT_EQ(img.buffer().size(), zeroed.buffer().size());
+    for (i32 y = 0; y < size.y; ++y) {
+      for (i32 x = size.x; x < img.pitch(); ++x) {
+        EXPECT_EQ(img.buffer()[static_cast<std::size_t>(y) * img.pitch() + x],
+                  0.0f)
+            << size.x << "x" << size.y << " padding (" << x << ", " << y
+            << ")";
+      }
+    }
+
+    for (i32 y = 0; y < size.y; ++y) {
+      for (i32 x = 0; x < size.x; ++x) img(x, y) = static_cast<f32>(y * 1000 + x);
+    }
+    const Image<f32> copy = img;
+    EXPECT_TRUE(std::equal(copy.buffer().begin(), copy.buffer().end(),
+                           img.buffer().begin(), img.buffer().end()));
+    Image<f32> assigned(1, 1);
+    assigned = copy;
+    EXPECT_TRUE(assigned == img);
+    const Image<f32> moved = std::move(img);
+    EXPECT_TRUE(moved == copy);
+    EXPECT_EQ(moved.pitch(), copy.pitch());
   }
 }
 

@@ -5,7 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <map>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -177,6 +181,143 @@ TEST(KernelGraph, ValidateRejectsForwardReferences) {
   pipeline::KernelGraph g = pipeline::build_graph(filters::make_sobel_app());
   g.stages[0].input_images = {3};  // stage 0 cannot read stage 2's output
   EXPECT_THROW(g.validate(), ContractError);
+}
+
+// ---- buffer plan -------------------------------------------------------------
+
+/// A synthetic app: stage k reads the images in bindings[k] (0 = source).
+/// One-input stages alternate gaussian / laplace / atrous so that sibling
+/// branches compute different images; two-input stages take the gradient
+/// magnitude of their pair.
+filters::MultiKernelApp synthetic_app(
+    const std::string& name, const std::vector<std::vector<i32>>& bindings) {
+  filters::MultiKernelApp app;
+  app.name = name;
+  for (std::size_t k = 0; k < bindings.size(); ++k) {
+    codegen::StencilSpec spec;
+    if (bindings[k].size() == 2) {
+      spec = filters::sobel_magnitude_spec();
+    } else if (k % 3 == 0) {
+      spec = filters::gaussian_spec(3);
+    } else if (k % 3 == 1) {
+      spec = filters::laplace_spec(5);
+    } else {
+      spec = filters::atrous_spec(5);
+    }
+    app.stages.push_back({spec, bindings[k]});
+  }
+  return app;
+}
+
+/// Ancestors of stage i, by a walk over deps independent of the plan's.
+std::set<i32> ancestors_of(const pipeline::KernelGraph& g, i32 i) {
+  std::set<i32> out;
+  std::vector<i32> stack = g.stages[static_cast<std::size_t>(i)].deps;
+  while (!stack.empty()) {
+    const i32 s = stack.back();
+    stack.pop_back();
+    if (!out.insert(s).second) continue;
+    for (i32 dep : g.stages[static_cast<std::size_t>(s)].deps) {
+      stack.push_back(dep);
+    }
+  }
+  return out;
+}
+
+/// The two properties the executor's schedules rely on: no stage writes the
+/// buffer of one of its inputs, and every earlier stage sharing a stage's
+/// buffer — and every reader of that earlier stage — is its ancestor.
+void expect_plan_safe(const pipeline::KernelGraph& g) {
+  const pipeline::KernelGraph::BufferPlan plan = g.buffer_plan();
+  const auto n = static_cast<i32>(g.stages.size());
+  ASSERT_EQ(plan.stage_buffer.size(), g.stages.size()) << g.name;
+  std::set<i32> used;
+  for (i32 i = 0; i < n; ++i) {
+    const i32 b = plan.stage_buffer[static_cast<std::size_t>(i)];
+    ASSERT_GE(b, 0) << g.name;
+    ASSERT_LT(b, plan.buffers) << g.name;
+    used.insert(b);
+    for (i32 dep : g.stages[static_cast<std::size_t>(i)].deps) {
+      EXPECT_NE(plan.stage_buffer[static_cast<std::size_t>(dep)], b)
+          << g.name << ": stage " << i << " writes input stage " << dep;
+    }
+    const std::set<i32> anc = ancestors_of(g, i);
+    for (i32 j = 0; j < i; ++j) {
+      if (plan.stage_buffer[static_cast<std::size_t>(j)] != b) continue;
+      EXPECT_TRUE(anc.count(j)) << g.name << ": " << i << " shares with " << j;
+      for (i32 r = 0; r < n; ++r) {
+        const auto& deps = g.stages[static_cast<std::size_t>(r)].deps;
+        if (std::find(deps.begin(), deps.end(), j) == deps.end()) continue;
+        EXPECT_TRUE(anc.count(r))
+            << g.name << ": " << i << " overwrites " << j
+            << " before its reader " << r;
+      }
+    }
+  }
+  EXPECT_EQ(static_cast<i32>(used.size()), plan.buffers) << g.name;
+}
+
+TEST(KernelGraph, BufferPlanCountsForThePaperApps) {
+  const std::map<std::string, i32> want = {
+      {"gaussian", 1}, {"laplace", 1}, {"bilateral", 1}, {"sobel", 3},
+      {"night", 2}};
+  for (const auto& app : filters::all_apps()) {
+    const pipeline::KernelGraph g = pipeline::build_graph(app);
+    EXPECT_EQ(g.buffer_plan().buffers, want.at(app.name)) << app.name;
+    expect_plan_safe(g);
+  }
+  // Night alternates two buffers down its chain.
+  EXPECT_EQ(pipeline::build_graph(filters::make_night_app())
+                .buffer_plan()
+                .stage_buffer,
+            (std::vector<i32>{0, 1, 0, 1, 0}));
+}
+
+TEST(KernelGraph, BufferPlanIsSafeOnSyntheticGraphs) {
+  const std::vector<std::pair<filters::MultiKernelApp, i32>> cases = {
+      {synthetic_app("chain", {{0}, {1}, {2}, {3}, {4}, {5}}), 2},
+      // Stage 3 reads stage 0 again: stage 2 may not take stage 0's buffer.
+      {synthetic_app("skip-chain", {{0}, {1}, {2}, {1, 3}}), 3},
+      {synthetic_app("fan-out", {{0}, {1}, {1}, {1}}), 4},
+      {synthetic_app("diamond", {{0}, {1}, {1}, {2, 3}, {4}}), 3},
+      {synthetic_app("two-sink", {{0}, {1}, {1}, {2}}), 4},
+      {synthetic_app("source-fan", {{0}, {0}, {0}, {1, 2}, {3, 4}}), 4},
+  };
+  for (const auto& [app, buffers] : cases) {
+    const pipeline::KernelGraph g = pipeline::build_graph(app);
+    EXPECT_EQ(g.buffer_plan().buffers, buffers) << app.name;
+    expect_plan_safe(g);
+  }
+}
+
+// Branches fan out of one stage and run two at a time on the pool while the
+// plan hands dead buffers to later stages; the output stays bit-identical
+// to the reference. (The TSan CI job runs this test too.)
+TEST(PipelineExecutor, FanOutWithReusedBuffersMatchesReference) {
+  const filters::MultiKernelApp app = synthetic_app(
+      "fan-out-join", {{0}, {1}, {1}, {1}, {2, 3}, {5, 4}});
+  const pipeline::KernelGraph graph = pipeline::build_graph(app);
+  const pipeline::KernelGraph::BufferPlan plan = graph.buffer_plan();
+  ASSERT_LT(plan.buffers, static_cast<i32>(graph.stages.size()));
+  expect_plan_safe(graph);
+
+  const auto src = make_noise_image({48, 40}, 5);
+  const Image<f32> expect =
+      filters::run_app_reference(app, src, BorderPattern::kClamp);
+  pipeline::ExecutorConfig cfg;
+  cfg.concurrency = 2;
+  const pipeline::PipelineExecutor exec(cfg);
+  for (i32 round = 0; round < 3; ++round) {
+    const pipeline::ExecutorResult result = exec.run(graph, src);
+    ASSERT_EQ(result.output.size(), expect.size());
+    for (i32 y = 0; y < expect.height(); ++y) {
+      for (i32 x = 0; x < expect.width(); ++x) {
+        ASSERT_EQ(std::bit_cast<u32>(result.output(x, y)),
+                  std::bit_cast<u32>(expect(x, y)))
+            << "round " << round << " (" << x << ", " << y << ")";
+      }
+    }
+  }
 }
 
 // ---- executor equivalence ---------------------------------------------------
