@@ -179,10 +179,12 @@ std::string emit_dag(std::ostringstream& body, const StencilSpec& spec,
         expr = lhs + " / " + rhs;
         break;
       case NodeKind::kMin:
-        expr = "__builtin_fminf(" + lhs + ", " + rhs + ")";
+        expr = "((" + rhs + " != " + rhs + ") | (" + lhs + " < " + rhs +
+               ")) ? " + lhs + " : " + rhs;
         break;
       case NodeKind::kMax:
-        expr = "__builtin_fmaxf(" + lhs + ", " + rhs + ")";
+        expr = "((" + rhs + " != " + rhs + ") | (" + lhs + " > " + rhs +
+               ")) ? " + lhs + " : " + rhs;
         break;
       case NodeKind::kNeg:
         expr = "-" + lhs;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "codegen/min_max.hpp"
 #include "common/error.hpp"
 #include "core/partition.hpp"
 
@@ -123,10 +124,10 @@ f32 StencilSpec::evaluate(const ReadFn& read) const {
         values[i] = a / b;
         break;
       case NodeKind::kMin:
-        values[i] = std::fmin(a, b);
+        values[i] = fmin_f32(a, b);
         break;
       case NodeKind::kMax:
-        values[i] = std::fmax(a, b);
+        values[i] = fmax_f32(a, b);
         break;
       case NodeKind::kNeg:
         values[i] = -a;

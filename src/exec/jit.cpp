@@ -30,11 +30,14 @@ namespace {
 /// -fvect-cost-model=dynamic lets -O2 vectorize the guard-free Body loop,
 /// which -O2's default very-cheap model rejects. -fno-math-errno only drops
 /// the errno store, so sqrtf inlines to the correctly rounded instruction
-/// and vectorizes. Never -ffast-math; no target-specific -march until the
-/// stem carries a host fingerprint.
+/// and vectorizes. -fno-trapping-math only stops the compiler assuming FP
+/// exceptions trap, so it may if-convert the min/max selects into vector
+/// compares and blends; the selects' values are unchanged. Never
+/// -ffast-math; no target-specific -march until the stem carries a host
+/// fingerprint.
 constexpr std::string_view kFixedFlags =
-    "-O2 -fvect-cost-model=dynamic -fno-math-errno -fPIC -shared "
-    "-ffp-contract=off";
+    "-O2 -fvect-cost-model=dynamic -fno-math-errno -fno-trapping-math -fPIC "
+    "-shared -ffp-contract=off";
 
 std::atomic<i64> g_open_modules{0};
 std::atomic<u64> g_tmp_counter{0};

@@ -16,8 +16,9 @@
 // Bit-exactness: the TU is compiled with -ffp-contract=off (no FMA
 // fusing) and no fast-math, so the emitted single-operation statements
 // execute exactly the float sequence of StencilSpec::evaluate — in vector
-// lanes too: the dynamic vectorizer cost model and -fno-math-errno change
-// which instructions run, never which values they produce.
+// lanes too: the dynamic vectorizer cost model, -fno-math-errno and
+// -fno-trapping-math change which instructions run, never which values
+// they produce.
 #pragma once
 
 #include <memory>
@@ -36,10 +37,11 @@ struct JitConfig {
   /// Compiler driver; "" = $ISPB_NATIVE_CXX, else $CXX, else "c++".
   std::string compiler;
   /// Flags appended after the fixed set (-O2 -fvect-cost-model=dynamic
-  /// -fno-math-errno -fPIC -shared -ffp-contract=off), so they win where
-  /// they conflict. Tests pass "-O0" to keep big TUs' compile time down;
-  /// production passes nothing. Part of the artifact stem. Anything added
-  /// here must keep value bits: never -ffast-math or -ffp-contract=fast.
+  /// -fno-math-errno -fno-trapping-math -fPIC -shared -ffp-contract=off),
+  /// so they win where they conflict. Tests pass "-O0" to keep big TUs'
+  /// compile time down; production passes nothing. Part of the artifact
+  /// stem. Anything added here must keep value bits: never -ffast-math or
+  /// -ffp-contract=fast.
   std::string extra_flags;
   /// Reuse an existing on-disk .so for the same source hash instead of
   /// recompiling. Tests that must observe real compiles point cache_dir at

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "codegen/min_max.hpp"
 #include "common/error.hpp"
 
 namespace ispb::ir {
@@ -234,11 +235,13 @@ Word eval_pure(const Instr& ins, Word a, Word b, Word c) {
       return Word::from_i32(a.as_i32() % d);
     }
     case Op::kMin:
-      return is_f32 ? Word::from_f32(std::fmin(a.as_f32(), b.as_f32()))
-                    : Word::from_i32(std::min(a.as_i32(), b.as_i32()));
+      return is_f32
+                 ? Word::from_f32(codegen::fmin_f32(a.as_f32(), b.as_f32()))
+                 : Word::from_i32(std::min(a.as_i32(), b.as_i32()));
     case Op::kMax:
-      return is_f32 ? Word::from_f32(std::fmax(a.as_f32(), b.as_f32()))
-                    : Word::from_i32(std::max(a.as_i32(), b.as_i32()));
+      return is_f32
+                 ? Word::from_f32(codegen::fmax_f32(a.as_f32(), b.as_f32()))
+                 : Word::from_i32(std::max(a.as_i32(), b.as_i32()));
     case Op::kAnd:
       return Word{a.bits & b.bits};
     case Op::kOr:

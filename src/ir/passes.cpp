@@ -44,12 +44,15 @@ std::vector<bool> block_leaders(const Program& prog) {
   return leader;
 }
 
-bool is_commutative(Op op) {
-  switch (op) {
-    case Op::kAdd:
-    case Op::kMul:
+/// f32 min/max are not: equal operands (+0 against -0) return the second
+/// one (codegen/min_max.hpp), so swapping them can flip a zero's sign.
+bool is_commutative(const Instr& ins) {
+  switch (ins.op) {
     case Op::kMin:
     case Op::kMax:
+      return ins.type != Type::kF32;
+    case Op::kAdd:
+    case Op::kMul:
     case Op::kAnd:
     case Op::kOr:
     case Op::kXor:
@@ -278,7 +281,7 @@ PassStats local_cse(Program& prog) {
 
     Operand a = ins.a;
     Operand b = ins.b;
-    if (is_commutative(ins.op) && arity == 2) {
+    if (is_commutative(ins) && arity == 2) {
       // Canonical order: immediates last, then by register id / bits.
       const auto rank = [&](const Operand& o) {
         return std::tuple{o.is_imm() ? 1 : 0, o.reg, o.imm.bits};

@@ -234,12 +234,20 @@ ExecutorResult PipelineExecutor::run(
   }
   const ExecutorConfig& config = pinned.has_value() ? *pinned : config_;
   const exec::Backend engine = backend.value_or(config.backend);
+  // The native engine runs pointwise consumers as their producers'
+  // epilogues: one kernel, one memory pass and one dispatch fewer per
+  // fusion. The interpreted engine keeps one simulated launch per kernel,
+  // the paper's GPU model, so its stages and modeled counters stay
+  // per-kernel (and its graph is not copied).
+  std::optional<KernelGraph> fused;
+  if (engine == exec::Backend::kNative) fused = graph.fused();
+  const KernelGraph& run_graph = fused.has_value() ? *fused : graph;
   obs::ScopedSpan span("pipeline.execute", "pipeline");
   span.arg("graph", graph.name);
-  span.arg("stages", static_cast<i64>(graph.stages.size()));
+  span.arg("stages", static_cast<i64>(run_graph.stages.size()));
   span.arg("backend", std::string(exec::to_string(engine)));
 
-  const std::size_t n = graph.stages.size();
+  const std::size_t n = run_graph.stages.size();
   // slots[0] = the caller's source, read in place: run() is synchronous, so
   // the caller's reference outlives every stage, and no stage writes it.
   // slots[i + 1] = stage i's output, the plan's buffer for stage i. The
@@ -250,7 +258,7 @@ ExecutorResult PipelineExecutor::run(
   // stage. So no synchronization beyond scheduling order is needed, and no
   // output ever aliases an input, which the native kernels' __restrict__
   // relies on.
-  const KernelGraph::BufferPlan plan = graph.buffer_plan();
+  const KernelGraph::BufferPlan plan = run_graph.buffer_plan();
   std::vector<Image<f32>> buffers;
   buffers.reserve(static_cast<std::size_t>(plan.buffers));
   for (i32 b = 0; b < plan.buffers; ++b) {
@@ -270,7 +278,7 @@ ExecutorResult PipelineExecutor::run(
   i32 concurrency = config.concurrency;
   if (concurrency == 0) {
     concurrency = std::min<i32>(
-        {static_cast<i32>(graph.roots().size()), 8,
+        {static_cast<i32>(run_graph.roots().size()), 8,
          std::max(1, static_cast<i32>(std::thread::hardware_concurrency()))});
   }
 
@@ -278,7 +286,7 @@ ExecutorResult PipelineExecutor::run(
     // Inline: stage order is already topological.
     for (std::size_t i = 0; i < n; ++i) {
       result.stages[i] =
-          run_stage(graph.stages[i], config, slots, output_of(i), engine);
+          run_stage(run_graph.stages[i], config, slots, output_of(i), engine);
     }
   } else {
     // Kahn scheduling over a dedicated pool (see header for why not the
@@ -286,8 +294,8 @@ ExecutorResult PipelineExecutor::run(
     std::vector<i32> remaining(n, 0);
     std::vector<std::vector<i32>> dependents(n);
     for (std::size_t i = 0; i < n; ++i) {
-      remaining[i] = static_cast<i32>(graph.stages[i].deps.size());
-      for (i32 dep : graph.stages[i].deps) {
+      remaining[i] = static_cast<i32>(run_graph.stages[i].deps.size());
+      for (i32 dep : run_graph.stages[i].deps) {
         dependents[static_cast<std::size_t>(dep)].push_back(
             static_cast<i32>(i));
       }
@@ -327,7 +335,7 @@ ExecutorResult PipelineExecutor::run(
         ExecutorResult::Stage outcome;
         std::exception_ptr error;
         try {
-          outcome = run_stage(graph.stages[idx], config, slots,
+          outcome = run_stage(run_graph.stages[idx], config, slots,
                               output_of(idx), engine);
         } catch (...) {
           error = std::current_exception();
@@ -349,7 +357,7 @@ ExecutorResult PipelineExecutor::run(
 
     {
       std::lock_guard lock(mu);
-      for (i32 root : graph.roots()) submit_stage(root);
+      for (i32 root : run_graph.roots()) submit_stage(root);
     }
     std::unique_lock lock(mu);
     done_cv.wait(lock, [&] { return pending == 0; });

@@ -1,13 +1,15 @@
 // PipelineExecutor: runs a KernelGraph on the simulator, scheduling stages
 // whose dependencies are satisfied concurrently on a common::ThreadPool.
 //
-// Sobel's two derivative kernels execute in parallel and the magnitude
-// stage starts the moment both finish; Night's Atrous chain degrades to
-// sequential execution naturally (each stage unblocks the next). Stage
-// results are bit-identical to filters::run_app_reference regardless of
-// schedule: stages only share images through completed dependencies, a
-// buffer is reused only after every reader of its previous contents has
-// finished (KernelGraph::buffer_plan), and each launch is deterministic.
+// On the interpreted engine Sobel's two derivative kernels execute in
+// parallel and the magnitude stage starts the moment both finish (the
+// native engine fuses all three into one kernel, KernelGraph::fused);
+// Night's Atrous chain degrades to sequential execution naturally (each
+// stage unblocks the next). Stage results are bit-identical to
+// filters::run_app_reference regardless of schedule: stages only share
+// images through completed dependencies, a buffer is reused only after
+// every reader of its previous contents has finished
+// (KernelGraph::buffer_plan), and each launch is deterministic.
 //
 // Threading: the executor owns a pool sized to the graph's parallelism. It
 // deliberately does NOT run stage bodies on ThreadPool::global() — the
@@ -78,7 +80,9 @@ struct ExecutorResult {
     /// the interpreted engine instead.
     bool backend_fallback = false;
   };
-  std::vector<Stage> stages;  ///< in graph stage order
+  /// In stage order of the graph that ran: graph.fused() on the native
+  /// engine, the app's own graph on the interpreted one.
+  std::vector<Stage> stages;
 };
 
 class PipelineExecutor {
@@ -92,7 +96,10 @@ class PipelineExecutor {
   /// graph's buffer_plan(): one uninitialized image per planned buffer,
   /// each pixel written once by the stage that owns it, and a buffer whose
   /// output is dead is reused within the run (night's five stages share
-  /// two). The run is synchronous, so the caller's reference outlives it.
+  /// two). On the native engine the stages are graph.fused()'s: sobel
+  /// runs as one kernel and night as four, and ExecutorResult::stages
+  /// lists the fused stages; the interpreted engine runs graph's own
+  /// stages. The run is synchronous, so the caller's reference outlives it.
   /// `backend` overrides ExecutorConfig::backend for this run
   /// (per-request selection in the server); `variant` pins every stage to
   /// one variant with model selection disabled (fleet brownout serves

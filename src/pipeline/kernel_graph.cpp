@@ -1,10 +1,121 @@
 #include "pipeline/kernel_graph.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace ispb::pipeline {
+
+namespace {
+
+/// Producing stage indices of a binding list, deduplicated, in binding
+/// order (image 0, the source, has no producer).
+std::vector<i32> deps_of(const std::vector<i32>& input_images) {
+  std::vector<i32> deps;
+  for (i32 img : input_images) {
+    if (img <= 0) continue;
+    if (std::find(deps.begin(), deps.end(), img - 1) == deps.end()) {
+      deps.push_back(img - 1);
+    }
+  }
+  return deps;
+}
+
+/// Whether stage p's output is read by stage c alone, and only at (0, 0).
+bool fusible(const KernelGraph& g, std::size_t p, std::size_t c) {
+  const i32 image = static_cast<i32>(p) + 1;
+  for (std::size_t s = 0; s < g.stages.size(); ++s) {
+    const std::vector<i32>& in = g.stages[s].input_images;
+    if (s != c && std::find(in.begin(), in.end(), image) != in.end()) {
+      return false;
+    }
+  }
+  const KernelGraph::Stage& consumer = g.stages[c];
+  return std::none_of(
+      consumer.spec.nodes.begin(), consumer.spec.nodes.end(),
+      [&](const codegen::Node& n) {
+        return n.kind == codegen::NodeKind::kRead &&
+               consumer.input_images[static_cast<std::size_t>(n.input)] ==
+                   image &&
+               (n.dx != 0 || n.dy != 0);
+      });
+}
+
+/// Consumer c with producer p (writing `p_image`) inlined; deps are left
+/// for the caller to derive.
+KernelGraph::Stage fuse(const KernelGraph::Stage& p, i32 p_image,
+                        const KernelGraph::Stage& c) {
+  KernelGraph::Stage out;
+  const auto slot_of = [&](i32 img) {
+    const auto it =
+        std::find(out.input_images.begin(), out.input_images.end(), img);
+    if (it != out.input_images.end()) {
+      return static_cast<i32>(it - out.input_images.begin());
+    }
+    out.input_images.push_back(img);
+    return static_cast<i32>(out.input_images.size()) - 1;
+  };
+  // C's bindings with P's image replaced by P's own bindings.
+  std::vector<i32> p_slot(p.input_images.size());
+  std::vector<i32> c_slot(c.input_images.size(), -1);
+  for (std::size_t k = 0; k < c.input_images.size(); ++k) {
+    if (c.input_images[k] != p_image) {
+      c_slot[k] = slot_of(c.input_images[k]);
+      continue;
+    }
+    for (std::size_t j = 0; j < p.input_images.size(); ++j) {
+      p_slot[j] = slot_of(p.input_images[j]);
+    }
+  }
+
+  codegen::StencilSpec& spec = out.spec;
+  spec.name = p.spec.name + "+" + c.spec.name;
+  spec.num_inputs = static_cast<i32>(out.input_images.size());
+  spec.nodes = p.spec.nodes;
+  for (codegen::Node& n : spec.nodes) {
+    if (n.kind == codegen::NodeKind::kRead) {
+      n.input = p_slot[static_cast<std::size_t>(n.input)];
+    }
+  }
+  // id[i]: C's node i in the fused numbering.
+  std::vector<i32> id(c.spec.nodes.size());
+  for (std::size_t i = 0; i < c.spec.nodes.size(); ++i) {
+    codegen::Node n = c.spec.nodes[i];
+    if (n.kind == codegen::NodeKind::kRead) {
+      const i32 slot = c_slot[static_cast<std::size_t>(n.input)];
+      if (slot < 0) {  // a read of P's output is P's output node
+        id[i] = p.spec.output;
+        continue;
+      }
+      n.input = slot;
+    }
+    if (n.lhs >= 0) n.lhs = id[static_cast<std::size_t>(n.lhs)];
+    if (n.rhs >= 0) n.rhs = id[static_cast<std::size_t>(n.rhs)];
+    id[i] = static_cast<i32>(spec.nodes.size());
+    spec.nodes.push_back(n);
+  }
+  spec.output = id[static_cast<std::size_t>(c.spec.output)];
+  return out;
+}
+
+/// The next (producer, consumer) pair to fuse: the first consumer in stage
+/// order, trying its last producer first, so fused names list their parts
+/// in stage order ("sobel_dx+sobel_dy+sobel_magnitude").
+std::optional<std::pair<std::size_t, std::size_t>> next_fusion(
+    const KernelGraph& g) {
+  for (std::size_t c = 0; c < g.stages.size(); ++c) {
+    const std::vector<i32>& deps = g.stages[c].deps;
+    for (auto it = deps.rbegin(); it != deps.rend(); ++it) {
+      const auto p = static_cast<std::size_t>(*it);
+      if (fusible(g, p, c)) return std::pair{p, c};
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
 
 std::vector<i32> KernelGraph::roots() const {
   std::vector<i32> out;
@@ -67,6 +178,24 @@ KernelGraph::BufferPlan KernelGraph::buffer_plan() const {
   return plan;
 }
 
+KernelGraph KernelGraph::fused() const {
+  KernelGraph g = *this;
+  while (const auto pair = next_fusion(g)) {
+    const auto [p, c] = *pair;
+    const i32 p_image = static_cast<i32>(p) + 1;
+    g.stages[c] = fuse(g.stages[p], p_image, g.stages[c]);
+    g.stages.erase(g.stages.begin() + static_cast<std::ptrdiff_t>(p));
+    // Images after P's shift down by one; P's image has no readers left.
+    for (Stage& stage : g.stages) {
+      for (i32& img : stage.input_images) {
+        if (img > p_image) --img;
+      }
+      stage.deps = deps_of(stage.input_images);
+    }
+  }
+  return g;
+}
+
 void KernelGraph::validate() const {
   if (stages.empty()) throw ContractError("KernelGraph '" + name + "' is empty");
   for (std::size_t i = 0; i < stages.size(); ++i) {
@@ -109,14 +238,7 @@ KernelGraph build_graph(const filters::MultiKernelApp& app) {
     KernelGraph::Stage node;
     node.spec = stage.spec;
     node.input_images = stage.input_bindings;
-    for (i32 img : stage.input_bindings) {
-      if (img <= 0) continue;  // the source has no producing stage
-      const i32 dep = img - 1;
-      if (std::find(node.deps.begin(), node.deps.end(), dep) ==
-          node.deps.end()) {
-        node.deps.push_back(dep);
-      }
-    }
+    node.deps = deps_of(stage.input_bindings);
     graph.stages.push_back(std::move(node));
   }
   graph.validate();

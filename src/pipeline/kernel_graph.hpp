@@ -55,6 +55,18 @@ struct KernelGraph {
   };
   [[nodiscard]] BufferPlan buffer_plan() const;
 
+  /// The graph with every pointwise consumer inlined into its producer,
+  /// repeated until nothing more fuses. Producer P fuses into consumer C
+  /// when C is the only stage reading P's output and reads it only at
+  /// offset (0, 0). The fused spec is P's nodes (reads remapped onto C's
+  /// input list, deduplicated by image id) followed by C's nodes, with C's
+  /// reads of P replaced by P's output node: each pixel runs the same float
+  /// operations as the two stages did, and the window, hence the ISP
+  /// partition, is P's. The fused stage is named "<P>+<C>". Sobel becomes
+  /// one 3x3 stage on the source; night's tonemap becomes atrous17's
+  /// epilogue.
+  [[nodiscard]] KernelGraph fused() const;
+
   /// Structural checks: nonempty, every input image id in [0, stage image),
   /// deps consistent with input_images. Throws ContractError on violation.
   void validate() const;

@@ -3,8 +3,13 @@
 // CUDA source printer.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "codegen/cuda_printer.hpp"
 #include "codegen/kernel_gen.hpp"
+#include "codegen/min_max.hpp"
 #include "common/error.hpp"
 #include "ir/regalloc.hpp"
 
@@ -72,6 +77,31 @@ TEST(StencilSpec, EvaluateMatchesHandComputation) {
     }
   }
   EXPECT_FLOAT_EQ(v, expect);
+}
+
+// The one min/max definition answers exactly as the host's libm does on
+// every pair of special operands: signed zeros, infinities, NaN and the
+// smallest subnormal. libm is called through volatile pointers: GCC treats
+// fmax/fmin as commutative and may swap the operands of a direct call
+// when optimizing, which flips the answer for +0 against -0.
+TEST(MinMax, MatchesHostLibmOnSpecialValues) {
+  using limits = std::numeric_limits<f32>;
+  using LibmFn = f32 (*)(f32, f32);
+  const LibmFn volatile libm_fmax = ::fmaxf;
+  const LibmFn volatile libm_fmin = ::fminf;
+  const f32 values[] = {0.0f,  -0.0f, 1.0f, -1.0f, limits::infinity(),
+                        -limits::infinity(), limits::quiet_NaN(),
+                        limits::denorm_min()};
+  for (f32 a : values) {
+    for (f32 b : values) {
+      EXPECT_EQ(std::bit_cast<u32>(fmax_f32(a, b)),
+                std::bit_cast<u32>(libm_fmax(a, b)))
+          << "fmax(" << a << ", " << b << ")";
+      EXPECT_EQ(std::bit_cast<u32>(fmin_f32(a, b)),
+                std::bit_cast<u32>(libm_fmin(a, b)))
+          << "fmin(" << a << ", " << b << ")";
+    }
+  }
 }
 
 TEST(SpecBuilder, RejectsOutOfRangeOperands) {

@@ -2,9 +2,9 @@
 // the JIT's bit-exactness (special values at the production flags
 // included), artifact naming and on-disk reuse, the full executor
 // bit-identity matrix (5 apps x 4 patterns x 3 variants, native vs
-// run_app_reference), in-place reads of a padded source, no unwritten
-// output pixel on a poisoned heap, the
-// backend.compile fault -> interpreted fallback path, and the KernelCache
+// run_app_reference), the fused stages the native engine runs, in-place
+// reads of a padded source, no unwritten output pixel on a poisoned heap,
+// the backend.compile fault -> interpreted fallback path, and the KernelCache
 // native-module lifecycle (single-flight, refcounted eviction, artifact
 // GC, variant canonicalization).
 #include <gtest/gtest.h>
@@ -180,6 +180,47 @@ TEST(CppPrinter, EmitsNoIncludesAndRestrictsEveryPointer) {
   }
 }
 
+/// Every stage the native engine can run for the paper apps: each app's
+/// own stages and the stages of its fused graph.
+std::vector<codegen::StencilSpec> native_stage_specs() {
+  std::vector<codegen::StencilSpec> specs;
+  for (const filters::MultiKernelApp& app : filters::all_apps()) {
+    for (const auto& stage : app.stages) specs.push_back(stage.spec);
+    for (const auto& stage : pipeline::build_graph(app).fused().stages) {
+      if (stage.spec.name.find('+') != std::string::npos) {
+        specs.push_back(stage.spec);
+      }
+    }
+  }
+  return specs;
+}
+
+// min/max lower to compare-and-select expressions, never to a libm call: a
+// call per pixel keeps the Body loop scalar, and a fused epilogue would
+// take its producer's loop down with it.
+TEST(CppPrinter, EmitsNoMinMaxLibmCalls) {
+  bool saw_select = false;
+  for (const codegen::StencilSpec& spec : native_stage_specs()) {
+    for (BorderPattern pattern : kAllBorderPatterns) {
+      for (codegen::Variant variant :
+           {codegen::Variant::kNaive, codegen::Variant::kIsp,
+            codegen::Variant::kIspTiled}) {
+        codegen::CodegenOptions opt;
+        opt.pattern = pattern;
+        opt.variant = variant;
+        const std::string src = codegen::emit_cpp(spec, opt);
+        const std::string combo = spec.name + "/" +
+                                  std::string(to_string(pattern)) + "/" +
+                                  std::string(codegen::to_string(variant));
+        EXPECT_EQ(src.find("fmaxf"), std::string::npos) << combo;
+        EXPECT_EQ(src.find("fminf"), std::string::npos) << combo;
+        saw_select |= src.find(") ? ") != std::string::npos;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_select) << "tonemap's max should print as a select";
+}
+
 // A toolchain upgrade must change the artifact name: the stem hashes the
 // first line of `<driver> --version`, not just the driver's name. Three
 // drivers share one name on different $PATHs; a and c report the same
@@ -276,13 +317,15 @@ Image<f32> make_special_image(Size2 size, u64 seed) {
   return img;
 }
 
-// Vectorized loops, __builtin_fminf/fmaxf/sqrtf and -fno-math-errno must
-// keep std::fmin/fmax/sqrt semantics bit for bit — NaN-ness, signed zeros,
-// infinities and subnormals included; only NaN payloads may differ (see
-// first_mismatch). Compiled with the production flag set
-// (no -O0 override), which is what vectorizes the Body. Every stage of
-// every app is checked against dsl::run_reference directly, so point
-// stages (sobel's sqrt, night's fmax tonemap) see the special values too.
+// Vectorized loops, the min/max selects, __builtin_sqrtf, -fno-math-errno
+// and -fno-trapping-math must keep the reference's semantics bit for bit —
+// NaN-ness, signed zeros, infinities and subnormals included; only NaN
+// payloads may differ (see first_mismatch). Compiled with the production
+// flag set (no -O0 override), which is what vectorizes the Body. Every
+// stage of every app, and every fused stage the native engine runs
+// (sobel as one kernel, atrous17 with tonemap as its epilogue), is checked
+// against dsl::run_reference directly, so point stages (sobel's sqrt,
+// night's max tonemap) see the special values too.
 TEST(JitSpecialValues, BitIdenticalToReferenceAtProductionFlags) {
   const TempDir dir("special");
   const exec::JitConfig production{dir.path.string(), "", "", true};
@@ -297,19 +340,17 @@ TEST(JitSpecialValues, BitIdenticalToReferenceAtProductionFlags) {
     codegen::CodegenOptions options;
     exec::NativeModulePtr module;
   };
-  std::vector<filters::MultiKernelApp> apps = filters::all_apps();
+  const std::vector<codegen::StencilSpec> specs = native_stage_specs();
   std::vector<Case> cases;
-  for (const filters::MultiKernelApp& app : apps) {
-    for (const auto& stage : app.stages) {
-      for (BorderPattern pattern : kAllBorderPatterns) {
-        for (codegen::Variant variant :
-             {codegen::Variant::kNaive, codegen::Variant::kIsp,
-              codegen::Variant::kIspTiled}) {
-          Case c{&stage.spec, {}, nullptr};
-          c.options.pattern = pattern;
-          c.options.variant = variant;
-          cases.push_back(std::move(c));
-        }
+  for (const codegen::StencilSpec& spec : specs) {
+    for (BorderPattern pattern : kAllBorderPatterns) {
+      for (codegen::Variant variant :
+           {codegen::Variant::kNaive, codegen::Variant::kIsp,
+            codegen::Variant::kIspTiled}) {
+        Case c{&spec, {}, nullptr};
+        c.options.pattern = pattern;
+        c.options.variant = variant;
+        cases.push_back(std::move(c));
       }
     }
   }
@@ -388,6 +429,89 @@ TEST(ExecutorNative, BitIdenticalToReferenceAcrossAppsPatternsVariants) {
   const pipeline::KernelCacheStats stats = cache.stats();
   EXPECT_GT(stats.native_misses, 0u);
   EXPECT_GT(stats.native_hits, 0u);
+}
+
+// The native engine runs the fused graph: sobel as one kernel, night as
+// four with tonemap as atrous17's epilogue, and the result lists those
+// stages. The interpreted engine keeps one simulated launch per kernel.
+TEST(ExecutorNative, ReportsFusedStagesInterpretedReportsKernels) {
+  const TempDir dir("fused");
+  pipeline::KernelCache cache;
+  cache.set_jit(fast_jit(dir));
+  const Image<f32> source = make_noise_image({40, 36}, 5);
+  struct Want {
+    filters::MultiKernelApp app;
+    std::vector<std::string> native;
+    std::size_t interpreted;
+  };
+  const Want wants[] = {
+      {filters::make_sobel_app(), {"sobel_dx+sobel_dy+sobel_magnitude"}, 3},
+      {filters::make_night_app(),
+       {"atrous3", "atrous5", "atrous9", "atrous17+tonemap"},
+       5},
+  };
+  for (const Want& want : wants) {
+    const pipeline::KernelGraph graph = pipeline::build_graph(want.app);
+    const Image<f32> reference =
+        filters::run_app_reference(want.app, source, BorderPattern::kMirror);
+    for (exec::Backend backend :
+         {exec::Backend::kNative, exec::Backend::kInterpreted}) {
+      pipeline::ExecutorConfig cfg;
+      cfg.sim.pattern = BorderPattern::kMirror;
+      cfg.sim.variant = codegen::Variant::kIsp;
+      cfg.cache = &cache;
+      cfg.backend = backend;
+      const pipeline::ExecutorResult result =
+          pipeline::PipelineExecutor(cfg).run(graph, source);
+      const std::string combo =
+          want.app.name + "/" + std::string(exec::to_string(backend));
+      EXPECT_TRUE(bit_identical(result.output, reference)) << combo;
+      std::vector<std::string> kernels;
+      for (const auto& stage : result.stages) {
+        kernels.push_back(stage.kernel);
+        EXPECT_EQ(stage.backend_used, backend) << combo << " " << stage.kernel;
+      }
+      if (backend == exec::Backend::kNative) {
+        EXPECT_EQ(kernels, want.native) << combo;
+      } else {
+        EXPECT_EQ(kernels.size(), want.interpreted) << combo;
+      }
+    }
+  }
+}
+
+// A fused stage whose native compile fails is served by the interpreted
+// engine running the fused spec, still bit-identical.
+TEST(ExecutorNative, FusedStageCompileFaultFallsBackBitIdentically) {
+  const TempDir dir("fused-fault");
+  pipeline::KernelCache cache;
+  cache.set_jit(fast_jit(dir));
+  resilience::FaultPlan plan;
+  plan.rules.push_back({"backend.compile", resilience::FaultKind::kThrow,
+                        "sobel_magnitude", 1.0, 0, 0});
+  resilience::FaultInjector injector(plan);
+  const resilience::FaultInjector::ScopedInstall install(injector);
+  resilience::BreakerRegistry breakers;
+
+  const filters::MultiKernelApp app = filters::make_sobel_app();
+  const Image<f32> source = make_noise_image({33, 29}, 4);
+  pipeline::ExecutorConfig cfg;
+  cfg.sim.pattern = BorderPattern::kConstant;
+  cfg.sim.constant = 2.5f;
+  cfg.sim.variant = codegen::Variant::kIsp;
+  cfg.cache = &cache;
+  cfg.backend = exec::Backend::kNative;
+  cfg.breakers = &breakers;
+  const pipeline::ExecutorResult result =
+      pipeline::PipelineExecutor(cfg).run(pipeline::build_graph(app), source);
+
+  EXPECT_TRUE(bit_identical(result.output,
+                            filters::run_app_reference(
+                                app, source, BorderPattern::kConstant, 2.5f)));
+  ASSERT_EQ(result.stages.size(), 1u);
+  EXPECT_EQ(result.stages[0].kernel, "sobel_dx+sobel_dy+sobel_magnitude");
+  EXPECT_TRUE(result.stages[0].backend_fallback);
+  EXPECT_EQ(result.stages[0].backend_used, exec::Backend::kInterpreted);
 }
 
 // The interpreted side of the tiled acceptance matrix: the simulator runs

@@ -132,6 +132,36 @@ TEST(LocalCse, CommutativeCanonicalization) {
   EXPECT_EQ(local_cse(prog).cse_hits, 1);
 }
 
+// f32 max(a, b) and max(b, a) differ when a and b are +0 and -0 (equal
+// operands return the second), so CSE keeps both; i32 max still merges.
+TEST(LocalCse, FloatMinMaxKeepOperandOrder) {
+  Builder b("fmax_order");
+  const RegId tid = b.add_special("tid.x");
+  const u8 in = b.add_buffer();
+  const u8 out = b.add_buffer();
+  const RegId x = b.emit_ld(in, tid);
+  const RegId y = b.emit(Op::kNeg, Type::kF32, Operand::r(x));
+  const RegId m1 = b.emit(Op::kMax, Type::kF32, Operand::r(x), Operand::r(y));
+  const RegId m2 = b.emit(Op::kMax, Type::kF32, Operand::r(y), Operand::r(x));
+  const RegId n1 = b.emit(Op::kMin, Type::kF32, Operand::r(x), Operand::r(y));
+  const RegId n2 = b.emit(Op::kMin, Type::kF32, Operand::r(y), Operand::r(x));
+  const RegId s1 =
+      b.emit(Op::kSub, Type::kF32, Operand::r(m1), Operand::r(m2));
+  const RegId s2 =
+      b.emit(Op::kSub, Type::kF32, Operand::r(n1), Operand::r(n2));
+  const RegId f =
+      b.emit(Op::kAdd, Type::kF32, Operand::r(s1), Operand::r(s2));
+  const RegId i1 =
+      b.emit(Op::kMax, Type::kI32, Operand::r(tid), Operand::imm_i32(3));
+  const RegId i2 =
+      b.emit(Op::kMax, Type::kI32, Operand::imm_i32(3), Operand::r(tid));
+  const RegId i = b.emit(Op::kAdd, Type::kI32, Operand::r(i1), Operand::r(i2));
+  b.emit_st(out, i, Operand::r(f));
+  b.ret();
+  Program prog = b.finish();
+  EXPECT_EQ(local_cse(prog).cse_hits, 1);  // the i32 pair only
+}
+
 TEST(LocalCse, LoadsInvalidatedByStores) {
   Builder b("ld_inval");
   const RegId tid = b.add_special("tid.x");

@@ -320,6 +320,153 @@ TEST(PipelineExecutor, FanOutWithReusedBuffersMatchesReference) {
   }
 }
 
+// ---- pointwise fusion ------------------------------------------------------
+
+/// A graph's stages as a linear app, so run_app_reference evaluates them
+/// in sequence.
+filters::MultiKernelApp as_app(const pipeline::KernelGraph& g) {
+  filters::MultiKernelApp app;
+  app.name = g.name;
+  for (const pipeline::KernelGraph::Stage& stage : g.stages) {
+    app.stages.push_back({stage.spec, stage.input_images});
+  }
+  return app;
+}
+
+/// An app of hand-picked stages: stage k runs specs[k] on bindings[k].
+filters::MultiKernelApp spec_app(
+    const std::string& name, std::vector<codegen::StencilSpec> specs,
+    const std::vector<std::vector<i32>>& bindings) {
+  filters::MultiKernelApp app;
+  app.name = name;
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    app.stages.push_back({std::move(specs[k]), bindings[k]});
+  }
+  return app;
+}
+
+std::vector<std::string> stage_names(const pipeline::KernelGraph& g) {
+  std::vector<std::string> names;
+  for (const auto& stage : g.stages) names.push_back(stage.spec.name);
+  return names;
+}
+
+TEST(KernelGraph, FusedStagesForThePaperApps) {
+  const pipeline::KernelGraph sobel =
+      pipeline::build_graph(filters::make_sobel_app()).fused();
+  sobel.validate();
+  ASSERT_EQ(sobel.stages.size(), 1u);
+  EXPECT_EQ(sobel.stages[0].spec.name, "sobel_dx+sobel_dy+sobel_magnitude");
+  EXPECT_EQ(sobel.stages[0].input_images, (std::vector<i32>{0}));
+  EXPECT_EQ(sobel.stages[0].spec.num_inputs, 1);
+  EXPECT_EQ(sobel.stages[0].spec.window(), (Window{3, 3}));
+  EXPECT_EQ(sobel.buffer_plan().buffers, 1);
+
+  const pipeline::KernelGraph night =
+      pipeline::build_graph(filters::make_night_app()).fused();
+  night.validate();
+  EXPECT_EQ(stage_names(night),
+            (std::vector<std::string>{"atrous3", "atrous5", "atrous9",
+                                      "atrous17+tonemap"}));
+  EXPECT_EQ(night.stages[3].input_images, (std::vector<i32>{3}));
+  EXPECT_EQ(night.stages[3].spec.window(), (Window{17, 17}));
+  EXPECT_EQ(night.depth(), 4);
+
+  for (const char* name : {"gaussian", "laplace", "bilateral"}) {
+    for (const auto& app : filters::all_apps()) {
+      if (app.name != name) continue;
+      const pipeline::KernelGraph g = pipeline::build_graph(app);
+      const pipeline::KernelGraph f = g.fused();
+      ASSERT_EQ(f.stages.size(), 1u) << name;
+      EXPECT_EQ(pipeline::spec_fingerprint(f.stages[0].spec),
+                pipeline::spec_fingerprint(g.stages[0].spec))
+          << name;
+      EXPECT_EQ(f.stages[0].spec.name, g.stages[0].spec.name) << name;
+    }
+  }
+}
+
+// A producer read by two stages keeps its own stage (each reader would
+// have to recompute it), and a consumer that reads its producer off-center
+// cannot take it (the producer's values at neighbouring pixels are not
+// computed in the consumer's loop).
+TEST(KernelGraph, FusionSkipsSharedProducersAndOffsetReads) {
+  const pipeline::KernelGraph shared =
+      pipeline::build_graph(
+          spec_app("shared",
+                   {filters::tonemap_spec(), filters::sobel_dx_spec(),
+                    filters::tonemap_spec(), filters::sobel_magnitude_spec()},
+                   {{0}, {1}, {1}, {2, 3}}))
+          .fused();
+  // Stage 0 has two readers, so the pointwise stage 2 cannot take it;
+  // stages 1 and 2 each feed only the magnitude, which takes both. The
+  // fused stage then reads stage 0 through sobel_dx's off-center taps.
+  EXPECT_EQ(stage_names(shared),
+            (std::vector<std::string>{"tonemap",
+                                      "sobel_dx+tonemap+sobel_magnitude"}));
+  EXPECT_EQ(shared.stages[1].input_images, (std::vector<i32>{1}));
+  EXPECT_EQ(shared.stages[1].deps, (std::vector<i32>{0}));
+
+  const pipeline::KernelGraph offset =
+      pipeline::build_graph(spec_app("offset",
+                                     {filters::tonemap_spec(),
+                                      filters::gaussian_spec(3)},
+                                     {{0}, {1}}))
+          .fused();
+  EXPECT_EQ(stage_names(offset),
+            (std::vector<std::string>{"tonemap", "gaussian3"}));
+
+  // The other way round the consumer is pointwise and fuses.
+  const pipeline::KernelGraph epilogue =
+      pipeline::build_graph(spec_app("epilogue",
+                                     {filters::gaussian_spec(3),
+                                      filters::tonemap_spec()},
+                                     {{0}, {1}}))
+          .fused();
+  EXPECT_EQ(stage_names(epilogue),
+            (std::vector<std::string>{"gaussian3+tonemap"}));
+}
+
+// Fusion changes how many passes run, never a value: on random images, in
+// every border pattern, the fused graph's specs evaluated in sequence are
+// bit-identical to the original stages evaluated in sequence.
+TEST(KernelGraph, FusedSpecsMatchStagesInSequence) {
+  std::vector<filters::MultiKernelApp> apps = filters::all_apps();
+  apps.push_back(spec_app(
+      "shared",
+      {filters::tonemap_spec(), filters::tonemap_spec(),
+       filters::gaussian_spec(3), filters::sobel_magnitude_spec()},
+      {{0}, {1}, {1}, {2, 3}}));
+  apps.push_back(spec_app(
+      "mixed-join",
+      {filters::laplace_spec(5), filters::sobel_magnitude_spec(),
+       filters::tonemap_spec()},
+      {{0}, {1, 0}, {2}}));
+  const f32 constant = -3.5f;
+  for (u64 seed : {1u, 2u}) {
+    const auto src = make_noise_image({41, 37}, seed);
+    for (const auto& app : apps) {
+      const pipeline::KernelGraph fused = pipeline::build_graph(app).fused();
+      fused.validate();
+      for (BorderPattern pattern : kAllBorderPatterns) {
+        const Image<f32> expect =
+            filters::run_app_reference(app, src, pattern, constant);
+        const Image<f32> got =
+            filters::run_app_reference(as_app(fused), src, pattern, constant);
+        ASSERT_EQ(got.size(), expect.size());
+        for (i32 y = 0; y < expect.height(); ++y) {
+          for (i32 x = 0; x < expect.width(); ++x) {
+            ASSERT_EQ(std::bit_cast<u32>(got(x, y)),
+                      std::bit_cast<u32>(expect(x, y)))
+                << app.name << "/" << to_string(pattern) << " seed " << seed
+                << " (" << x << ", " << y << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- executor equivalence ---------------------------------------------------
 
 /// The system-level bar: the DAG executor must produce bit-identical output
