@@ -443,12 +443,15 @@ ir::Program generate_kernel(const StencilSpec& spec,
   }
   ctx.out_buffer = b.add_buffer();
 
-  // kIspTiled: reserve the halo-extended tile, one slab per input. A
-  // zero-radius window has no halo to stage — the generated code then
-  // matches kIsp exactly (no smem, no barrier).
+  // kIspTiled: reserve the halo-extended tile, one slab per input. Staging
+  // needs a nonzero radius on both axes; otherwise the generated code
+  // matches kIsp exactly (no smem, no barrier). A zero-radius window has no
+  // halo to stage, and along a zero-radius axis Eq. (2) puts the partial
+  // last block column (row) in the Body, whose lanes past the image edge
+  // exit in the prologue and could never reach the staging barrier.
   const Window win = spec.window();
   const bool staged = opt.variant == Variant::kIspTiled &&
-                      (win.radius_x() > 0 || win.radius_y() > 0);
+                      win.radius_x() > 0 && win.radius_y() > 0;
   if (staged) {
     ISPB_EXPECTS(opt.tile_block.tx > 0 && opt.tile_block.ty > 0);
     const i32 tw = opt.tile_block.tx + 2 * win.radius_x();

@@ -108,8 +108,8 @@ WarpResult run_block_impl(const DeviceSpec& dev, const ir::Program& prog,
                        warp_inputs.end());
   }
   std::vector<WarpResult> results(static_cast<std::size_t>(warps));
-  run_block_warps(prog, dev, lane_inputs, static_cast<u32>(warps), buffers,
-                  results, 50'000'000, &block_cache);
+  run_block_warps(prog, dev, lane_inputs, static_cast<u32>(block.threads()),
+                  buffers, results, 50'000'000, &block_cache);
   WarpResult total;
   for (const WarpResult& r : results) total += r;
   return total;

@@ -59,10 +59,14 @@ class WarpExec {
  public:
   enum class Stop { kDone, kBarrier };
 
+  /// Lanes at or past `live_lanes` do not exist (the tail of a block's
+  /// last warp when its thread count is not a warp multiple): they start
+  /// retired and never execute.
   WarpExec(const ir::Program& prog, const DeviceSpec& dev,
            std::span<const ir::Word> lane_inputs,
            std::span<const ir::BufferBinding> buffers, SegmentCache& cache,
-           std::span<f32> smem, WarpResult& result, u64 max_steps)
+           std::span<f32> smem, WarpResult& result, u64 max_steps,
+           u32 live_lanes)
       : prog_(prog),
         dev_(dev),
         buffers_(buffers),
@@ -72,11 +76,13 @@ class WarpExec {
         max_steps_(max_steps),
         lanes_(static_cast<u32>(dev.warp_size)),
         pc_(lanes_, 0),
-        alive_(lanes_) {
+        alive_(std::min(live_lanes, lanes_)) {
     const u32 num_inputs = prog.num_inputs();
+    ISPB_EXPECTS(alive_ > 0);
     ISPB_EXPECTS(lane_inputs.size() ==
                  static_cast<std::size_t>(lanes_) * num_inputs);
     ISPB_EXPECTS(buffers.size() >= prog.num_buffers);
+    std::fill(pc_.begin() + alive_, pc_.end(), kRetired);
     regs_.resize(static_cast<std::size_t>(lanes_) * prog.num_regs);
     for (u32 lane = 0; lane < lanes_; ++lane) {
       ir::Word* lane_regs =
@@ -299,7 +305,7 @@ WarpResult run_warp(const ir::Program& prog, const DeviceSpec& dev,
   SegmentCache& cache = shared_cache != nullptr ? *shared_cache : local_cache;
   std::vector<f32> smem(prog.smem_words, 0.0f);
   WarpExec exec(prog, dev, lane_inputs, buffers, cache, smem, result,
-                max_steps);
+                max_steps, static_cast<u32>(dev.warp_size));
   // A lone warp satisfies each barrier as soon as its own lanes arrive.
   while (exec.run() != WarpExec::Stop::kDone) {
   }
@@ -307,11 +313,13 @@ WarpResult run_warp(const ir::Program& prog, const DeviceSpec& dev,
 }
 
 void run_block_warps(const ir::Program& prog, const DeviceSpec& dev,
-                     std::span<const ir::Word> lane_inputs, u32 num_warps,
+                     std::span<const ir::Word> lane_inputs, u32 num_threads,
                      std::span<const ir::BufferBinding> buffers,
                      std::span<WarpResult> results, u64 max_steps,
                      SegmentCache* shared_cache) {
-  ISPB_EXPECTS(num_warps > 0);
+  ISPB_EXPECTS(num_threads > 0);
+  const u32 warp_size = static_cast<u32>(dev.warp_size);
+  const u32 num_warps = (num_threads + warp_size - 1) / warp_size;
   ISPB_EXPECTS(results.size() >= num_warps);
   const std::size_t per_warp =
       static_cast<std::size_t>(dev.warp_size) * prog.num_inputs();
@@ -325,7 +333,8 @@ void run_block_warps(const ir::Program& prog, const DeviceSpec& dev,
   execs.reserve(num_warps);
   for (u32 w = 0; w < num_warps; ++w) {
     execs.emplace_back(prog, dev, lane_inputs.subspan(per_warp * w, per_warp),
-                       buffers, cache, smem, results[w], max_steps);
+                       buffers, cache, smem, results[w], max_steps,
+                       num_threads - w * warp_size);
   }
 
   // Phase loop: run every live warp until it retires or arrives at the

@@ -529,7 +529,7 @@ TEST(Block, BarrierPublishesStoresAcrossWarps) {
   const ir::BufferBinding buf{out_data.data(), out_data.size(), true};
   const auto inputs = make_lane_inputs(prog, 64, {});
   std::vector<WarpResult> results(2);
-  run_block_warps(prog, dev, inputs, 2, {&buf, 1}, results);
+  run_block_warps(prog, dev, inputs, 64, {&buf, 1}, results);  // 2 warps
   for (i32 l = 0; l < 64; ++l) {
     EXPECT_FLOAT_EQ(out_data[static_cast<std::size_t>(l)],
                     static_cast<f32>(63 - l));
@@ -567,8 +567,8 @@ TEST(Block, BarrierFreeProgramMatchesSequentialWarpRuns) {
   const ir::BufferBinding buf_b{out_b.data(), out_b.size(), true};
   SegmentCache cache_b;
   std::vector<WarpResult> blk(warps);
-  run_block_warps(prog, dev, inputs, warps, {&buf_b, 1}, blk, 50'000'000,
-                  &cache_b);
+  run_block_warps(prog, dev, inputs, warps * 32, {&buf_b, 1}, blk,
+                  50'000'000, &cache_b);
 
   for (u32 w = 0; w < warps; ++w) {
     EXPECT_EQ(seq[w].issue_slots, blk[w].issue_slots);
@@ -578,6 +578,25 @@ TEST(Block, BarrierFreeProgramMatchesSequentialWarpRuns) {
     EXPECT_EQ(seq[w].smem_transactions, blk[w].smem_transactions);
   }
   EXPECT_EQ(out_a, out_b);
+}
+
+TEST(Block, LanesPastTheThreadCountNeverRun) {
+  // A 40-thread block fills one warp and 8 lanes of a second; lanes 40..63
+  // do not exist and must neither execute nor store.
+  const DeviceSpec dev = make_gtx680();
+  const ir::Program prog = straight_line_kernel();
+  std::vector<f32> out(64, -1.0f);
+  const ir::BufferBinding buf{out.data(), out.size(), true};
+  const auto inputs = make_lane_inputs(prog, 64, {});
+  std::vector<WarpResult> results(2);
+  run_block_warps(prog, dev, inputs, 40, {&buf, 1}, results);
+  for (i32 l = 0; l < 64; ++l) {
+    EXPECT_EQ(out[static_cast<std::size_t>(l)],
+              l < 40 ? static_cast<f32>(2 * l) : -1.0f)
+        << "lane " << l;
+  }
+  EXPECT_EQ(results[1].lane_instructions,
+            results[0].lane_instructions / 32 * 8);
 }
 
 // ---- launcher ---------------------------------------------------------------
