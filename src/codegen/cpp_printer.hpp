@@ -1,16 +1,12 @@
 // C++ printer: lowers a StencilSpec to a standalone host translation unit
 // the native execution backend (src/exec) compiles to a shared object.
 //
-// Sibling of cuda_printer with the same lowering contract: the DAG is
-// emitted as one single-operation float statement per node, in node order,
-// using the same float operations as StencilSpec::evaluate: min/max as the
-// selects of codegen/min_max.hpp (which vectorize, where a libm fminf/fmaxf
-// call would keep the loop scalar), the rest as libm entry points
-// (fabsf/exp2f/log2f/sqrtf, spelled as __builtin_* so the TU needs no
-// #include). The compiled code is bit-identical to the CPU reference and
-// the simulator provided the TU is built with FP contraction off (the JIT
-// passes -ffp-contract=off). Float constants are printed as C99 hex
-// literals, which round-trip exactly.
+// The statements come from the shared C lowering (codegen/c_lowering.hpp)
+// that the CUDA printer uses too, in its host dialect: the unary math calls
+// are spelled __builtin_fabsf/exp2f/log2f/sqrtf, so the TU needs no
+// #include. The compiled code is bit-identical to the CPU reference and the
+// simulator provided the TU is built with FP contraction off (the JIT
+// passes -ffp-contract=off).
 //
 // Every pointer parameter and local is __restrict__: the host never lets
 // the output alias an input, and without the promise the compiler cannot

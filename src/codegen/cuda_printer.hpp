@@ -4,9 +4,13 @@
 // user can read and compile with NVCC. This module renders the same fat
 // kernels the IR generator builds — region labels, goto-based switching
 // (Listings 3 and 5), per-pattern border handling (Listing 1) — as CUDA
-// source text. The text is a faithful, human-readable artifact; the
+// source text. The region sections' statements come from the C lowering
+// the native C++ printer compiles (codegen/c_lowering.hpp), in its CUDA
+// dialect, so the text shows exactly the checks and float operations the
+// host runs. The text is a faithful, human-readable artifact; the
 // simulator executes the IR form, and tests check the two stay structurally
-// consistent (same regions, same parameters).
+// consistent (same regions, same parameters) and that every kernel is
+// well-formed source.
 #pragma once
 
 #include <string>

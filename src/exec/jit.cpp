@@ -78,11 +78,6 @@ std::string env_or(const char* name, std::string fallback) {
   return v != nullptr && *v != '\0' ? std::string(v) : std::move(fallback);
 }
 
-std::string resolved_compiler(const JitConfig& config) {
-  if (!config.compiler.empty()) return config.compiler;
-  return env_or("ISPB_NATIVE_CXX", env_or("CXX", "c++"));
-}
-
 /// The file the shell runs for `driver`: a name without '/' is looked up on
 /// $PATH; anything else (or a name found nowhere) is returned as given.
 std::string driver_path(const std::string& driver) {
@@ -179,6 +174,11 @@ std::string artifact_stem(const codegen::StencilSpec& spec,
                           const JitConfig& config) {
   return compute_stem(emit_cpp(spec, options),
                       cpp_kernel_symbol(spec, options), config);
+}
+
+std::string resolved_compiler(const JitConfig& config) {
+  if (!config.compiler.empty()) return config.compiler;
+  return env_or("ISPB_NATIVE_CXX", env_or("CXX", "c++"));
 }
 
 std::string resolved_cache_dir(const JitConfig& config) {

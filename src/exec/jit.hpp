@@ -52,6 +52,9 @@ struct JitConfig {
 /// The directory `config` resolves to (creating nothing).
 [[nodiscard]] std::string resolved_cache_dir(const JitConfig& config);
 
+/// The compiler driver `config` resolves to (see JitConfig::compiler).
+[[nodiscard]] std::string resolved_compiler(const JitConfig& config);
+
 /// The artifact stem ("<symbol>.<hash>", no directory or extension)
 /// jit_compile would use for (spec, options, config) — computed without
 /// compiling or touching the disk. The hash covers the emitted source, the

@@ -305,8 +305,11 @@ TEST(CudaPrinter, PatternsRenderTheirChecks) {
   CodegenOptions opt;
   opt.variant = Variant::kNaive;
 
+  // The shared C lowering's spellings (codegen/c_lowering.hpp): an if-form
+  // clamp and a hex-float border constant.
   opt.pattern = BorderPattern::kClamp;
-  EXPECT_NE(emit_cuda(box3_spec(), opt).find("max("), std::string::npos);
+  EXPECT_NE(emit_cuda(box3_spec(), opt).find("if (x0 < 0) x0 = 0;"),
+            std::string::npos);
 
   opt.pattern = BorderPattern::kRepeat;
   EXPECT_NE(emit_cuda(box3_spec(), opt).find("while ("), std::string::npos);
@@ -317,7 +320,7 @@ TEST(CudaPrinter, PatternsRenderTheirChecks) {
   opt.pattern = BorderPattern::kConstant;
   opt.border_constant = 7.0f;
   const std::string cuda = emit_cuda(box3_spec(), opt);
-  EXPECT_NE(cuda.find("= 7f;"), std::string::npos);
+  EXPECT_NE(cuda.find("float v0 = 0x1.cp+2f;"), std::string::npos);
 }
 
 TEST(CudaPrinter, HostSnippetHasEq2Bounds) {

@@ -1,10 +1,9 @@
-// Tests for the extensions beyond the fat-kernel pipeline: OpenCL emission,
-// the separate-kernels-per-region execution mode (the design the paper
-// rejects) and the CPU index-set-splitting backend, plus the sparse-stencil
-// support the paper lists as future work.
+// Tests for the extensions beyond the fat-kernel pipeline: the
+// separate-kernels-per-region execution mode (the design the paper rejects)
+// and the CPU index-set-splitting backend, plus the sparse-stencil support
+// the paper lists as future work.
 #include <gtest/gtest.h>
 
-#include "codegen/opencl_printer.hpp"
 #include "dsl/runtime.hpp"
 #include "filters/filters.hpp"
 #include "image/compare.hpp"
@@ -12,50 +11,6 @@
 
 namespace ispb {
 namespace {
-
-// ---- OpenCL emission ---------------------------------------------------------
-
-TEST(OpenClPrinter, NaiveKernelStructure) {
-  codegen::CodegenOptions opt;
-  opt.variant = codegen::Variant::kNaive;
-  const std::string cl = codegen::emit_opencl(filters::gaussian_spec(3), opt);
-  EXPECT_NE(cl.find("__kernel void"), std::string::npos);
-  EXPECT_NE(cl.find("get_global_id(0)"), std::string::npos);
-  EXPECT_NE(cl.find("__global const float"), std::string::npos);
-  EXPECT_EQ(cl.find("goto TL"), std::string::npos);
-}
-
-TEST(OpenClPrinter, IspKernelHasRegionSwitch) {
-  codegen::CodegenOptions opt;
-  opt.variant = codegen::Variant::kIsp;
-  const std::string cl = codegen::emit_opencl(filters::gaussian_spec(3), opt);
-  EXPECT_NE(cl.find("get_group_id(0)"), std::string::npos);
-  EXPECT_NE(cl.find("goto TL;"), std::string::npos);
-  EXPECT_NE(cl.find("goto Body;"), std::string::npos);
-  for (Region r : kAllRegions) {
-    EXPECT_NE(cl.find(std::string(to_string(r)) + ": {"), std::string::npos)
-        << to_string(r);
-  }
-}
-
-TEST(OpenClPrinter, WarpVariantUsesLocalId) {
-  codegen::CodegenOptions opt;
-  opt.variant = codegen::Variant::kIspWarp;
-  const std::string cl = codegen::emit_opencl(filters::laplace_spec(5), opt);
-  EXPECT_NE(cl.find("get_local_id(0)"), std::string::npos);
-  EXPECT_NE(cl.find("w_l"), std::string::npos);
-}
-
-TEST(OpenClPrinter, PatternsRender) {
-  codegen::CodegenOptions opt;
-  opt.variant = codegen::Variant::kNaive;
-  opt.pattern = BorderPattern::kClamp;
-  EXPECT_NE(codegen::emit_opencl(filters::gaussian_spec(3), opt).find("clamp("),
-            std::string::npos);
-  opt.pattern = BorderPattern::kRepeat;
-  EXPECT_NE(codegen::emit_opencl(filters::gaussian_spec(3), opt).find("while ("),
-            std::string::npos);
-}
 
 // ---- separate kernels per region ----------------------------------------------
 
