@@ -18,6 +18,7 @@ obs::Json BenchJson::to_json() const {
     if (r.size != 0) row["size"] = r.size;
     if (!r.variant.empty()) row["variant"] = r.variant;
     if (!r.backend.empty()) row["backend"] = r.backend;
+    if (!r.isa_level.empty()) row["isa_level"] = r.isa_level;
     row["metric"] = r.metric;
     row["value"] = r.value;
     rows.push_back(std::move(row));

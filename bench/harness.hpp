@@ -34,6 +34,7 @@ class BenchJson {
     std::string pattern;
     std::string variant;
     std::string backend;  ///< execution engine ("interp"/"native"), "" = n/a
+    std::string isa_level;  ///< native JIT -march level, "" = n/a
     std::string metric;  ///< what `value` measures, e.g. "speedup_isp"
     i32 size = 0;        ///< image extent, 0 when not applicable
     f64 value = 0.0;

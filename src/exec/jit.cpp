@@ -25,19 +25,31 @@ namespace fs = std::filesystem;
 namespace {
 
 /// Flags every JIT TU gets; none of them changes a value bit (DESIGN.md
-/// §16). -ffp-contract=off keeps the emitted one-operation-per-statement
-/// sequence bit-identical to StencilSpec::evaluate (no FMA fusing).
-/// -fvect-cost-model=dynamic lets -O2 vectorize the guard-free Body loop,
-/// which -O2's default very-cheap model rejects. -fno-math-errno only drops
-/// the errno store, so sqrtf inlines to the correctly rounded instruction
-/// and vectorizes. -fno-trapping-math only stops the compiler assuming FP
-/// exceptions trap, so it may if-convert the min/max selects into vector
-/// compares and blends; the selects' values are unchanged. Never
-/// -ffast-math; no target-specific -march until the stem carries a host
-/// fingerprint.
-constexpr std::string_view kFixedFlags =
-    "-O2 -fvect-cost-model=dynamic -fno-math-errno -fno-trapping-math -fPIC "
-    "-shared -ffp-contract=off";
+/// §16). -march=<jit_isa_level()> picks the widest vector ISA this CPU
+/// runs: lanes execute the same IEEE single-precision ops as scalar code,
+/// and the FMA it enables stays unused because -ffp-contract=off keeps the
+/// emitted one-operation-per-statement sequence bit-identical to
+/// StencilSpec::evaluate (no FMA fusing). -fvect-cost-model=dynamic lets
+/// -O2 vectorize the guard-free Body loop, which -O2's default very-cheap
+/// model rejects. --param vect-epilogues-nomask=0 runs a loop's leftover
+/// iterations in scalar code instead of a second, narrower vector loop:
+/// the same per-pixel ops, and AVX2 then costs no extra compile time.
+/// -fno-math-errno only drops the errno store, so sqrtf inlines to the
+/// correctly rounded instruction and vectorizes. -fno-trapping-math only
+/// stops the compiler assuming FP exceptions trap, so it may if-convert the
+/// min/max selects into vector compares and blends; the selects' values are
+/// unchanged. Never -ffast-math, and never -march=native or -mtune: the
+/// stem hashes this string, so it must name what it targets.
+const std::string& fixed_flags() {
+  static const std::string flags = [] {
+    const std::string level(jit_isa_level());
+    return "-O2 " + (level.empty() ? "" : "-march=" + level + " ") +
+           "-fvect-cost-model=dynamic --param vect-epilogues-nomask=0 "
+           "-fno-math-errno -fno-trapping-math -fPIC -shared "
+           "-ffp-contract=off";
+  }();
+  return flags;
+}
 
 std::atomic<i64> g_open_modules{0};
 std::atomic<u64> g_tmp_counter{0};
@@ -122,8 +134,17 @@ std::string compiler_version(const std::string& compiler) {
 }
 
 std::string jit_flags(const JitConfig& config) {
-  return std::string(kFixedFlags) +
+  return fixed_flags() +
          (config.extra_flags.empty() ? "" : " " + config.extra_flags);
+}
+
+/// The level `flags` compile at: the last -march= wins, as in the driver.
+std::string march_of(std::string_view flags) {
+  constexpr std::string_view kMarch = "-march=";
+  const std::size_t at = flags.rfind(kMarch);
+  if (at == std::string_view::npos) return "";
+  const std::string_view rest = flags.substr(at + kMarch.size());
+  return std::string(rest.substr(0, rest.find(' ')));
 }
 
 void write_file_or_throw(const fs::path& path, const std::string& text) {
@@ -169,6 +190,18 @@ std::string compute_stem(const std::string& source, const std::string& symbol,
 
 }  // namespace
 
+std::string_view jit_isa_level() {
+#if defined(__x86_64__)
+  static const std::string_view level = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("x86-64-v3") ? "x86-64-v3" : "x86-64";
+  }();
+  return level;
+#else
+  return "";
+#endif
+}
+
 std::string artifact_stem(const codegen::StencilSpec& spec,
                           const codegen::CodegenOptions& options,
                           const JitConfig& config) {
@@ -212,6 +245,7 @@ NativeModulePtr jit_compile(const codegen::StencilSpec& spec,
                             const JitConfig& config) {
   obs::ScopedSpan span("exec.native.compile", "compile");
   span.arg("kernel", spec.name);
+  if (span.recording()) span.arg("isa", march_of(jit_flags(config)));
 
   // The fault point fires before any filesystem work, so an injected
   // toolchain failure is clean by construction; real failures below clean

@@ -16,13 +16,15 @@
 // Bit-exactness: the TU is compiled with -ffp-contract=off (no FMA
 // fusing) and no fast-math, so the emitted single-operation statements
 // execute exactly the float sequence of StencilSpec::evaluate — in vector
-// lanes too: the dynamic vectorizer cost model, -fno-math-errno and
+// lanes too: the ISA level (-march=x86-64-v3 where cpuid reports it), the
+// dynamic vectorizer cost model, scalar epilogues, -fno-math-errno and
 // -fno-trapping-math change which instructions run, never which values
 // they produce.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "codegen/kernel_gen.hpp"
 #include "codegen/stencil_spec.hpp"
@@ -36,18 +38,27 @@ struct JitConfig {
   std::string cache_dir;
   /// Compiler driver; "" = $ISPB_NATIVE_CXX, else $CXX, else "c++".
   std::string compiler;
-  /// Flags appended after the fixed set (-O2 -fvect-cost-model=dynamic
+  /// Flags appended after the fixed set (-O2 -march=<jit_isa_level()>
+  /// -fvect-cost-model=dynamic --param vect-epilogues-nomask=0
   /// -fno-math-errno -fno-trapping-math -fPIC -shared -ffp-contract=off),
   /// so they win where they conflict. Tests pass "-O0" to keep big TUs'
-  /// compile time down; production passes nothing. Part of the artifact
-  /// stem. Anything added here must keep value bits: never -ffast-math or
-  /// -ffp-contract=fast.
+  /// compile time down, or "-march=x86-64" to run at the baseline level;
+  /// production passes nothing. Part of the artifact stem. Anything added
+  /// here must keep value bits: never -ffast-math or -ffp-contract=fast.
   std::string extra_flags;
   /// Reuse an existing on-disk .so for the same source hash instead of
   /// recompiling. Tests that must observe real compiles point cache_dir at
   /// a fresh directory instead of disabling this.
   bool reuse_artifacts = true;
 };
+
+/// The x86-64 level the JIT targets, chosen once per process from cpuid:
+/// "x86-64-v3" (AVX2, FMA) when the CPU supports it, else baseline
+/// "x86-64". The fixed flag set spells it as -march=<level>, never
+/// -march=native, so the artifact stem hashes it and a host without AVX2
+/// never loads a v3 object from a shared cache. "" when the library is not
+/// built for x86-64: the JIT then adds no -march.
+[[nodiscard]] std::string_view jit_isa_level();
 
 /// The directory `config` resolves to (creating nothing).
 [[nodiscard]] std::string resolved_cache_dir(const JitConfig& config);

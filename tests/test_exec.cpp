@@ -1,8 +1,8 @@
 // Execution-backend subsystem tests: the C++ printer's lowering contract,
 // the JIT's bit-exactness (special values at the production flags
-// included), artifact naming and on-disk reuse, the full executor
-// bit-identity matrix (5 apps x 4 patterns x 3 variants, native vs
-// run_app_reference), the fused stages the native engine runs, in-place
+// included), its ISA level rule, artifact naming and on-disk reuse, the
+// full executor bit-identity matrix (5 apps x 4 patterns x 3 variants,
+// native vs run_app_reference), the fused stages the native engine runs, in-place
 // reads of a padded source, no unwritten output pixel on a poisoned heap,
 // the backend.compile fault -> interpreted fallback path, and the KernelCache
 // native-module lifecycle (single-flight, refcounted eviction, artifact
@@ -30,10 +30,12 @@
 #include <vector>
 
 #include "codegen/cpp_printer.hpp"
+#include "common/error.hpp"
 #include "exec/backend.hpp"
 #include "exec/jit.hpp"
 #include "filters/filters.hpp"
 #include "image/generators.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/kernel_cache.hpp"
 #include "pipeline/kernel_graph.hpp"
@@ -265,6 +267,71 @@ TEST(Jit, ArtifactStemTracksCompilerVersion) {
   EXPECT_EQ(stem_a, stem_c);  // the version, not the driver's location
 }
 
+// The JIT targets x86-64-v3 exactly where cpuid reports it, and the level is
+// part of the artifact stem: an object built at v3 never loads under the
+// baseline flags (or on a host without AVX2, whose flags read baseline). The
+// level is always spelled out, never as -march=native.
+TEST(Jit, IsaLevelFollowsCpuidAndChangesTheStem) {
+#if defined(__x86_64__)
+  const bool v3 = __builtin_cpu_supports("x86-64-v3");
+  EXPECT_EQ(exec::jit_isa_level(), v3 ? "x86-64-v3" : "x86-64");
+
+  const TempDir dir("isa");
+  const filters::MultiKernelApp app = filters::make_gaussian_app();
+  const codegen::StencilSpec& spec = app.stages.front().spec;
+  codegen::CodegenOptions opt;
+  opt.variant = codegen::Variant::kIsp;
+  const exec::JitConfig production{dir.path.string(), "", "", true};
+  exec::JitConfig baseline = production;
+  baseline.extra_flags = "-march=x86-64";
+  if (v3) {
+    EXPECT_NE(exec::artifact_stem(spec, opt, production),
+              exec::artifact_stem(spec, opt, baseline));
+  }
+
+  // The command line itself, recorded by a driver that then fails: it
+  // names the level and never -march=native, and the baseline override
+  // comes last, so it wins. The compile span names the level that won.
+  const fs::path args = dir.path / "args.txt";
+  const fs::path driver = dir.path / "ispb-record-cxx";
+  {
+    std::ofstream script(driver);
+    script << "#!/bin/sh\necho \"$@\" > '" << args.string() << "'\nexit 1\n";
+  }
+  fs::permissions(driver, fs::perms::owner_all);
+  const auto command_line = [&](exec::JitConfig config) {
+    config.compiler = driver.string();
+    EXPECT_THROW((void)exec::jit_compile(spec, opt, config), IoError);
+    std::ifstream in(args);
+    std::string line;
+    std::getline(in, line);
+    return line;
+  };
+  const std::string level = "-march=" + std::string(exec::jit_isa_level());
+  obs::TraceSession::start();
+  const std::string at_level = command_line(production);
+  const std::string at_baseline = command_line(baseline);
+  std::vector<std::string> span_isa;
+  for (const obs::TraceEvent& ev : obs::TraceSession::stop()) {
+    for (const auto& [key, value] : ev.args) {
+      if (ev.name == "exec.native.compile" && key == "isa") {
+        span_isa.push_back(value.as_string());
+      }
+    }
+  }
+  EXPECT_EQ(span_isa, (std::vector<std::string>{
+                          std::string(exec::jit_isa_level()), "x86-64"}));
+  for (const std::string& line : {at_level, at_baseline}) {
+    EXPECT_NE(line.find(level + " "), std::string::npos) << line;
+    EXPECT_EQ(line.find("=native"), std::string::npos) << line;
+  }
+  EXPECT_GT(at_baseline.rfind("-march=x86-64 "), at_baseline.find(level + " "))
+      << at_baseline;
+#else
+  GTEST_SKIP() << "ISA levels are x86-64 only";
+#endif
+}
+
 TEST(Jit, CompilesBitExactKernelAndReusesDiskArtifact) {
   const TempDir dir("jit");
   const filters::MultiKernelApp app = filters::make_gaussian_app();
@@ -325,10 +392,15 @@ Image<f32> make_special_image(Size2 size, u64 seed) {
 // stage of every app, and every fused stage the native engine runs
 // (sobel as one kernel, atrous17 with tonemap as its epilogue), is checked
 // against dsl::run_reference directly, so point stages (sobel's sqrt,
-// night's max tonemap) see the special values too.
+// night's max tonemap) see the special values too. The ISA level alternates
+// with the border pattern: even patterns compile at jit_isa_level(), odd ones
+// at baseline x86-64, so every stage meets both levels without doubling the
+// compiles.
 TEST(JitSpecialValues, BitIdenticalToReferenceAtProductionFlags) {
   const TempDir dir("special");
   const exec::JitConfig production{dir.path.string(), "", "", true};
+  exec::JitConfig baseline = production;
+  baseline.extra_flags = "-march=x86-64";
   const Size2 size{40, 40};
   std::vector<Image<f32>> images;
   for (u64 seed = 1; seed <= 2; ++seed) {
@@ -337,18 +409,19 @@ TEST(JitSpecialValues, BitIdenticalToReferenceAtProductionFlags) {
 
   struct Case {
     const codegen::StencilSpec* spec;
+    const exec::JitConfig* jit;
     codegen::CodegenOptions options;
     exec::NativeModulePtr module;
   };
   const std::vector<codegen::StencilSpec> specs = native_stage_specs();
   std::vector<Case> cases;
   for (const codegen::StencilSpec& spec : specs) {
-    for (BorderPattern pattern : kAllBorderPatterns) {
+    for (std::size_t p = 0; p < std::size(kAllBorderPatterns); ++p) {
       for (codegen::Variant variant :
            {codegen::Variant::kNaive, codegen::Variant::kIsp,
             codegen::Variant::kIspTiled}) {
-        Case c{&spec, {}, nullptr};
-        c.options.pattern = pattern;
+        Case c{&spec, p % 2 == 0 ? &production : &baseline, {}, nullptr};
+        c.options.pattern = kAllBorderPatterns[p];
         c.options.variant = variant;
         cases.push_back(std::move(c));
       }
@@ -365,7 +438,7 @@ TEST(JitSpecialValues, BitIdenticalToReferenceAtProductionFlags) {
       for (std::size_t i = next.fetch_add(1); i < cases.size();
            i = next.fetch_add(1)) {
         cases[i].module =
-            exec::jit_compile(*cases[i].spec, cases[i].options, production);
+            exec::jit_compile(*cases[i].spec, cases[i].options, *cases[i].jit);
       }
     });
   }
@@ -382,7 +455,8 @@ TEST(JitSpecialValues, BitIdenticalToReferenceAtProductionFlags) {
     (void)exec::run_native_module(*c.module, inputs, out);
     EXPECT_EQ(first_mismatch(out, reference), "")
         << c.spec->name << "/" << to_string(c.options.pattern) << "/"
-        << codegen::to_string(c.options.variant);
+        << codegen::to_string(c.options.variant) << " "
+        << (c.jit->extra_flags.empty() ? exec::jit_isa_level() : "x86-64");
   }
 }
 

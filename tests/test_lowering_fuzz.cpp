@@ -17,9 +17,10 @@
 // --gtest_random_seed=S runs block S instead, seeds
 // (S-1)*kSeedsPerRun+1 .. S*kSeedsPerRun; with --gtest_repeat=R and
 // --gtest_shuffle gtest advances the seed once per iteration, so R
-// iterations cover R consecutive blocks. A failure message names its
-// seed; the minimized failures live on as the LoweringFuzzRegression.*
-// cases below.
+// iterations cover R consecutive blocks. Even seeds JIT at the production
+// ISA level (exec::jit_isa_level()), odd seeds at baseline x86-64, so every
+// block covers both. A failure message names its seed and level; the
+// minimized failures live on as the LoweringFuzzRegression.* cases below.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -274,8 +275,13 @@ struct Case {
   exec::NativeModulePtr module;
 };
 
+/// Even seeds compile at the JIT's production level, odd seeds at baseline
+/// x86-64, so a seed range covers both levels with one compile per case.
+bool at_production_level(u64 seed) { return seed % 2 == 0; }
+
 /// Every pattern x variant of each target, compiled at the production JIT
-/// flags on a few threads (the compiles dominate the run time).
+/// flags (or baseline, by seed parity) on a few threads (the compiles
+/// dominate the run time).
 std::vector<Case> compile_cases(const std::vector<Target>& targets,
                                 const TempDir& dir) {
   std::vector<Case> cases;
@@ -294,6 +300,8 @@ std::vector<Case> compile_cases(const std::vector<Target>& targets,
     }
   }
   const exec::JitConfig production{dir.path.string(), "", "", true};
+  exec::JitConfig baseline = production;
+  baseline.extra_flags = "-march=x86-64";
   std::atomic<std::size_t> next{0};
   std::vector<std::thread> compilers;
   const unsigned threads =
@@ -302,8 +310,10 @@ std::vector<Case> compile_cases(const std::vector<Target>& targets,
     compilers.emplace_back([&] {
       for (std::size_t k = next.fetch_add(1); k < cases.size();
            k = next.fetch_add(1)) {
-        cases[k].module = exec::jit_compile(cases[k].target->spec,
-                                            cases[k].options, production);
+        const Target& t = *cases[k].target;
+        cases[k].module = exec::jit_compile(
+            t.spec, cases[k].options,
+            at_production_level(t.seed) ? production : baseline);
       }
     });
   }
@@ -326,7 +336,11 @@ void check_case(const Case& c) {
   char constant[32];
   std::snprintf(constant, sizeof(constant), "%a",
                 static_cast<double>(opt.border_constant));
-  SCOPED_TRACE("seed " + std::to_string(c.target->seed) + " " +
+  SCOPED_TRACE("seed " + std::to_string(c.target->seed) + " at " +
+               std::string(at_production_level(c.target->seed)
+                               ? exec::jit_isa_level()
+                               : "x86-64") +
+               ", " +
                std::string(to_string(opt.pattern)) + "/" +
                std::string(codegen::to_string(opt.variant)) + ", tile " +
                std::to_string(block.tx) + "x" + std::to_string(block.ty) +
