@@ -78,9 +78,32 @@ BackendRun InterpretedBackend::run(const codegen::StencilSpec& spec,
   return run;
 }
 
+i64 row_bands(Size2 size, i64 workers, i64 floor_px) {
+  ISPB_EXPECTS(floor_px >= 1);
+  const i64 rows = size.y;
+  if (rows <= 0) return 1;
+  const i64 wanted = std::max<i64>(
+      1, std::min({rows, 4 * workers, size.area() / floor_px}));
+  // Equal bands of ceil(rows / wanted) rows leave the tail empty when rows
+  // does not divide evenly (17 rows in 16 bands is 9 bands of 2 rows); count
+  // only the bands that hold a row.
+  const i64 rows_per_band = (rows + wanted - 1) / wanted;
+  return (rows + rows_per_band - 1) / rows_per_band;
+}
+
 f64 run_native_module(const NativeModule& module,
                       std::span<const Image<f32>* const> inputs,
                       Image<f32>& output) {
+  return run_native_module(
+      module, inputs, output,
+      row_bands(output.size(),
+                static_cast<i64>(ThreadPool::global().size())));
+}
+
+f64 run_native_module(const NativeModule& module,
+                      std::span<const Image<f32>* const> inputs,
+                      Image<f32>& output, i64 bands) {
+  ISPB_EXPECTS(bands >= 1);
   std::vector<const float*> in_ptrs;
   std::vector<i32> in_pitches;
   in_ptrs.reserve(inputs.size());
@@ -97,19 +120,19 @@ f64 run_native_module(const NativeModule& module,
 
   using Clock = std::chrono::steady_clock;
   const Clock::time_point t0 = Clock::now();
-  // Row bands over the host pool: enough bands to load every worker, few
-  // enough that the per-band dispatch cost stays invisible.
-  const i64 workers = static_cast<i64>(ThreadPool::global().size());
-  const i64 bands = std::max<i64>(1, std::min<i64>(sy, workers * 4));
-  const i64 rows_per_band = (sy + bands - 1) / bands;
-  parallel_for(0, bands, [&](i64 band) {
-    const i32 y0 = static_cast<i32>(band * rows_per_band);
-    const i32 y1 = static_cast<i32>(
-        std::min<i64>(sy, (band + 1) * rows_per_band));
-    if (y0 < y1) {
-      fn(in_ptrs.data(), in_pitches.data(), out, pitch_out, sx, sy, y0, y1);
-    }
-  });
+  if (bands == 1) {
+    fn(in_ptrs.data(), in_pitches.data(), out, pitch_out, sx, sy, 0, sy);
+  } else {
+    const i64 rows_per_band = (sy + bands - 1) / bands;
+    parallel_for(0, bands, [&](i64 band) {
+      const i32 y0 = static_cast<i32>(band * rows_per_band);
+      const i32 y1 =
+          static_cast<i32>(std::min<i64>(sy, (band + 1) * rows_per_band));
+      if (y0 < y1) {
+        fn(in_ptrs.data(), in_pitches.data(), out, pitch_out, sx, sy, y0, y1);
+      }
+    });
+  }
   return std::chrono::duration<f64, std::milli>(Clock::now() - t0).count();
 }
 

@@ -9,7 +9,8 @@
 //
 //   NativeBackend — lowers the same spec through codegen::emit_cpp,
 //   compiles it to a shared object (src/exec/jit), and executes the
-//   dlopened function over row bands on the host thread pool. Outputs are
+//   dlopened function inline on the calling thread for a small image, or
+//   over row bands on the host thread pool sized by row_bands(). Outputs are
 //   bit-identical to the interpreted path and the CPU reference (the
 //   printer emits StencilSpec::evaluate's exact float sequence; the JIT
 //   disables FP contraction); modeled GPU counters are *not* produced —
@@ -91,7 +92,8 @@ class InterpretedBackend final : public ExecutionBackend {
 };
 
 /// JIT path: resolves a NativeModule (through `cache` when non-null, else
-/// jit_compile directly) and runs it over row bands on the host pool.
+/// jit_compile directly) and runs it through run_native_module: inline
+/// below the band floor, over row bands on the host pool above it.
 /// `sampled` is ignored — native runs always produce the full output.
 class NativeBackend final : public ExecutionBackend {
  public:
@@ -110,11 +112,33 @@ class NativeBackend final : public ExecutionBackend {
   JitConfig jit_;
 };
 
-/// Executes a loaded module over the image, parallelized over row bands;
-/// returns wall milliseconds. Exposed for benches that time the kernel
-/// without backend/cache plumbing around it.
+/// Least pixels a row band of a native stage gets: below it, handing the
+/// band to the host pool costs more than the band's share of the kernel.
+/// Measured by an interleaved sweep of inline, 16-band and candidate-floor
+/// runs over 64²..1024² images (DESIGN.md §16, EXPERIMENTS.md "Row bands vs
+/// image size").
+inline constexpr i64 kRowBandFloorPx = 24 * 1024;
+
+/// Number of row bands a native stage over `size` runs as on `workers`
+/// pool threads: min(rows, 4 x workers, pixels / floor_px), at least 1, then
+/// trimmed so that bands of ceil(rows / bands) rows are all non-empty. 1
+/// means the stage runs inline on the calling thread.
+[[nodiscard]] i64 row_bands(Size2 size, i64 workers,
+                            i64 floor_px = kRowBandFloorPx);
+
+/// Executes a loaded module over the image and returns wall milliseconds.
+/// Splits the rows into row_bands(output.size(), pool size) bands: one band
+/// is a single call of the module on the calling thread, more run on the
+/// host pool. Exposed for benches that time the kernel without
+/// backend/cache plumbing around it.
 f64 run_native_module(const NativeModule& module,
                       std::span<const Image<f32>* const> inputs,
                       Image<f32>& output);
+
+/// As above with an explicit band count (>= 1; bands of ceil(rows / bands)
+/// rows, empty tail bands skipped), for sweeps that compare band rules.
+f64 run_native_module(const NativeModule& module,
+                      std::span<const Image<f32>* const> inputs,
+                      Image<f32>& output, i64 bands);
 
 }  // namespace ispb::exec

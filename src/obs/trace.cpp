@@ -246,10 +246,13 @@ enum class SpanClass { kQueue, kCompile, kSim, kRetry, kOther };
 
 SpanClass classify_span(const TraceEvent& ev) {
   if (ev.name == "pipeline.server.queue_wait") return SpanClass::kQueue;
-  if (ev.name == "pipeline.cache.compile" || ev.name == "dsl.compile_kernel") {
+  if (ev.name == "pipeline.cache.compile" || ev.name == "dsl.compile_kernel" ||
+      ev.name == "exec.native.compile") {
     return SpanClass::kCompile;
   }
-  if (ev.name.rfind("sim.launch", 0) == 0) return SpanClass::kSim;
+  if (ev.name.rfind("sim.launch", 0) == 0 || ev.name == "exec.native.run") {
+    return SpanClass::kSim;
+  }
   if (ev.name == "resilience.retry.backoff") return SpanClass::kRetry;
   return SpanClass::kOther;
 }

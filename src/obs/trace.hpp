@@ -195,8 +195,9 @@ struct SpanSummary {
 
 /// Where one request's wall time went, extracted from its span tree.
 /// Categories are disjoint by construction (each sums only spans that never
-/// nest inside another counted span): queue wait, kernel-cache compiles,
-/// simulated launches, retry backoff. `other_us` is the root-span remainder.
+/// nest inside another counted span): queue wait, compiles (kernel cache,
+/// IR and native JIT), kernel runs (simulated launches and native runs),
+/// retry backoff. `other_us` is the root-span remainder.
 struct RequestBreakdown {
   u64 request_id = 0;
   bool has_root = false;  ///< a root span (parent 0) was found

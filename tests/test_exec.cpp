@@ -6,7 +6,8 @@
 // reads of a padded source, no unwritten output pixel on a poisoned heap,
 // the backend.compile fault -> interpreted fallback path, and the KernelCache
 // native-module lifecycle (single-flight, refcounted eviction, artifact
-// GC, variant canonicalization).
+// GC, variant canonicalization), the row-band rule with a multi-band run on
+// the pool, and the request breakdown of a traced native server.
 #include <gtest/gtest.h>
 #include <unistd.h>
 #ifdef __GLIBC__
@@ -31,6 +32,7 @@
 
 #include "codegen/cpp_printer.hpp"
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "exec/backend.hpp"
 #include "exec/jit.hpp"
 #include "filters/filters.hpp"
@@ -39,6 +41,7 @@
 #include "pipeline/executor.hpp"
 #include "pipeline/kernel_cache.hpp"
 #include "pipeline/kernel_graph.hpp"
+#include "pipeline/server.hpp"
 #include "resilience/circuit_breaker.hpp"
 #include "resilience/fault_injector.hpp"
 
@@ -1058,6 +1061,114 @@ TEST(KernelCacheNative, IspWarpSharesIspModule) {
   const exec::NativeModulePtr m_8x8 = cache.get_or_compile_native(spec, tiled_8x8);
   EXPECT_NE(m_8x8.get(), m_tiled.get());
   EXPECT_EQ(cache.stats().native_misses, 4u);
+}
+
+// ---- row bands --------------------------------------------------------------
+
+// A small stage runs as one band on the calling thread; a 2048² frame keeps
+// one band per pool task of the former fixed rule (4 per worker).
+TEST(NativeBands, SmallStagesRunInlineLargeKeepFourPerWorker) {
+  EXPECT_EQ(exec::row_bands({128, 128}, 4), 1);
+  EXPECT_EQ(exec::row_bands({64, 64}, 4), 1);
+  EXPECT_EQ(exec::row_bands({2048, 2048}, 4), 16);
+  EXPECT_EQ(exec::row_bands({2048, 2048}, 1), 4);
+  // Bands grow with the pixels: each holds at least the floor.
+  EXPECT_EQ(exec::row_bands({512, 512}, 4), 512 * 512 / exec::kRowBandFloorPx);
+}
+
+TEST(NativeBands, NeverMoreBandsThanRowsNorAnEmptyBand) {
+  EXPECT_EQ(exec::row_bands({16, 100000}, 4), 16);
+  EXPECT_EQ(exec::row_bands({100000, 3}, 4), 3);
+  EXPECT_EQ(exec::row_bands({1 << 20, 1}, 4), 1);
+  // 17 rows in 16 bands of 2 rows would leave 7 bands empty.
+  EXPECT_EQ(exec::row_bands({100000, 17}, 4), 9);
+  for (const Size2 size : {Size2{100000, 17}, Size2{523, 301}, Size2{16, 100000},
+                           Size2{4096, 31}, Size2{333, 511}, Size2{1, 1},
+                           Size2{65536, 2}, Size2{2048, 2048}}) {
+    for (i64 workers : {1, 2, 4, 7, 64}) {
+      const i64 bands = exec::row_bands(size, workers);
+      const i64 rows_per_band = (size.y + bands - 1) / bands;
+      SCOPED_TRACE(std::to_string(size.x) + "x" + std::to_string(size.y) +
+                   ", " + std::to_string(workers) + " workers");
+      EXPECT_GE(bands, 1);
+      EXPECT_LE(bands, size.y);
+      EXPECT_LE(bands, 4 * workers);
+      EXPECT_LT((bands - 1) * rows_per_band, size.y);  // last band has a row
+      EXPECT_GE(bands * rows_per_band, size.y);        // bands cover the rows
+    }
+  }
+}
+
+// Above the floor, one run_native_module call goes through the pool, with a
+// ragged last band, and must match the reference bit for bit.
+TEST(NativeBands, MultiBandRunBitIdenticalToReference) {
+  const TempDir dir("bands");
+  const Size2 size{523, 301};
+  const i64 bands = exec::row_bands(
+      size, static_cast<i64>(ThreadPool::global().size()));
+  ASSERT_GT(bands, 1);
+  ASSERT_NE(size.y % ((size.y + bands - 1) / bands), 0);  // ragged last band
+  const codegen::StencilSpec spec = filters::make_gaussian_app().stages[0].spec;
+  const Image<f32> source = make_noise_image(size, 11);
+  const auto inputs = bind_inputs(spec, source);
+  for (BorderPattern pattern : kAllBorderPatterns) {
+    codegen::CodegenOptions opt;
+    opt.pattern = pattern;
+    opt.variant = codegen::Variant::kIsp;
+    const exec::NativeModulePtr module =
+        exec::jit_compile(spec, opt, fast_jit(dir));
+    Image<f32> out(size, Uninitialized{});
+    (void)exec::run_native_module(*module, inputs, out);
+    EXPECT_TRUE(bit_identical(
+        out, dsl::run_reference(spec, pattern, opt.border_constant, inputs)))
+        << to_string(pattern);
+  }
+}
+
+// The request breakdown sees the native engine: a cold request's JIT is
+// compile time and its run is kernel time; a warm request compiles nothing.
+TEST(NativeTrace, RequestBreakdownCountsNativeCompileAndRun) {
+  const TempDir dir("breakdown");
+  pipeline::KernelCache cache(16);
+  cache.set_jit(fast_jit(dir));
+  const auto graph = std::make_shared<const pipeline::KernelGraph>(
+      pipeline::build_graph(filters::make_gaussian_app()));
+  const auto source =
+      std::make_shared<const Image<f32>>(make_noise_image({48, 48}, 5));
+  pipeline::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.executor.cache = &cache;
+  cfg.executor.backend = exec::Backend::kNative;
+
+  obs::TraceSession::start();
+  {
+    pipeline::PipelineServer server(cfg);
+    for (int i = 0; i < 2; ++i) {  // one at a time: cold, then warm
+      pipeline::ServeRequest request;
+      request.graph = graph;
+      request.source = source;
+      EXPECT_EQ(server.submit(std::move(request)).get().status,
+                pipeline::ServeStatus::kOk);
+    }
+    server.shutdown();
+  }
+  const std::vector<obs::TraceEvent> events = obs::TraceSession::stop();
+  const std::vector<u64> ids = obs::request_ids(events);
+  ASSERT_EQ(ids.size(), 2u);
+  const obs::RequestBreakdown cold = obs::request_breakdown(events, ids[0]);
+  const obs::RequestBreakdown warm = obs::request_breakdown(events, ids[1]);
+  f64 jit_us = 0.0;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.request_id == ids[0] && ev.name == "exec.native.compile") {
+      jit_us += ev.dur_us;
+    }
+  }
+  EXPECT_GT(cold.compile_us, 0.0);
+  EXPECT_DOUBLE_EQ(cold.compile_us, jit_us);  // each compile counted once
+  EXPECT_GT(cold.sim_us, 0.0);
+  EXPECT_EQ(warm.compile_us, 0.0);
+  EXPECT_GT(warm.sim_us, 0.0);
+  EXPECT_EQ(cache.stats().native_misses, 1u);
 }
 
 TEST(Backend, ParseAndToStringRoundTrip) {

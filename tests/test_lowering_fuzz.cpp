@@ -7,7 +7,9 @@
 // smaller than the window, and sizes one off a tile_block multiple. Three
 // engines must agree bit for bit (NaN compared by NaN-ness only):
 //   - dsl::run_reference, the CPU oracle built on border/border.cpp;
-//   - the native JIT (emit_cpp -> jit_compile -> run_native_module);
+//   - the native JIT (emit_cpp -> jit_compile -> run_native_module), and
+//     the module called once per band of a seeded random row split, which
+//     must match its one-call output bit for bit;
 //   - the simulator running the IR lowering (dsl::launch_on_sim).
 // For ISP programs the static analyzer must also prove every access in
 // bounds, the region switch a partition of the grid and every barrier
@@ -227,6 +229,19 @@ std::string first_mismatch(const Image<f32>& got, const Image<f32>& want) {
   return "";
 }
 
+/// Exact bit equality, NaN payloads included.
+bool bit_identical(const Image<f32>& a, const Image<f32>& b) {
+  if (a.size() != b.size()) return false;
+  for (i32 y = 0; y < a.height(); ++y) {
+    for (i32 x = 0; x < a.width(); ++x) {
+      if (std::bit_cast<u32>(a(x, y)) != std::bit_cast<u32>(b(x, y))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 /// The spec, one node per line, for turning a failing seed into a
 /// regression case.
 std::string describe(const StencilSpec& spec) {
@@ -326,6 +341,52 @@ bool degenerate(Size2 image, BlockSize block, Window window) {
   return b.bh_l > b.bh_r || b.bh_t > b.bh_b;
 }
 
+/// A seeded split of [0, sy) into row ranges, as cut points from 0 to sy:
+/// one cut inside the top border strip (the first ry rows), one inside the
+/// bottom strip, a 1-row band and up to three more random cuts.
+std::vector<i32> random_row_cuts(i32 sy, i32 ry, Rng& rng) {
+  std::vector<i32> cuts{0, sy};
+  if (sy > 1) {
+    const i32 strip = std::clamp(ry, 1, sy - 1);
+    cuts.push_back(rng.uniform_i32(1, strip));
+    cuts.push_back(sy - rng.uniform_i32(1, strip));
+    const i32 row = rng.uniform_i32(0, sy - 1);
+    cuts.insert(cuts.end(), {row, row + 1});
+    for (i32 i = rng.uniform_i32(0, 3); i > 0; --i) {
+      cuts.push_back(rng.uniform_i32(1, sy - 1));
+    }
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  return cuts;
+}
+
+/// The module called once per row band of a random split must write exactly
+/// the one-call output: run_native_module runs the fuzzer's small images as
+/// one call, so this is what checks the kernel's row-range entry point.
+void check_row_bands(const Case& c, std::span<const Image<f32>* const> inputs,
+                     Window window, const Image<f32>& one_call) {
+  const Size2 size = one_call.size();
+  std::vector<const float*> ptrs;
+  std::vector<int> pitches;
+  for (const Image<f32>* img : inputs) {
+    ptrs.push_back(img->buffer().data());
+    pitches.push_back(img->pitch());
+  }
+  Rng rng(c.target->seed * 0x9e3779b97f4a7c15ull ^
+          static_cast<u64>(size.x * 4099 + size.y));
+  const std::vector<i32> cuts =
+      random_row_cuts(size.y, window.radius_y(), rng);
+  Image<f32> banded(size, Uninitialized{});
+  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+    c.module->fn()(ptrs.data(), pitches.data(), banded.buffer().data(),
+                   banded.pitch(), size.x, size.y, cuts[k], cuts[k + 1]);
+  }
+  std::string bands;
+  for (i32 cut : cuts) bands += " " + std::to_string(cut);
+  EXPECT_TRUE(bit_identical(banded, one_call)) << "native row bands at" << bands;
+}
+
 /// Runs one compiled case over its target's sizes through all three
 /// engines and the analyzer.
 void check_case(const Case& c) {
@@ -373,6 +434,7 @@ void check_case(const Case& c) {
     Image<f32> native(size, Uninitialized{});
     (void)exec::run_native_module(*c.module, inputs, native);
     EXPECT_EQ(first_mismatch(native, reference), "") << "native";
+    check_row_bands(c, inputs, window, native);
 
     // The analyzer proves the ISP program before it runs. A degenerate
     // partition launches the naive kernel instead, which it does not prove.
