@@ -13,7 +13,7 @@
 // Shed thresholds are spaced evenly between shed_start (the lowest tier)
 // and reject_start (just above tier 1), so load peels tiers off one by one
 // from the bottom. Tier 0 never sheds: it degrades via brownout and is
-// rejected only at reject_start or by shard queue overflow.
+// rejected only at reject_start or when the fleet's one queue is full.
 //
 // The controller is stateless — a pure function of (tier, occupancy) — so
 // the fleet server can consult it lock-free on the submit path and tests

@@ -1,21 +1,24 @@
 #include "fleet/fleet_server.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <exception>
 
 #include "common/error.hpp"
 #include "core/model.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "resilience/fault_injector.hpp"
 
 namespace ispb::fleet {
 
 namespace {
 
-f64 ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<f64, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+using pipeline::ServeResponse;
+using pipeline::ServeStatus;
+
+f64 ms_between(std::chrono::steady_clock::time_point a,
+               std::chrono::steady_clock::time_point b) {
+  return std::chrono::duration<f64, std::milli>(b - a).count();
 }
 
 void publish_fleet_status(FleetStatus status) {
@@ -23,6 +26,69 @@ void publish_fleet_status(FleetStatus status) {
   if (reg == nullptr) return;
   reg->add("fleet.requests", 1.0,
            {{"status", std::string(to_string(status))}});
+}
+
+resilience::Clock* shard_clock(const FleetConfig& config) {
+  return config.shard.clock != nullptr ? config.shard.clock : config.clock;
+}
+
+ServeStatus serve_status(FleetStatus status) {
+  switch (status) {
+    case FleetStatus::kOk:
+      return ServeStatus::kOk;
+    case FleetStatus::kShed:
+    case FleetStatus::kRejected:
+      return ServeStatus::kRejected;
+    case FleetStatus::kDeadlineExpired:
+      return ServeStatus::kDeadlineExpired;
+    case FleetStatus::kError:
+      break;
+  }
+  return ServeStatus::kError;
+}
+
+/// Runs one request to a ServeResponse (kOk or kError) and aggregates the
+/// per-stage resilience outcome: attempts beyond the first into `retries`,
+/// whether any stage was served by the breaker's naive fallback, and the
+/// variant that reached the caller (kNaive if *any* stage degraded to it —
+/// the conservative answer to "what quality of service did I get").
+void run_request(const pipeline::PipelineExecutor& executor,
+                 const pipeline::ServeRequest& request, ServeResponse& response,
+                 u64& retries) {
+  try {
+    obs::ScopedSpan span("pipeline.server.request", "pipeline");
+    span.arg("graph", request.graph->name);
+    resilience::fault_point("server.exec", request.graph->name);
+    pipeline::ExecutorResult result = executor.run(
+        *request.graph, *request.source, request.backend, request.variant);
+    response.sim_time_ms = result.total_time_ms;
+    codegen::Variant variant = result.stages.empty()
+                                   ? codegen::Variant::kNaive
+                                   : result.stages.back().variant_used;
+    exec::Backend backend_used = result.stages.empty()
+                                     ? exec::Backend::kInterpreted
+                                     : result.stages.back().backend_used;
+    for (const pipeline::ExecutorResult::Stage& stage : result.stages) {
+      retries += stage.attempts > 0 ? stage.attempts - 1 : 0;
+      response.served_by_fallback |= stage.served_by_fallback;
+      response.backend_fallback |= stage.backend_fallback;
+      if (stage.variant_used == codegen::Variant::kNaive) {
+        variant = codegen::Variant::kNaive;
+      }
+      if (stage.backend_used == exec::Backend::kInterpreted) {
+        backend_used = exec::Backend::kInterpreted;
+      }
+    }
+    response.variant_used = variant;
+    response.backend_used = backend_used;
+    response.output = std::move(result.output);
+  } catch (const std::exception& e) {
+    response.status = ServeStatus::kError;
+    response.error = e.what();
+  } catch (...) {
+    response.status = ServeStatus::kError;
+    response.error = "unknown execution error";
+  }
 }
 
 }  // namespace
@@ -43,267 +109,473 @@ std::string_view to_string(FleetStatus s) {
   return "?";
 }
 
+FleetServer::Shard::Shard(const sim::DeviceSpec& spec,
+                          const FleetConfig& config)
+    : device(spec),
+      breakers(config.shard.breaker, shard_clock(config)),
+      executor([&] {
+        pipeline::ExecutorConfig ec = config.shard.executor;
+        ec.sim.device = spec;
+        if (config.shard.breakers_enabled && ec.breakers == nullptr) {
+          ec.breakers = &breakers;
+        }
+        if (ec.clock == nullptr) ec.clock = shard_clock(config);
+        return ec;
+      }()),
+      breaker("device:" + spec.name, config.device_breaker, config.clock),
+      slo(config.shard.slo) {}
+
 FleetServer::FleetServer(FleetConfig config)
-    : config_(std::move(config)), admission_(config_.admission) {
+    : config_(std::move(config)),
+      admission_(config_.admission),
+      paused_(config_.shard.start_paused) {
   ISPB_EXPECTS(!config_.devices.empty() && config_.devices.size() <= 64);
+  ISPB_EXPECTS(config_.shard.workers >= 1);
   stats_.devices.resize(config_.devices.size());
   stats_.tiers.resize(config_.admission.tiers);
   for (u32 t = 0; t < config_.admission.tiers; ++t) stats_.tiers[t].tier = t;
 
   shards_.reserve(config_.devices.size());
   for (std::size_t i = 0; i < config_.devices.size(); ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->device = config_.devices[i];
-    stats_.devices[i].device = shard->device.name;
-    pipeline::ServerConfig sc = config_.shard;
-    sc.executor.sim.device = shard->device;
-    if (sc.clock == nullptr) sc.clock = config_.clock;
-    shard->server = std::make_unique<pipeline::PipelineServer>(std::move(sc));
-    shard->breaker = std::make_unique<resilience::CircuitBreaker>(
-        "device:" + shard->device.name, config_.device_breaker, config_.clock);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>(config_.devices[i], config_));
+    stats_.devices[i].device = config_.devices[i].name;
   }
+  const std::size_t workers =
+      shards_.size() * static_cast<std::size_t>(config_.shard.workers);
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
+  sweeper_ = std::thread([this] { sweeper_loop(); });
 }
 
 FleetServer::~FleetServer() { shutdown(); }
 
 std::future<FleetResponse> FleetServer::submit(FleetRequest request) {
-  ISPB_EXPECTS(request.graph != nullptr && request.source != nullptr);
-  auto p = std::make_shared<Pending>();
-  p->tier = std::min(request.tier, config_.admission.tiers - 1);
-  p->request = std::move(request);
-  p->submitted_at = std::chrono::steady_clock::now();
-  std::future<FleetResponse> future = p->promise.get_future();
-
-  const f64 occ = occupancy();
-  {
-    std::lock_guard lock(mu_);
-    ++stats_.submitted;
-    ++stats_.tiers[p->tier].submitted;
-  }
-  if (!accepting_.load(std::memory_order_acquire)) {
-    settle(p, FleetStatus::kRejected, {}, "", "fleet shut down");
-    return future;
-  }
-  switch (admission_.decide(p->tier, occ)) {
-    case AdmissionDecision::kReject:
-      settle(p, FleetStatus::kRejected, {}, "",
-             "admission: fleet saturated (occupancy " + std::to_string(occ) +
-                 ")");
-      return future;
-    case AdmissionDecision::kShed:
-      settle(p, FleetStatus::kShed, {}, "",
-             "admission: shed tier " + std::to_string(p->tier) +
-                 " at occupancy " + std::to_string(occ));
-      return future;
-    case AdmissionDecision::kBrownout:
-      p->browned_out = true;
-      break;
-    case AdmissionDecision::kAdmit:
-      break;
-  }
-  route(p);
+  auto item = std::make_shared<Item>();
+  item->request = std::move(request);
+  std::future<FleetResponse> future =
+      std::get<std::promise<FleetResponse>>(item->promise).get_future();
+  admit(std::move(item));
   return future;
 }
 
-void FleetServer::route(const PendingPtr& p) {
-  // Deadline covers failover hops too: once the budget is gone the request
-  // settles instead of burning another device.
-  f64 remaining_ms = 0.0;
-  if (p->request.deadline_ms > 0.0) {
-    remaining_ms = p->request.deadline_ms - ms_since(p->submitted_at);
-    if (remaining_ms <= 0.0) {
-      pipeline::ServeResponse r;
-      r.status = pipeline::ServeStatus::kDeadlineExpired;
-      settle(p, FleetStatus::kDeadlineExpired, std::move(r), "",
-             "deadline expired during placement/failover");
-      return;
+std::future<ServeResponse> FleetServer::submit_serve(
+    pipeline::ServeRequest request) {
+  auto item = std::make_shared<Item>();
+  static_cast<pipeline::ServeRequest&>(item->request) = std::move(request);
+  std::future<ServeResponse> future =
+      item->promise.emplace<std::promise<ServeResponse>>().get_future();
+  admit(std::move(item));
+  return future;
+}
+
+void FleetServer::admit(ItemPtr item) {
+  ISPB_EXPECTS(item->request.graph != nullptr &&
+               item->request.source != nullptr);
+  item->tier = std::min(item->request.tier, config_.admission.tiers - 1);
+  item->submitted_at = Clock::now();
+  FleetStatus refused = FleetStatus::kOk;  // kOk: enqueued
+  std::string why;
+  {
+    std::lock_guard lock(mu_);
+    ++stats_.submitted;
+    ++stats_.tiers[item->tier].submitted;
+    const f64 occ = occupancy();
+    if (!accepting_) {
+      refused = FleetStatus::kRejected;
+      why = "fleet shut down";
+    } else {
+      switch (admission_.decide(item->tier, occ)) {
+        case AdmissionDecision::kReject:
+          refused = FleetStatus::kRejected;
+          why = "admission: fleet saturated (occupancy " +
+                std::to_string(occ) + ")";
+          break;
+        case AdmissionDecision::kShed:
+          refused = FleetStatus::kShed;
+          why = "admission: shed tier " + std::to_string(item->tier) +
+                " at occupancy " + std::to_string(occ);
+          break;
+        case AdmissionDecision::kBrownout:
+          item->browned_out = true;
+          item->request.variant = codegen::Variant::kNaive;
+          [[fallthrough]];
+        case AdmissionDecision::kAdmit:
+          if (queue_.size() >=
+              shards_.size() * config_.shard.queue_capacity) {
+            refused = FleetStatus::kRejected;
+            why = "queue full";
+            break;
+          }
+          if (obs::TraceSession::active()) {
+            item->request_id = obs::TraceSession::next_request_id();
+            item->root_span_id = obs::TraceSession::next_span_id();
+            item->submitted_ns = obs::TraceSession::now_ns();
+          }
+          inflight_.fetch_add(1, std::memory_order_relaxed);
+          queue_.push_back(item);
+          break;
+      }
     }
   }
-
-  if (!p->request.pin_device.empty()) {
-    std::size_t pin = shards_.size();
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i]->device.name == p->request.pin_device) pin = i;
-    }
-    if (pin == shards_.size()) {
-      settle(p, FleetStatus::kError, {}, "",
-             "unknown pinned device '" + p->request.pin_device + "'");
-      return;
-    }
-    if ((p->tried_mask >> pin) & 1u) {
-      settle(p, p->exhausted_status, {}, "", p->last_error);
-      return;
-    }
-    const bool was_closed = shards_[pin]->breaker->snapshot().state ==
-                            resilience::BreakerState::kClosed;
-    if (!shards_[pin]->breaker->allow()) {
-      settle(p, FleetStatus::kError, {}, "",
-             "pinned device '" + p->request.pin_device + "' is quarantined");
-      return;
-    }
-    dispatch_to(p, pin, /*probe=*/!was_closed);
+  if (refused != FleetStatus::kOk) {
+    settle(*item, refused, {}, kNoShard, std::move(why));
     return;
+  }
+  work_cv_.notify_one();
+  // The sweeper may need to wake earlier than it planned to.
+  if (item->has_deadline()) sweeper_cv_.notify_one();
+}
+
+void FleetServer::worker_loop() {
+  for (;;) {
+    ItemPtr item;
+    {
+      std::unique_lock lock(mu_);
+      work_cv_.wait(lock, [this] {
+        return draining_ || (!paused_ && !queue_.empty());
+      });
+      if (queue_.empty()) {
+        if (draining_) return;
+        continue;  // spurious wake while paused
+      }
+      item = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    process(item);
+  }
+}
+
+void FleetServer::sweeper_loop() {
+  // Sweeps the queue for requests whose deadline passed before any worker
+  // dequeued them — which a paused or saturated fleet would otherwise sit
+  // on indefinitely — and settles them kDeadlineExpired. Runs even while
+  // paused_; exits on drain (the workers settle whatever remains).
+  std::unique_lock lock(mu_);
+  for (;;) {
+    if (draining_) return;
+
+    bool any = false;
+    Clock::time_point next{};
+    for (const ItemPtr& it : queue_) {
+      if (!it->has_deadline()) continue;
+      const Clock::time_point d = it->deadline_at();
+      if (!any || d < next) next = d;
+      any = true;
+    }
+    if (!any) {
+      sweeper_cv_.wait(lock);  // woken by submit(deadline) or shutdown
+      continue;
+    }
+    const Clock::time_point now = Clock::now();
+    if (next > now) {
+      sweeper_cv_.wait_until(lock, next);
+      continue;
+    }
+
+    std::vector<ItemPtr> expired;
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      if ((*it)->has_deadline() && (*it)->deadline_at() <= now) {
+        expired.push_back(std::move(*it));
+        it = queue_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    lock.unlock();
+    for (const ItemPtr& item : expired) {
+      if (item->request_id != 0) {
+        obs::record_span("pipeline.server.queue_wait", "pipeline",
+                         item->submitted_ns, obs::TraceSession::now_ns(),
+                         item->request_id, item->root_span_id);
+      }
+      settle(*item, FleetStatus::kDeadlineExpired, {}, kNoShard,
+             "deadline expired after " +
+                 std::to_string(ms_between(item->submitted_at, now)) +
+                 " ms queued (never dequeued)");
+    }
+    lock.lock();
+  }
+}
+
+void FleetServer::process(const ItemPtr& item) {
+  Item& it = *item;
+  it.dequeued_at = Clock::now();
+  if (it.request_id != 0) {
+    obs::record_span("pipeline.server.queue_wait", "pipeline",
+                     it.submitted_ns, obs::TraceSession::now_ns(),
+                     it.request_id, it.root_span_id);
+  }
+  u64 tried = 0;  // bit per device already attempted
+  std::string last_error;
+  for (;;) {
+    // The deadline covers failover too: once the budget is gone the
+    // request settles instead of burning another device.
+    if (it.has_deadline() && Clock::now() >= it.deadline_at()) {
+      settle(it, FleetStatus::kDeadlineExpired, {}, kNoShard,
+             it.dispatches == 0
+                 ? "deadline expired after " +
+                       std::to_string(
+                           ms_between(it.submitted_at, *it.dequeued_at)) +
+                       " ms queued"
+                 : "deadline expired during failover");
+      return;
+    }
+    bool probe = false;
+    std::string why;
+    const std::size_t index = place(it, tried, probe, why);
+    if (index == kNoShard) {
+      settle(it, FleetStatus::kError, {}, kNoShard,
+             last_error.empty() ? std::move(why) : std::move(last_error));
+      return;
+    }
+    Shard& shard = *shards_[index];
+    tried |= u64{1} << index;
+    ++it.dispatches;
+    try {
+      resilience::fault_point("shard.dispatch", shard.device.name);
+      if (probe) resilience::fault_point("health.probe", shard.device.name);
+    } catch (const std::exception& e) {
+      // Injected dispatch/probe failure: charge the device and move on.
+      device_failure(index);
+      std::lock_guard lock(mu_);
+      ++stats_.devices[index].errors;
+      last_error = e.what();
+      continue;
+    }
+
+    shard.running.fetch_add(1, std::memory_order_relaxed);
+    Attempt attempt = execute(shard, item);
+    shard.running.fetch_sub(1, std::memory_order_relaxed);
+    const ServeStatus status = attempt.response.status;
+    {
+      std::lock_guard lock(mu_);
+      FleetDeviceStats& d = stats_.devices[index];
+      ++d.routed;
+      d.retries += attempt.retries;
+      // Both degradation flavors count as "served by fallback":
+      // naive-for-isp and interpreted-for-native are the same story (the
+      // request succeeded on the backup path).
+      if (attempt.response.served_by_fallback ||
+          attempt.response.backend_fallback) {
+        ++d.fallbacks;
+      }
+      if (attempt.watchdog_cut) ++d.watchdog_expired;
+      if (status == ServeStatus::kOk) ++d.completed;
+      if (status == ServeStatus::kError) {
+        ++d.errors;
+        ++stats_.failovers;
+      }
+    }
+    if (status == ServeStatus::kOk) {
+      shard.breaker.record_success();
+      settle(it, FleetStatus::kOk, std::move(attempt.response), index, "");
+      return;
+    }
+    if (status == ServeStatus::kError) {
+      // Device-level failure: quarantine pressure + failover.
+      device_failure(index);
+      last_error = std::move(attempt.response.error);
+      continue;
+    }
+    // kDeadlineExpired, cut by the watchdog; terminal. A probe that timed
+    // out did not prove health — re-open so the slot is not leaked.
+    if (probe) shard.breaker.record_failure();
+    if (obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
+        reg != nullptr) {
+      reg->add("resilience.watchdog.expired", 1.0);
+    }
+    if (config_.shard.flight_recorder != nullptr) {
+      // Crash-dump breadcrumb: what was cut, how long it had run, and the
+      // window state at the moment of the cut.
+      const Clock::time_point now = Clock::now();
+      obs::Json frame = obs::Json::object();
+      frame["graph"] = it.request.graph->name;
+      frame["queue_ms"] = ms_between(it.submitted_at, *it.dequeued_at);
+      frame["exec_ms"] = ms_between(*it.dequeued_at, now);
+      frame["deadline_ms"] = it.request.deadline_ms;
+      frame["slo"] = shard.slo.snapshot(obs::steady_now_ms()).to_json();
+      config_.shard.flight_recorder->note("watchdog_cut", std::move(frame));
+    }
+    settle(it, FleetStatus::kDeadlineExpired, std::move(attempt.response),
+           index, "");
+    return;
+  }
+}
+
+std::size_t FleetServer::place(const Item& item, u64 tried, bool& probe,
+                               std::string& why) {
+  if (!item.request.pin_device.empty()) {
+    std::size_t pin = kNoShard;
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if (shards_[i]->device.name == item.request.pin_device) pin = i;
+    }
+    if (pin == kNoShard) {
+      why = "unknown pinned device '" + item.request.pin_device + "'";
+      return kNoShard;
+    }
+    if ((tried >> pin) & 1u) return kNoShard;  // its error is the answer
+    resilience::CircuitBreaker& breaker = shards_[pin]->breaker;
+    probe = breaker.snapshot().state != resilience::BreakerState::kClosed;
+    if (!breaker.allow()) {
+      why = "pinned device '" + item.request.pin_device + "' is quarantined";
+      return kNoShard;
+    }
+    return pin;
   }
 
   // Probe-first: a quarantined device whose cooldown elapsed takes this
   // request as its half-open probe (breaker-bounded), so a healed device
   // re-enters rotation; otherwise pick the lowest-loaded-per-speed closed
-  // shard.
-  std::size_t best = shards_.size();
-  f64 best_score = 0.0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if ((p->tried_mask >> i) & 1u) continue;
-    Shard& shard = *shards_[i];
-    if (shard.breaker->snapshot().state !=
-        resilience::BreakerState::kClosed) {
-      if (shard.breaker->allow()) {
-        dispatch_to(p, i, /*probe=*/true);
-        return;
+  // device.
+  for (;;) {
+    std::size_t best = kNoShard;
+    f64 best_score = 0.0;
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if ((tried >> i) & 1u) continue;
+      Shard& shard = *shards_[i];
+      if (shard.breaker.snapshot().state !=
+          resilience::BreakerState::kClosed) {
+        if (shard.breaker.allow()) {
+          probe = true;
+          return i;
+        }
+        continue;  // quarantined, cooldown still running
       }
-      continue;  // quarantined, cooldown still running
+      const f64 score =
+          static_cast<f64>(shard.running.load(std::memory_order_relaxed) +
+                           1) /
+          speed_weight(i, *item.request.graph);
+      if (best == kNoShard || score < best_score) {
+        best = i;
+        best_score = score;
+      }
     }
-    const f64 weight = speed_weight(i, *p->request.graph);
-    const f64 score =
-        static_cast<f64>(shard.inflight.load(std::memory_order_relaxed) + 1) /
-        weight;
-    if (best == shards_.size() || score < best_score) {
-      best = i;
-      best_score = score;
+    if (best == kNoShard) {
+      why = "no eligible device (all tried or quarantined)";
+      return kNoShard;
     }
+    // The closed-state check above is advisory; allow() is authoritative
+    // and may refuse if the breaker tripped in between.
+    if (shards_[best]->breaker.allow()) return best;
+    tried |= u64{1} << best;
   }
-  if (best == shards_.size()) {
-    settle(p, p->exhausted_status, {}, "",
-           p->last_error.empty()
-               ? "no eligible device (all tried or quarantined)"
-               : p->last_error);
-    return;
-  }
-  // The closed-state check above is advisory; allow() is authoritative and
-  // may hand out a probe if the breaker tripped in between.
-  if (!shards_[best]->breaker->allow()) {
-    p->tried_mask |= u64{1} << best;
-    route(p);
-    return;
-  }
-  dispatch_to(p, best, /*probe=*/false);
 }
 
-void FleetServer::dispatch_to(const PendingPtr& p, std::size_t index,
-                              bool probe) {
-  Shard& shard = *shards_[index];
-  p->tried_mask |= u64{1} << index;
-  ++p->dispatches;
-  try {
-    resilience::fault_point("shard.dispatch", shard.device.name);
-    if (probe) resilience::fault_point("health.probe", shard.device.name);
-  } catch (const std::exception& e) {
-    // Injected dispatch/probe failure: charge the device and move on.
-    device_failure(index);
+FleetServer::Attempt FleetServer::execute(Shard& shard, const ItemPtr& item) {
+  // The request's spans (executor, cache fills, launches, retries) hang off
+  // its root span; carried explicitly onto the execution-watchdog thread.
+  const obs::TraceContext trace_ctx{item->request_id, item->root_span_id};
+  Attempt attempt;
+  if (!item->has_deadline()) {
+    obs::TraceContext::Scope trace_scope(trace_ctx);
+    run_request(shard.executor, item->request, attempt.response,
+                attempt.retries);
+    return attempt;
+  }
+
+  // Execution watchdog: run the request on a dedicated thread and wait only
+  // until the deadline. On overrun the stage is detached (it finishes in
+  // the background against the shared item and shard, and its result is
+  // discarded) so this worker is freed immediately.
+  struct ExecSlot {
+    std::mutex mu;
+    bool finished = false;
+    bool orphaned = false;
+    std::promise<void> done;
+    Attempt attempt;
+  };
+  auto slot = std::make_shared<ExecSlot>();
+  std::future<void> done = slot->done.get_future();
+  std::thread exec_thread([this, &shard, slot, item, trace_ctx] {
+    obs::TraceContext::Scope trace_scope(trace_ctx);
+    Attempt result;
+    run_request(shard.executor, item->request, result.response,
+                result.retries);
+    bool orphaned = false;
     {
-      std::lock_guard lock(mu_);
-      ++stats_.devices[index].errors;
+      std::lock_guard lk(slot->mu);
+      slot->finished = true;
+      orphaned = slot->orphaned;
+      slot->attempt = std::move(result);
     }
-    p->last_error = e.what();
-    p->exhausted_status = FleetStatus::kError;
-    route(p);
-    return;
-  }
-  {
-    std::lock_guard lock(mu_);
-    ++stats_.devices[index].routed;
-  }
-  shard.inflight.fetch_add(1, std::memory_order_relaxed);
-  total_inflight_.fetch_add(1, std::memory_order_relaxed);
+    slot->done.set_value();
+    if (orphaned) {
+      std::lock_guard ol(orphan_mu_);
+      --shard.orphans;
+      orphan_cv_.notify_all();
+    }
+  });
 
-  pipeline::ServeRequest sreq;
-  sreq.graph = p->request.graph;
-  sreq.source = p->request.source;
-  sreq.backend = p->request.backend;
-  sreq.variant = p->request.variant;
-  if (p->browned_out) sreq.variant = codegen::Variant::kNaive;
-  if (p->request.deadline_ms > 0.0) {
-    sreq.deadline_ms =
-        std::max(0.1, p->request.deadline_ms - ms_since(p->submitted_at));
+  if (done.wait_until(item->deadline_at()) != std::future_status::ready) {
+    // Pre-register the orphan before marking the slot so the execution
+    // thread can never decrement a count we have not incremented yet.
+    {
+      std::lock_guard ol(orphan_mu_);
+      ++shard.orphans;
+    }
+    bool orphaned = false;
+    {
+      std::lock_guard lk(slot->mu);
+      if (!slot->finished) {
+        slot->orphaned = true;
+        orphaned = true;
+      }
+    }
+    if (orphaned) {
+      exec_thread.detach();
+      attempt.watchdog_cut = true;
+      attempt.response.status = ServeStatus::kDeadlineExpired;
+      attempt.response.error =
+          "watchdog: execution exceeded the remaining deadline budget";
+      return attempt;
+    }
+    // Finished in the window between wait_until and the orphan check.
+    std::lock_guard ol(orphan_mu_);
+    --shard.orphans;
   }
-  shard.server->submit_async(
-      std::move(sreq), [this, p, index, probe](pipeline::ServeResponse&& r) {
-        on_settle(p, index, probe, std::move(r));
-      });
+  exec_thread.join();
+  return std::move(slot->attempt);
 }
 
-void FleetServer::on_settle(const PendingPtr& p, std::size_t index, bool probe,
-                            pipeline::ServeResponse&& r) {
-  Shard& shard = *shards_[index];
-  shard.inflight.fetch_sub(1, std::memory_order_relaxed);
-  total_inflight_.fetch_sub(1, std::memory_order_relaxed);
-
-  switch (r.status) {
-    case pipeline::ServeStatus::kOk:
-      shard.breaker->record_success();
-      {
-        std::lock_guard lock(mu_);
-        ++stats_.devices[index].completed;
-      }
-      settle(p, FleetStatus::kOk, std::move(r), shard.device.name, "");
-      return;
-    case pipeline::ServeStatus::kError:
-      // Device-level failure: quarantine pressure + failover re-dispatch.
-      device_failure(index);
-      {
-        std::lock_guard lock(mu_);
-        ++stats_.devices[index].errors;
-        ++stats_.failovers;
-      }
-      p->last_error = r.error;
-      p->exhausted_status = FleetStatus::kError;
-      route(p);
-      return;
-    case pipeline::ServeStatus::kDeadlineExpired:
-      // Terminal: the budget is spent, not the device. A probe that timed
-      // out did not prove health — re-open so the slot is not leaked.
-      if (probe) shard.breaker->record_failure();
-      settle(p, FleetStatus::kDeadlineExpired, std::move(r),
-             shard.device.name, "");
-      return;
-    case pipeline::ServeStatus::kRejected:
-      // Shard overflow (or drain): bounce to another shard, no health
-      // penalty — a full queue is load, not sickness. (An admitted probe
-      // must still release its slot; re-opening does that.)
-      if (probe) shard.breaker->record_failure();
-      {
-        std::lock_guard lock(mu_);
-        ++stats_.devices[index].rejected;
-      }
-      p->last_error = r.error;
-      p->exhausted_status = FleetStatus::kRejected;
-      route(p);
-      return;
-  }
-}
-
-void FleetServer::settle(const PendingPtr& p, FleetStatus status,
-                         pipeline::ServeResponse&& serve, std::string device,
-                         std::string error) {
+void FleetServer::settle(Item& item, FleetStatus status, ServeResponse serve,
+                         std::size_t index, std::string error) {
+  const Clock::time_point now = Clock::now();
   FleetResponse resp;
   resp.status = status;
   resp.serve = std::move(serve);
-  resp.device = std::move(device);
-  resp.tier = p->tier;
-  resp.dispatches = p->dispatches;
-  resp.browned_out = p->browned_out && status == FleetStatus::kOk;
-  resp.total_ms = ms_since(p->submitted_at);
+  if (index != kNoShard) resp.device = shards_[index]->device.name;
+  resp.tier = item.tier;
+  resp.dispatches = item.dispatches;
+  resp.browned_out = item.browned_out && status == FleetStatus::kOk;
+  resp.total_ms = ms_between(item.submitted_at, now);
   resp.error = !error.empty() ? std::move(error) : resp.serve.error;
+  resp.serve.status = serve_status(status);
+  resp.serve.error = resp.error;
+  // kShed and kRejected are decided at submit, before the queue; every
+  // other outcome was enqueued and carries its queue/exec split.
+  const bool enqueued =
+      status != FleetStatus::kShed && status != FleetStatus::kRejected;
+  if (enqueued) {
+    const Clock::time_point dequeued = item.dequeued_at.value_or(now);
+    resp.serve.queue_ms = ms_between(item.submitted_at, dequeued);
+    resp.serve.exec_ms = ms_between(dequeued, now);
+    resp.serve.total_ms = resp.total_ms;
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+  }
 
   {
     std::lock_guard lock(mu_);
-    FleetTierStats& tier = stats_.tiers[p->tier];
+    FleetTierStats& tier = stats_.tiers[item.tier];
     switch (status) {
       case FleetStatus::kOk:
         ++stats_.completed;
         ++tier.completed;
         if (resp.browned_out) ++tier.browned_out;
         tier.latency_ms.record(resp.total_ms);
+        stats_.queue_latency_ms.record(resp.serve.queue_ms);
+        stats_.exec_latency_ms.record(resp.serve.exec_ms);
         break;
       case FleetStatus::kShed:
         ++stats_.shed;
@@ -323,12 +595,41 @@ void FleetServer::settle(const PendingPtr& p, FleetStatus status,
         break;
     }
   }
+  const ServeStatus s = resp.serve.status;
+  const obs::SloOutcome outcome =
+      s == ServeStatus::kOk                ? obs::SloOutcome::kOk
+      : s == ServeStatus::kRejected        ? obs::SloOutcome::kRejected
+      : s == ServeStatus::kDeadlineExpired ? obs::SloOutcome::kDeadlineMiss
+                                           : obs::SloOutcome::kError;
+  const u64 now_ms = obs::steady_now_ms();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (index == kNoShard || index == i) {
+      shards_[i]->slo.record(outcome, resp.total_ms, now_ms);
+    }
+  }
   publish_fleet_status(status);
-  p->promise.set_value(std::move(resp));
+  if (status == FleetStatus::kOk) {
+    if (obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
+        reg != nullptr) {
+      reg->observe("pipeline.server.latency_ms", resp.serve.total_ms);
+      reg->observe("pipeline.server.queue_ms", resp.serve.queue_ms);
+    }
+  }
+  if (item.request_id != 0) {
+    obs::record_span("pipeline.server.request.root", "pipeline",
+                     item.submitted_ns, obs::TraceSession::now_ns(),
+                     item.request_id, 0, item.root_span_id);
+  }
+  if (auto* p = std::get_if<std::promise<FleetResponse>>(&item.promise)) {
+    p->set_value(std::move(resp));
+  } else {
+    std::get<std::promise<ServeResponse>>(item.promise)
+        .set_value(std::move(resp.serve));
+  }
 }
 
 void FleetServer::device_failure(std::size_t index) {
-  resilience::CircuitBreaker& breaker = *shards_[index]->breaker;
+  resilience::CircuitBreaker& breaker = shards_[index]->breaker;
   const u64 trips_before = breaker.snapshot().trips;
   breaker.record_failure();
   if (breaker.snapshot().trips > trips_before) {
@@ -371,16 +672,33 @@ f64 FleetServer::speed_weight(std::size_t index,
 }
 
 void FleetServer::resume() {
-  for (auto& shard : shards_) shard->server->resume();
+  {
+    std::lock_guard lock(mu_);
+    paused_ = false;
+  }
+  work_cv_.notify_all();
 }
 
 void FleetServer::shutdown() {
-  accepting_.store(false, std::memory_order_release);
-  // Draining shard k may fail requests over into shard k+1 (still live) or
-  // shard k-1 (already drained; the re-dispatch settles inline as
-  // rejected). Either way every pending request is settled by the time the
-  // last shard finishes draining.
-  for (auto& shard : shards_) shard->server->shutdown();
+  {
+    std::lock_guard lock(mu_);
+    accepting_ = false;
+    draining_ = true;
+    paused_ = false;  // a paused fleet still drains its queue
+  }
+  work_cv_.notify_all();
+  sweeper_cv_.notify_all();
+  for (std::thread& w : workers_) {
+    if (w.joinable()) w.join();
+  }
+  if (sweeper_.joinable()) sweeper_.join();
+  // Wait out watchdog-detached executions: they hold references to their
+  // shard's executor, so the fleet must not die under them.
+  std::unique_lock lock(orphan_mu_);
+  orphan_cv_.wait(lock, [this] {
+    return std::all_of(shards_.begin(), shards_.end(),
+                       [](const auto& s) { return s->orphans == 0; });
+  });
 }
 
 FleetStats FleetServer::stats() const {
@@ -390,10 +708,9 @@ FleetStats FleetServer::stats() const {
     out = stats_;
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const resilience::BreakerSnapshot b = shards_[i]->breaker->snapshot();
-    out.devices[i].probes = b.probes;
+    out.devices[i].probes = shards_[i]->breaker.snapshot().probes;
     out.devices[i].inflight =
-        shards_[i]->inflight.load(std::memory_order_relaxed);
+        shards_[i]->running.load(std::memory_order_relaxed);
   }
   return out;
 }
@@ -401,7 +718,7 @@ FleetStats FleetServer::stats() const {
 std::vector<resilience::BreakerSnapshot> FleetServer::device_health() const {
   std::vector<resilience::BreakerSnapshot> out;
   out.reserve(shards_.size());
-  for (const auto& shard : shards_) out.push_back(shard->breaker->snapshot());
+  for (const auto& shard : shards_) out.push_back(shard->breaker.snapshot());
   return out;
 }
 
@@ -409,14 +726,27 @@ std::vector<std::pair<std::string, obs::SloSnapshot>> FleetServer::device_slo()
     const {
   std::vector<std::pair<std::string, obs::SloSnapshot>> out;
   out.reserve(shards_.size());
+  const u64 now_ms = obs::steady_now_ms();
   for (const auto& shard : shards_) {
-    out.emplace_back(shard->device.name, shard->server->slo_snapshot());
+    out.emplace_back(shard->device.name, shard->slo.snapshot(now_ms));
   }
   return out;
 }
 
 resilience::HealthState FleetServer::shard_health(std::size_t index) const {
-  return shards_[index]->server->health();
+  const Shard& shard = *shards_[index];
+  resilience::HealthState h;
+  h.breakers = shard.breakers.snapshot();
+  {
+    std::lock_guard lock(mu_);
+    const FleetDeviceStats& d = stats_.devices[index];
+    h.retries = d.retries;
+    h.fallbacks_served = d.fallbacks;
+    h.watchdog_expired = d.watchdog_expired;
+  }
+  std::lock_guard lock(orphan_mu_);
+  h.orphaned_executions = shard.orphans;
+  return h;
 }
 
 f64 FleetServer::occupancy() const {
@@ -424,7 +754,7 @@ f64 FleetServer::occupancy() const {
       static_cast<f64>(shards_.size()) *
       (static_cast<f64>(config_.shard.queue_capacity) +
        static_cast<f64>(std::max(config_.shard.workers, 1)));
-  return static_cast<f64>(total_inflight_.load(std::memory_order_relaxed)) /
+  return static_cast<f64>(inflight_.load(std::memory_order_relaxed)) /
          std::max(slots, 1.0);
 }
 

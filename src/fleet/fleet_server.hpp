@@ -1,51 +1,77 @@
-// FleetServer: multi-device sharded serving with health-checked failover.
+// FleetServer: the serving core — one bounded queue, one worker pool and
+// one deadline sweeper in front of one executor per simulated device, with
+// health-checked failover (heterogeneous mixes — GTX680 next to RTX2080 —
+// are the point). pipeline::PipelineServer is a one-device FleetServer.
 //
-// One PipelineServer shard per simulated device (heterogeneous mixes —
-// GTX680 next to RTX2080 — are the point). A request is placed on the shard
-// with the lowest (inflight + 1) / speed score, where speed comes from the
-// existing per-device analytic model: modeled graph instructions against
-// the device's SM count, clock and issue-throughput factor at the kernels'
-// occupancy (sim::compute_occupancy / throughput_factor). A 46-SM Turing
-// therefore absorbs proportionally more load than an 8-SMX Kepler, and the
-// router needs no calibration run.
+// Queue: submit() runs admission, then enqueues into one queue of
+// devices × shard.queue_capacity entries, drained by devices × shard.workers
+// worker threads. It never blocks: a full queue or a shut-down fleet
+// settles kRejected at once.
 //
-// Health: every shard gets a device-level resilience::CircuitBreaker
-// (distinct from the per-kernel breakers inside the shard). A request that
-// settles kError records a device failure; a tripped breaker quarantines
-// the device — no placements — until its cooldown elapses, after which the
-// router deliberately routes the next request there as the half-open probe
-// (probe-first, bounded by half_open_probes) so a healed device re-enters
-// rotation without a side channel. Probe dispatches fire the
-// `health.probe` fault point; every placement fires `shard.dispatch`; the
-// per-launch `device.launch` point lives in the executor.
+// Placement happens when a worker dequeues a request, so an idle worker
+// never waits behind a busy device: a pinned request goes to its device;
+// otherwise a quarantined device whose cooldown elapsed takes it as the
+// half-open probe (probe-first, bounded by half_open_probes) so a healed
+// device re-enters rotation without a side channel; otherwise it goes to the
+// device with the lowest (running + 1) / speed score, where speed comes from
+// the existing per-device analytic model: modeled graph instructions
+// against the device's SM count, clock and issue-throughput factor at the
+// kernels' occupancy (sim::compute_occupancy / throughput_factor). A 46-SM
+// Turing therefore absorbs proportionally more load than an 8-SMX Kepler,
+// and the router needs no calibration run.
 //
-// Failover: a request stranded on a dead or quarantined device is
-// re-dispatched to the next eligible shard (each device tried at most
-// once). Requests are pure (graph, source) -> pixels, so re-dispatch is
-// idempotent and bit-identity is preserved; remaining deadline budget is
-// carried, and kDeadlineExpired is terminal (the budget is gone, not the
-// device). Shard queue overflow bounces to another shard without a health
-// penalty.
+// Shards: a device keeps only its PipelineExecutor, that executor's
+// per-kernel resilience::BreakerRegistry (the runtime form of the paper's
+// isp+m fallback: a kernel whose ISP path keeps failing is served naive), a
+// device-level resilience::CircuitBreaker, an SloWindow and a running count.
 //
-// Admission: before placement, the AdmissionController walks the
+// Deadlines: deadline_ms covers the whole request, submit to settle. A
+// request that expires queued is settled kDeadlineExpired by the sweeper
+// (timely while paused and during the shutdown drain) or by the worker
+// that dequeues it, without executing. An execution that overruns the
+// deadline is cut by the execution watchdog: the stage is detached to
+// finish in the background (its result discarded), the worker is freed at
+// once, and shutdown() joins the detached execution.
+//
+// Failover: an execution that settles kError charges the device breaker (a
+// tripped breaker quarantines the device — no placements — until its
+// cooldown elapses) and the same worker places the request again on a
+// device it has not tried, under the request's one original deadline.
+// Requests are pure (graph, source) -> pixels, so running again is
+// idempotent and bit-identity is preserved. kDeadlineExpired is terminal
+// (the budget is gone, not the device).
+//
+// Fault points: every placement fires `shard.dispatch`, every probe
+// `health.probe`, every execution `server.exec`; the per-launch
+// `device.launch` point lives in the executor.
+//
+// Admission: before enqueueing, the AdmissionController walks the
 // degradation ladder (admission.hpp): shed low tiers under load, brown out
-// survivors to kNaive (bit-identical), reject at saturation. Shed and
-// rejected requests settle immediately — submit() never blocks.
+// survivors to kNaive (bit-identical), reject at saturation.
 //
-// Every settled request resolves its future exactly once, from whichever
-// thread completed the terminal dispatch. shutdown() drains every shard;
-// cross-shard failovers landing on an already-drained shard settle inline
-// as rejected, so no future is ever orphaned.
+// Tracing: with an obs::TraceSession active, an enqueued request gets a
+// request id; its queue wait, every execution and its root span
+// (pipeline.server.{queue_wait,request,request.root}) form one tree.
+//
+// Every request resolves its future exactly once. shutdown() stops
+// accepting and drains the queue: each request runs (failing over as
+// needed) or expires on the worker or sweeper that holds it, so no future
+// is orphaned.
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "fleet/admission.hpp"
@@ -55,11 +81,12 @@
 namespace ispb::fleet {
 
 struct FleetConfig {
-  /// Devices to shard over, one PipelineServer each; 1..64 entries.
+  /// Devices to serve on, one shard each; 1..64 entries.
   std::vector<sim::DeviceSpec> devices;
-  /// Per-shard server template. executor.sim.device is overwritten per
-  /// shard; executor.cache (when set) is shared by all shards — cache keys
-  /// are device-scoped already. clock defaults to `clock` below.
+  /// Per-device template: workers and queue_capacity count per device (the
+  /// fleet owns devices × each). executor.sim.device is overwritten per
+  /// device; executor.cache (when set) is shared by all devices — cache
+  /// keys are device-scoped already. clock defaults to `clock` below.
   pipeline::ServerConfig shard;
   AdmissionConfig admission;
   /// Device-level quarantine breakers (failure threshold, cooldown,
@@ -73,23 +100,18 @@ struct FleetConfig {
 enum class FleetStatus : u8 {
   kOk,
   kShed,             ///< admission dropped it (low tier under load)
-  kRejected,         ///< admission reject, every shard overflowed, or shutdown
+  kRejected,         ///< admission reject, queue full, or shutdown
   kDeadlineExpired,  ///< budget exhausted queued/executing/failing over
   kError,            ///< all eligible devices failed it; see error
 };
 [[nodiscard]] std::string_view to_string(FleetStatus s);
 
-struct FleetRequest {
-  std::shared_ptr<const pipeline::KernelGraph> graph;
-  std::shared_ptr<const Image<f32>> source;
-  /// Whole-request budget across queueing, execution and failover; 0=none.
-  f64 deadline_ms = 0.0;
-  std::optional<exec::Backend> backend;
+/// A ServeRequest (whose deadline_ms covers queueing, execution and
+/// failover, and whose variant admission brownout overrides with kNaive)
+/// plus fleet routing.
+struct FleetRequest : pipeline::ServeRequest {
   /// Priority tier, 0 = highest; clamped to admission.tiers.
   u32 tier = 0;
-  /// Force this kernel variant (warmup, directed tests); admission brownout
-  /// overrides it with kNaive. nullopt = the shard executor decides.
-  std::optional<codegen::Variant> variant;
   /// Route to this device only (tests, directed probes); "" = router picks.
   /// Pinned dispatches still respect the device breaker.
   std::string pin_device;
@@ -97,12 +119,13 @@ struct FleetRequest {
 
 struct FleetResponse {
   FleetStatus status = FleetStatus::kOk;
-  /// Inner response of the terminal dispatch; default for kShed and
-  /// never-dispatched rejections.
+  /// The request's serving response: output, the status and error in
+  /// pipeline terms, and submit-relative queue/exec/total times (0 for
+  /// kShed and kRejected, which never queue).
   pipeline::ServeResponse serve;
   std::string device;  ///< device of the terminal dispatch ("" if none)
   u32 tier = 0;
-  u32 dispatches = 0;  ///< shard placements; > 1 means failover happened
+  u32 dispatches = 0;  ///< device placements; > 1 means failover happened
   bool browned_out = false;  ///< admission served it kNaive
   f64 total_ms = 0.0;        ///< fleet submit -> settle wall time
   std::string error;
@@ -110,13 +133,18 @@ struct FleetResponse {
 
 struct FleetDeviceStats {
   std::string device;
-  u64 routed = 0;     ///< dispatches placed on this device
+  u64 routed = 0;     ///< executions placed on this device
   u64 completed = 0;  ///< kOk settled here
   u64 errors = 0;     ///< kError settled here (incl. injected dispatch/probe)
-  u64 rejected = 0;   ///< queue-overflow bounces off this shard
+  /// Always 0: a request is placed only when a worker is free to run it,
+  /// so no device queue overflows and nothing bounces between devices.
+  u64 rejected = 0;
   u64 probes = 0;     ///< half-open probes admitted by the device breaker
   u64 quarantines = 0;  ///< breaker trips (quarantine episodes)
-  u64 inflight = 0;     ///< currently dispatched, not yet settled
+  u64 inflight = 0;     ///< running on this device now
+  u64 retries = 0;      ///< stage attempts beyond the first
+  u64 fallbacks = 0;    ///< executions with any stage served by fallback
+  u64 watchdog_expired = 0;  ///< executions cut off by the watchdog
 };
 
 struct FleetTierStats {
@@ -138,7 +166,9 @@ struct FleetStats {
   u64 rejected = 0;
   u64 deadline_expired = 0;
   u64 errors = 0;
-  u64 failovers = 0;  ///< re-dispatch attempts after a device failure
+  u64 failovers = 0;  ///< re-placements after a device failure
+  obs::StreamingHistogram queue_latency_ms;  ///< kOk serve.queue_ms
+  obs::StreamingHistogram exec_latency_ms;   ///< kOk serve.exec_ms
   std::vector<FleetDeviceStats> devices;
   std::vector<FleetTierStats> tiers;
 };
@@ -146,67 +176,114 @@ struct FleetStats {
 class FleetServer {
  public:
   explicit FleetServer(FleetConfig config);
+  /// Shuts down (drains the queue) if the caller has not already.
   ~FleetServer();
 
   FleetServer(const FleetServer&) = delete;
   FleetServer& operator=(const FleetServer&) = delete;
 
-  /// Admits (or sheds/rejects) and places one request. Never blocks; the
+  /// Admits (or sheds/rejects) and enqueues one request. Never blocks; the
   /// future settles exactly once.
   [[nodiscard]] std::future<FleetResponse> submit(FleetRequest request);
 
-  /// Resumes every shard constructed start_paused. Idempotent.
+  /// Starts the workers of a fleet constructed shard.start_paused.
+  /// Idempotent.
   void resume();
-  /// Stops accepting and drains every shard. Idempotent.
+  /// Stops accepting, drains the queue, joins the workers and the sweeper,
+  /// then waits for watchdog-detached executions. Idempotent.
   void shutdown();
 
   [[nodiscard]] FleetStats stats() const;
   /// Device breaker snapshots, in device order.
   [[nodiscard]] std::vector<resilience::BreakerSnapshot> device_health() const;
-  /// Per-device SLO slices from each shard's sliding window.
+  /// Per-device SLO slices. A device's window records the requests that
+  /// settled on it; requests settled before any placement (refused,
+  /// expired queued or between failovers) go to every device's window.
   [[nodiscard]] std::vector<std::pair<std::string, obs::SloSnapshot>>
   device_slo() const;
-  /// Shard-internal health (kernel breakers, orphans) for invariants.
+  /// Device-internal health (kernel breakers, retries, fallbacks, watchdog
+  /// cuts, orphans) for invariants. queue_expired reads 0: a queued request
+  /// belongs to no device (FleetStats::deadline_expired counts it).
   [[nodiscard]] resilience::HealthState shard_health(std::size_t index) const;
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
   [[nodiscard]] const sim::DeviceSpec& device(std::size_t index) const {
     return shards_[index]->device;
   }
-  /// Fraction of fleet slots (queue + workers, all shards) in flight.
+  /// Fraction of fleet slots (queue + workers, all devices) in flight.
   [[nodiscard]] f64 occupancy() const;
 
  private:
+  friend class pipeline::PipelineServer;  // submits with a ServeResponse
+  using Clock = std::chrono::steady_clock;
+
   struct Shard {
+    Shard(const sim::DeviceSpec& spec, const FleetConfig& config);
     sim::DeviceSpec device;
-    std::unique_ptr<pipeline::PipelineServer> server;
-    std::unique_ptr<resilience::CircuitBreaker> breaker;
-    std::atomic<u64> inflight{0};
+    resilience::BreakerRegistry breakers;  ///< before executor (aliased)
+    pipeline::PipelineExecutor executor;
+    resilience::CircuitBreaker breaker;  ///< device-level quarantine
+    obs::SloWindow slo;                  ///< own lock
+    std::atomic<u64> running{0};
+    u64 orphans = 0;  ///< watchdog-detached executions; under orphan_mu_
   };
-  /// One in-flight fleet request. Mutated only by the thread currently
-  /// driving it (submit caller, then the settling shard worker); handoffs
-  /// are ordered through the shard queue mutexes.
-  struct Pending {
+  /// One admitted request. Driven by one thread at a time: the submitter,
+  /// then the worker or sweeper that takes it off the queue.
+  struct Item {
     FleetRequest request;
-    std::promise<FleetResponse> promise;
-    std::chrono::steady_clock::time_point submitted_at;
+    /// The submitter's promise; PipelineServer's submits emplace the second.
+    std::variant<std::promise<FleetResponse>,
+                 std::promise<pipeline::ServeResponse>>
+        promise;
+    Clock::time_point submitted_at;
+    std::optional<Clock::time_point> dequeued_at;
     u32 tier = 0;
     bool browned_out = false;
     u32 dispatches = 0;
-    u64 tried_mask = 0;  ///< bit per shard already attempted
-    FleetStatus exhausted_status = FleetStatus::kError;
-    std::string last_error;
+    // Tracing identity, assigned when the request is enqueued while a
+    // session is active (0 otherwise): the request's id, its root span, and
+    // the submit time on the trace clock.
+    u64 request_id = 0;
+    u64 root_span_id = 0;
+    u64 submitted_ns = 0;
+    [[nodiscard]] bool has_deadline() const {
+      return request.deadline_ms > 0.0;
+    }
+    [[nodiscard]] Clock::time_point deadline_at() const {
+      return submitted_at +
+             std::chrono::duration_cast<Clock::duration>(
+                 std::chrono::duration<f64, std::milli>(request.deadline_ms));
+    }
   };
-  using PendingPtr = std::shared_ptr<Pending>;
+  using ItemPtr = std::shared_ptr<Item>;
+  /// One execution on one device.
+  struct Attempt {
+    pipeline::ServeResponse response;  ///< kOk, kError or kDeadlineExpired
+    u64 retries = 0;                   ///< stage attempts beyond the first
+    bool watchdog_cut = false;
+  };
+  static constexpr std::size_t kNoShard = ~std::size_t{0};
 
-  /// Picks the next eligible shard and dispatches, or settles the request
-  /// (deadline gone / no device left).
-  void route(const PendingPtr& p);
-  void dispatch_to(const PendingPtr& p, std::size_t index, bool probe);
-  void on_settle(const PendingPtr& p, std::size_t index, bool probe,
-                 pipeline::ServeResponse&& r);
-  void settle(const PendingPtr& p, FleetStatus status,
-              pipeline::ServeResponse&& serve, std::string device,
-              std::string error);
+  /// PipelineServer's submit(): the same path, answered as a ServeResponse.
+  [[nodiscard]] std::future<pipeline::ServeResponse> submit_serve(
+      pipeline::ServeRequest request);
+  /// Shared tail of the submits: counts, admission ladder, enqueue or
+  /// settle the refusal.
+  void admit(ItemPtr item);
+  void worker_loop();
+  void sweeper_loop();
+  /// Places, runs and fails over one dequeued request until it settles.
+  void process(const ItemPtr& item);
+  /// The device for the next placement, or kNoShard with `why` set;
+  /// `probe` marks a half-open probe. Skips devices in `tried`.
+  [[nodiscard]] std::size_t place(const Item& item, u64 tried, bool& probe,
+                                  std::string& why);
+  /// Runs the request on `shard`'s executor, under the execution watchdog
+  /// when it has a deadline.
+  [[nodiscard]] Attempt execute(Shard& shard, const ItemPtr& item);
+  /// Accounts, publishes and resolves the future. `index` is the device
+  /// of the terminal execution, or kNoShard.
+  void settle(Item& item, FleetStatus status, pipeline::ServeResponse serve,
+              std::size_t index, std::string error);
   /// Breaker failure + quarantine accounting for a device-level error.
   void device_failure(std::size_t index);
   /// Memoized per-(device, graph) speed estimate for placement scoring.
@@ -216,12 +293,22 @@ class FleetServer {
   FleetConfig config_;
   AdmissionController admission_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<u64> total_inflight_{0};
-  std::atomic<bool> accepting_{true};
+  std::atomic<u64> inflight_{0};  ///< admitted, not yet settled
 
-  mutable std::mutex mu_;  ///< stats_ and weights_
+  mutable std::mutex mu_;  ///< queue_, the flags, stats_ and weights_
+  std::condition_variable work_cv_;
+  std::condition_variable sweeper_cv_;
+  std::deque<ItemPtr> queue_;
+  bool paused_ = false;
+  bool accepting_ = true;
+  bool draining_ = false;
   FleetStats stats_;
   std::unordered_map<std::string, f64> weights_;
+  std::vector<std::thread> workers_;
+  std::thread sweeper_;
+
+  mutable std::mutex orphan_mu_;  ///< Shard::orphans
+  std::condition_variable orphan_cv_;
 };
 
 }  // namespace ispb::fleet

@@ -25,7 +25,7 @@
 // sum are tracked exactly, so p0/p100 and mean are exact.
 //
 // Thread safety: none by design. Record under the owner's lock (the
-// MetricsRegistry and PipelineServer already serialize their stats updates)
+// MetricsRegistry and FleetServer already serialize their stats updates)
 // or record into per-thread instances and merge().
 #pragma once
 

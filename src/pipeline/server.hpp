@@ -1,62 +1,54 @@
-// PipelineServer: async batched serving driver over the pipeline runtime.
+// PipelineServer: async batched serving on one simulated device.
 //
-// Requests (a kernel graph + a source image) enter a bounded queue and are
-// drained by N worker threads, each running a PipelineExecutor. The queue
-// rejects gracefully on overflow — submit() returns an already-satisfied
-// future carrying kRejected instead of blocking or throwing — and requests
-// may carry a deadline covering the *whole* request, submit to completion:
+// A PipelineServer is a one-device fleet::FleetServer (fleet_server.hpp)
+// over config.executor.sim.device, with the admission ladder turned off:
+// one tier that never browns out or rejects, and a device breaker that
+// never quarantines its only device. Everything else is the fleet's one
+// serving core:
 //
-//   - a request that expires while queued is settled kDeadlineExpired by a
-//     watchdog thread (timely even while the server is paused, and during
-//     the shutdown drain) or by the dequeuing worker, without executing;
-//   - a request whose execution overruns the remaining budget is settled
-//     kDeadlineExpired by the execution watchdog: the stage is detached to
-//     finish in the background (its result discarded) so the worker is
-//     freed immediately instead of blocking behind a hung stage. Detached
-//     executions are accounted in HealthState and joined at shutdown.
-//
-// Resilience: the server owns a per-kernel resilience::BreakerRegistry that
-// it threads into every worker's executor (see ExecutorConfig::breakers) —
-// a kernel whose specialized ISP path keeps failing is served by the naive
-// variant and restored via half-open probes — plus the executor's
-// RetryPolicy for transient stage failures. health() snapshots breaker
-// states and retry/fallback/watchdog counters; the same counters go to the
-// installed obs::MetricsRegistry.
+//   - requests (a kernel graph + a source image) enter one bounded queue
+//     drained by `workers` threads; submit() never blocks, and a full
+//     queue or a shut-down server settles kRejected at once;
+//   - deadline_ms covers the whole request, submit to completion: a
+//     request that expires while queued is settled kDeadlineExpired by the
+//     deadline sweeper (timely while paused and during the shutdown drain)
+//     or by the dequeuing worker, without executing; an execution that
+//     overruns it is cut by the execution watchdog, which detaches the
+//     stage (its result discarded) so the worker is freed at once.
+//     Detached executions are accounted in HealthState and joined at
+//     shutdown;
+//   - the device owns a per-kernel resilience::BreakerRegistry threaded
+//     into its executor (see ExecutorConfig::breakers): a kernel whose
+//     specialized ISP path keeps failing is served by the naive variant and
+//     restored via half-open probes, plus the executor's RetryPolicy for
+//     transient stage failures;
+//   - latency (queue wait, execution, submit-to-finish) streams into
+//     bounded obs::StreamingHistograms, and an always-on SloWindow tracks
+//     sliding-window throughput and error / rejection / deadline-miss
+//     rates (slo_snapshot());
+//   - with an obs::TraceSession active, every request forms one span tree
+//     (pipeline.server.queue_wait, pipeline.server.request,
+//     pipeline.server.request.root) across whichever threads ran it (see
+//     obs::request_breakdown).
 //
 // Workers execute stages inline (executor concurrency 1) by default:
 // throughput comes from request-level parallelism, and the simulator's
 // block loop still parallelizes each launch over the global pool.
-//
-// Latency accounting per request: queue wait, execution time and total
-// submit-to-finish wall time, streamed into bounded obs::StreamingHistograms
-// (O(1) memory in request count; see obs/histogram.hpp for the percentile
-// error bound) and published to the installed obs::MetricsRegistry. An
-// always-on SloWindow tracks sliding-window throughput and error /
-// rejection / deadline-miss rates (slo_snapshot()).
-//
-// Tracing: when an obs::TraceSession is active, every request gets a
-// request id at submit; the dequeuing worker records the queue-wait span,
-// installs the request's TraceContext around execution (including on the
-// execution-watchdog thread), and finalize() records the request's root
-// span — so the whole request forms one tree in the Chrome/Perfetto export
-// regardless of which threads ran it (see obs::request_breakdown).
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/histogram.hpp"
 #include "obs/slo.hpp"
 #include "pipeline/executor.hpp"
 #include "resilience/health.hpp"
+
+namespace ispb::fleet {
+class FleetServer;
+}  // namespace ispb::fleet
 
 namespace ispb::pipeline {
 
@@ -91,7 +83,7 @@ struct ServeResponse {
   Image<f32> output;        ///< valid iff status == kOk
   f64 sim_time_ms = 0.0;    ///< modeled GPU time (kOk only)
   f64 queue_ms = 0.0;       ///< submit -> dequeue wall time
-  f64 exec_ms = 0.0;        ///< dequeue -> finish wall time
+  f64 exec_ms = 0.0;        ///< dequeue -> finish wall time (failover incl.)
   f64 total_ms = 0.0;       ///< submit -> finish wall time
   std::string error;        ///< kError / kRejected detail
   /// The variant that produced `output` (kOk, single-variant runs): stays
@@ -106,8 +98,8 @@ struct ServeResponse {
 };
 
 /// Aggregate serving counters and bounded latency sketches (kOk requests
-/// only). Memory is O(histogram buckets) no matter how many requests the
-/// server handles.
+/// only), read from the underlying fleet's one set of counters. Memory is
+/// O(histogram buckets) no matter how many requests the server handles.
 struct ServerStats {
   u64 submitted = 0;
   u64 accepted = 0;
@@ -129,15 +121,17 @@ struct ServerStats {
   return config;
 }
 
+/// A PipelineServer's configuration, and a fleet's per-device template
+/// (FleetConfig::shard), where workers and queue_capacity count per device.
 struct ServerConfig {
   i32 workers = 4;                ///< >= 1
   std::size_t queue_capacity = 64;  ///< pending requests before rejection
   ExecutorConfig executor = serving_executor_config();
   /// When true the workers start idle; queued requests run only after
   /// resume(). Gives tests deterministic control over overflow and
-  /// deadline paths. (The deadline watchdog still runs while paused.)
+  /// deadline paths. (The deadline sweeper still runs while paused.)
   bool start_paused = false;
-  /// Server-owned per-kernel circuit breakers, threaded into the workers'
+  /// Per-device per-kernel circuit breakers, threaded into the device's
   /// executor unless the caller already supplied executor.breakers.
   /// Disable to restore fail-fast (errors propagate, no naive fallback).
   bool breakers_enabled = true;
@@ -167,15 +161,6 @@ class PipelineServer {
   /// returned future is already satisfied with kRejected.
   [[nodiscard]] std::future<ServeResponse> submit(ServeRequest request);
 
-  /// Callback flavor of submit(). `on_done` is invoked exactly once with
-  /// the settled response, from whichever thread settles the request (a
-  /// worker, the queue watchdog, or — on overflow/shutdown — the submitting
-  /// thread itself, before this call returns). The callback runs with no
-  /// server locks held, so it may submit to *another* server (fleet
-  /// failover re-dispatch); it must not block.
-  void submit_async(ServeRequest request,
-                    std::function<void(ServeResponse&&)> on_done);
-
   /// Starts processing when constructed with start_paused. Idempotent.
   void resume();
 
@@ -191,71 +176,11 @@ class PipelineServer {
   [[nodiscard]] obs::SloSnapshot slo_snapshot() const;
 
   /// Resilience snapshot: breaker states, retry/fallback counters,
-  /// watchdog expiries, detached executions still running.
+  /// watchdog and queue expiries, detached executions still running.
   [[nodiscard]] resilience::HealthState health() const;
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Item {
-    ServeRequest request;
-    std::promise<ServeResponse> promise;
-    /// When set, settle() invokes this instead of the promise.
-    std::function<void(ServeResponse&&)> callback;
-    Clock::time_point submitted_at;
-    // Tracing identity, assigned at submit() when a session is active (0
-    // otherwise): the request's id, its root span, and the submit time on
-    // the trace clock so the root + queue-wait spans start at submission.
-    u64 request_id = 0;
-    u64 root_span_id = 0;
-    u64 submitted_ns = 0;
-    [[nodiscard]] bool has_deadline() const {
-      return request.deadline_ms > 0.0;
-    }
-    [[nodiscard]] Clock::time_point deadline_at() const {
-      return submitted_at +
-             std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<f64, std::milli>(request.deadline_ms));
-    }
-  };
-
-  /// Shared tail of submit()/submit_async(): counts, enqueues or rejects.
-  void enqueue(Item item);
-  /// Delivers the settled response via the item's callback or promise.
-  static void settle(Item& item, ServeResponse&& response);
-  void worker_loop();
-  void watchdog_loop();
-  void process(Item item);
-  /// Settles `item` kDeadlineExpired without executing (queued expiry).
-  void expire_queued(Item item, Clock::time_point now);
-  /// Accounts + publishes + settles. `watchdog_cut` marks a mid-execution
-  /// expiry; `retries` are the stage attempts beyond the first.
-  void finalize(Item item, ServeResponse response,
-                Clock::time_point dequeued_at, Clock::time_point finished_at,
-                bool watchdog_cut, u64 retries);
-
-  ServerConfig config_;
-  resilience::BreakerRegistry breakers_;  ///< before executor_ (aliased)
-  PipelineExecutor executor_;
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable watchdog_cv_;
-  std::deque<Item> queue_;
-  bool paused_ = false;
-  bool accepting_ = true;
-  bool draining_ = false;
-  ServerStats stats_;
-  obs::SloWindow slo_;  ///< own lock; recorded outside mu_
-  u64 retries_ = 0;    ///< stage attempts beyond the first (health)
-  u64 fallbacks_ = 0;  ///< requests with any stage served by fallback
-  std::vector<std::thread> workers_;
-  std::thread watchdog_;
-
-  // Watchdog-detached executions still running in the background.
-  mutable std::mutex orphan_mu_;
-  std::condition_variable orphan_cv_;
-  u64 orphans_active_ = 0;
+  std::unique_ptr<fleet::FleetServer> fleet_;
 };
 
 }  // namespace ispb::pipeline

@@ -6,7 +6,7 @@
 //   compile.lower    dsl::compile_kernel, detail "<kernel>/<variant>"
 //   cache.insert     KernelCache publication, detail = cache key
 //   executor.stage   PipelineExecutor per-stage entry, detail = kernel name
-//   server.exec      PipelineServer request execution, detail = graph name
+//   server.exec      serving-core request execution, detail = graph name
 //   launcher.launch  dsl::launch_on_sim entry, detail = program name
 //   backend.compile  exec::jit_compile entry, detail "<kernel>/<variant>"
 //   device.launch    per-launch device entry, detail = device name

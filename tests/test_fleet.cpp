@@ -1,6 +1,7 @@
 // Fleet layer: admission ladder table, multi-device placement with
 // bit-identity, failover off a killed device, half-open probe recovery
-// after a flap, shed/brownout/reject degradation, and pinned routing.
+// after a flap, shed/brownout/reject degradation, placement at dequeue,
+// failover during the shutdown drain, and pinned routing.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -312,6 +313,97 @@ TEST(FleetServer, ShedsBrownsOutAndRejectsUnderLoad) {
   EXPECT_EQ(stats.tiers[1].shed, 1u);
   EXPECT_EQ(stats.tiers[0].browned_out, 4u);
   EXPECT_EQ(stats.tiers[0].completed, 14u);
+  for (const auto& d : stats.devices) EXPECT_EQ(d.rejected, 0u) << d.device;
+}
+
+// ---- one queue: placement at dequeue ----------------------------------------
+
+TEST(FleetServer, IdleWorkerNeverWaitsBehindABusyShard) {
+  // One worker per device. Every launch on the RTX2080 (the router's
+  // preferred device) sleeps D of wall time. Two requests submitted back to
+  // back must not serialize behind each other: the second is placed when a
+  // worker takes it, so it runs at once — beside the first or on the
+  // GTX680 — instead of waiting in a busy device's queue for 2·D.
+  const auto app = filters::make_gaussian_app();
+  const auto graph = make_graph(app);
+  const auto src = make_source(16);
+  const Image<f32> expect =
+      filters::run_app_reference(app, *src, BorderPattern::kClamp);
+
+  fleet::FleetConfig cfg = two_device_config();
+  cfg.shard.workers = 1;
+  fleet::FleetServer server(cfg);
+  // Compile on both devices first, so the timed requests pay only D.
+  for (const char* device : {"GTX680", "RTX2080"}) {
+    fleet::FleetRequest warm = make_request(graph, src);
+    warm.pin_device = device;
+    ASSERT_EQ(server.submit(warm).get().status, fleet::FleetStatus::kOk);
+  }
+
+  constexpr u64 kDelayMs = 300;
+  resilience::FaultPlan plan;
+  plan.rules.push_back({"device.launch", resilience::FaultKind::kDelay,
+                        "RTX2080", 1.0, 0, kDelayMs});
+  resilience::FaultInjector injector(plan);  // SystemClock: real sleep
+  resilience::FaultInjector::ScopedInstall install(injector);
+
+  auto first = server.submit(make_request(graph, src));
+  auto second = server.submit(make_request(graph, src));
+  const fleet::FleetResponse late = second.get();
+  ASSERT_EQ(late.status, fleet::FleetStatus::kOk) << late.error;
+  EXPECT_LT(late.total_ms, 1.5 * static_cast<f64>(kDelayMs))
+      << "the second request waited behind the first on " << late.device;
+  EXPECT_EQ(compare(late.serve.output, expect).max_abs, 0.0);
+  EXPECT_EQ(first.get().status, fleet::FleetStatus::kOk);
+  server.shutdown();
+}
+
+TEST(FleetServer, ShutdownSettlesFailoversInFlight) {
+  // The RTX2080 is dead and the fleet is paused with requests queued; the
+  // shutdown drain runs them, and each one that lands on the dead device
+  // must still fail over to the GTX680 — not be rejected by a device that
+  // already drained.
+  const auto app = filters::make_gaussian_app();
+  const auto graph = make_graph(app);
+  const auto src = make_source(16);
+  const Image<f32> expect =
+      filters::run_app_reference(app, *src, BorderPattern::kClamp);
+
+  resilience::FaultPlan plan;
+  plan.seed = 5;
+  plan.rules.push_back({"device.launch", resilience::FaultKind::kThrow,
+                        "RTX2080", 1.0, 0, 0});
+  resilience::FaultInjector injector(plan);
+  resilience::FaultInjector::ScopedInstall install(injector);
+
+  fleet::FleetConfig cfg = two_device_config();
+  cfg.shard.start_paused = true;
+  cfg.device_breaker.failure_threshold = 2;
+  cfg.device_breaker.open_cooldown_ms = 60'000;  // stays quarantined
+  fleet::FleetServer server(cfg);
+
+  constexpr int kRequests = 8;
+  std::vector<std::future<fleet::FleetResponse>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    futures.push_back(server.submit(make_request(graph, src)));
+  }
+  server.shutdown();  // never resumed: the drain runs every request
+
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+        << "shutdown returned with a request unsettled";
+    const fleet::FleetResponse resp = f.get();
+    ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+    EXPECT_EQ(resp.device, "GTX680");
+    EXPECT_EQ(compare(resp.serve.output, expect).max_abs, 0.0);
+  }
+  const fleet::FleetStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, static_cast<u64>(kRequests));
+  EXPECT_EQ(stats.completed, static_cast<u64>(kRequests));
+  EXPECT_GE(stats.failovers, 1u);
+  for (std::size_t i = 0; i < server.num_shards(); ++i) {
+    EXPECT_EQ(server.shard_health(i).orphaned_executions, 0u);
+  }
 }
 
 // ---- pinned routing ---------------------------------------------------------
