@@ -28,14 +28,16 @@ class BenchJson {
  public:
   explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}
 
+  /// Every field has a default member initializer, so benches may name
+  /// only the fields they fill (-Wmissing-field-initializers stays quiet).
   struct Row {
-    std::string device;
-    std::string app;
-    std::string pattern;
-    std::string variant;
-    std::string backend;  ///< execution engine ("interp"/"native"), "" = n/a
-    std::string isa_level;  ///< native JIT -march level, "" = n/a
-    std::string metric;  ///< what `value` measures, e.g. "speedup_isp"
+    std::string device{};
+    std::string app{};
+    std::string pattern{};
+    std::string variant{};
+    std::string backend{};  ///< execution engine ("interp"/"native"), "" = n/a
+    std::string isa_level{};  ///< native JIT -march level, "" = n/a
+    std::string metric{};  ///< what `value` measures, e.g. "speedup_isp"
     i32 size = 0;        ///< image extent, 0 when not applicable
     f64 value = 0.0;
   };

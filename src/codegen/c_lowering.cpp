@@ -217,7 +217,11 @@ std::string emit_dag(std::ostringstream& body, const StencilSpec& spec,
         expr = "1.0f / " + lhs;
         break;
     }
-    const std::string name = "t" + std::to_string(i);
+    // Appended, not `"t" + std::to_string(i)`: GCC 12 reports a false
+    // -Wrestrict on that operator+ (GCC bug 105651), fatal under
+    // ISPB_WERROR.
+    std::string name = "t";
+    name += std::to_string(i);
     body << pad << "float " << name << " = " << expr << ";\n";
     names[i] = name;
   }

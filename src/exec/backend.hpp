@@ -10,11 +10,12 @@
 //   NativeBackend — lowers the same spec through codegen::emit_cpp,
 //   compiles it to a shared object (src/exec/jit), and executes the
 //   dlopened function inline on the calling thread for a small image, or
-//   over row bands on the host thread pool sized by row_bands(). Outputs are
-//   bit-identical to the interpreted path and the CPU reference (the
-//   printer emits StencilSpec::evaluate's exact float sequence; the JIT
-//   disables FP contraction); modeled GPU counters are *not* produced —
-//   stats carry wall time only.
+//   over row bands on the host thread pool sized by row_bands();
+//   run_native_chain runs several modules band by band as one chain.
+//   Outputs are bit-identical to the interpreted path and the CPU
+//   reference (the printer emits StencilSpec::evaluate's exact float
+//   sequence; the JIT disables FP contraction); modeled GPU counters are
+//   *not* produced — stats carry wall time only.
 //
 // Both backends resolve compiled artifacts through pipeline::KernelCache
 // when one is supplied (single-flight, LRU, shared fingerprint keys) and
@@ -91,6 +92,13 @@ class InterpretedBackend final : public ExecutionBackend {
   pipeline::KernelCache* cache_;
 };
 
+/// A native stage resolved but not yet run: the module and what
+/// NativeBackend::run reports for the stage, bar the wall time.
+struct NativeLaunch {
+  NativeModulePtr module;
+  BackendRun run;  ///< stats.time_ms is 0 until the module runs
+};
+
 /// JIT path: resolves a NativeModule (through `cache` when non-null, else
 /// jit_compile directly) and runs it through run_native_module: inline
 /// below the band floor, over row bands on the host pool above it.
@@ -106,6 +114,15 @@ class NativeBackend final : public ExecutionBackend {
                  const sim::DeviceSpec& device,
                  std::span<const Image<f32>* const> inputs,
                  Image<f32>& output, BlockSize block, bool sampled) override;
+
+  /// run() without running: checks the window against an image of `size`
+  /// as run() does (ContractError) and resolves the module. The executor
+  /// prepares every stage of a chain this way, then runs the modules
+  /// together through run_native_chain.
+  [[nodiscard]] NativeLaunch prepare(const codegen::StencilSpec& spec,
+                                     const codegen::CodegenOptions& options,
+                                     const sim::DeviceSpec& device,
+                                     Size2 size);
 
  private:
   pipeline::KernelCache* cache_;
@@ -126,17 +143,48 @@ inline constexpr i64 kRowBandFloorPx = 24 * 1024;
 [[nodiscard]] i64 row_bands(Size2 size, i64 workers,
                             i64 floor_px = kRowBandFloorPx);
 
-/// Executes a loaded module over the image and returns wall milliseconds.
-/// Splits the rows into row_bands(output.size(), pool size) bands: one band
-/// is a single call of the module on the calling thread, more run on the
-/// host pool. Exposed for benches that time the kernel without
-/// backend/cache plumbing around it.
+/// Pixels a chain stage computes per call inside a band (rows of this many
+/// pixels, at least one row): small enough that a consumer finds the rows
+/// its producer just wrote in cache.
+inline constexpr i64 kChainStripPx = 32 * 1024;
+
+/// Executes a chain of loaded modules band by band and returns wall
+/// milliseconds. modules[0] reads `inputs`; each later module reads only
+/// its predecessor's output, as its one input; the last writes `output`.
+/// The rows are cut into row_bands(output.size(), pool size) bands: one
+/// band runs on the calling thread, more run on the host pool. For each
+/// band, stage k computes the band's rows widened by the y radii of the
+/// later stages (clipped to the image) into band-local scratch, so no
+/// intermediate is ever full size (DESIGN.md §16).
+///
+/// Each call gets a virtual image: its input's base pointer at the first
+/// row the stage may read, the virtual height of the rows the producer
+/// wrote, and the rows to write. A virtual edge is the true edge wherever
+/// the widened band was clipped and at least the stage's radius away from
+/// the rows it writes elsewhere, so interior rows run the module's own
+/// Body code and only a band at a true edge runs that edge's strips. The
+/// remapped rows of clamp, mirror and constant stay inside the band;
+/// repeat wraps to the opposite edge, so a chain of two or more stages
+/// under repeat must run as one band (pipeline::KernelGraph::chains).
+f64 run_native_chain(std::span<const NativeModule* const> modules,
+                     std::span<const Image<f32>* const> inputs,
+                     Image<f32>& output);
+
+/// As above with an explicit band count (>= 1; bands of ceil(rows / bands)
+/// rows, empty tail bands skipped), for sweeps that compare band rules.
+f64 run_native_chain(std::span<const NativeModule* const> modules,
+                     std::span<const Image<f32>* const> inputs,
+                     Image<f32>& output, i64 bands);
+
+/// The one-stage chain: executes a loaded module over the image in
+/// row_bands(output.size(), pool size) bands and returns wall milliseconds.
+/// Exposed for benches that time the kernel without backend/cache plumbing
+/// around it.
 f64 run_native_module(const NativeModule& module,
                       std::span<const Image<f32>* const> inputs,
                       Image<f32>& output);
 
-/// As above with an explicit band count (>= 1; bands of ceil(rows / bands)
-/// rows, empty tail bands skipped), for sweeps that compare band rules.
+/// As above with an explicit band count.
 f64 run_native_module(const NativeModule& module,
                       std::span<const Image<f32>* const> inputs,
                       Image<f32>& output, i64 bands);

@@ -155,8 +155,8 @@ void write_file_or_throw(const fs::path& path, const std::string& text) {
   if (!out) throw IoError("write to '" + path.string() + "' failed");
 }
 
-NativeModulePtr load_module(const fs::path& so_path,
-                            const std::string& symbol) {
+NativeModulePtr load_module(const fs::path& so_path, const std::string& symbol,
+                            Window window) {
   void* handle = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (handle == nullptr) {
     const char* err = dlerror();
@@ -172,7 +172,7 @@ NativeModulePtr load_module(const fs::path& so_path,
   }
   auto module = std::make_shared<NativeModule>(
       handle, reinterpret_cast<NativeModule::KernelFn>(sym), so_path.string(),
-      symbol);
+      symbol, window);
   return module;
 }
 
@@ -222,11 +222,12 @@ std::string resolved_cache_dir(const JitConfig& config) {
 }
 
 NativeModule::NativeModule(void* handle, KernelFn entry, std::string artifact,
-                           std::string symbol)
+                           std::string symbol, Window window)
     : handle_(handle),
       fn_(entry),
       artifact_(std::move(artifact)),
-      symbol_(std::move(symbol)) {
+      symbol_(std::move(symbol)),
+      window_(window) {
   ISPB_EXPECTS(handle_ != nullptr && fn_ != nullptr);
   g_open_modules.fetch_add(1, std::memory_order_relaxed);
 }
@@ -266,7 +267,7 @@ NativeModulePtr jit_compile(const codegen::StencilSpec& spec,
     if (reg != nullptr) {
       reg->add("exec.native.disk_hits", 1.0, {{"kernel", spec.name}});
     }
-    return load_module(so_path, symbol);
+    return load_module(so_path, symbol, spec.window());
   }
 
   fs::create_directories(dir, ec);
@@ -320,7 +321,7 @@ NativeModulePtr jit_compile(const codegen::StencilSpec& spec,
   if (reg != nullptr) {
     reg->add("exec.native.compiles", 1.0, {{"kernel", spec.name}});
   }
-  return load_module(so_path, symbol);
+  return load_module(so_path, symbol, spec.window());
 }
 
 }  // namespace ispb::exec

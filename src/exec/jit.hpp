@@ -87,7 +87,7 @@ class NativeModule {
                             i32 y_begin, i32 y_end);
 
   NativeModule(void* handle, KernelFn entry, std::string artifact,
-               std::string symbol);
+               std::string symbol, Window window);
   ~NativeModule();
 
   NativeModule(const NativeModule&) = delete;
@@ -96,6 +96,10 @@ class NativeModule {
   [[nodiscard]] KernelFn fn() const { return fn_; }
   [[nodiscard]] const std::string& artifact_path() const { return artifact_; }
   [[nodiscard]] const std::string& symbol() const { return symbol_; }
+  /// The compiled spec's window: an output row reads input rows at most
+  /// window().radius_y() above and below it (exec::run_native_chain sizes
+  /// each band's halo from this).
+  [[nodiscard]] Window window() const { return window_; }
 
   /// Live dlopened modules in the process (eviction-safety tests).
   [[nodiscard]] static i64 open_count();
@@ -105,6 +109,7 @@ class NativeModule {
   KernelFn fn_ = nullptr;
   std::string artifact_;
   std::string symbol_;
+  Window window_;
 };
 
 using NativeModulePtr = std::shared_ptr<const NativeModule>;

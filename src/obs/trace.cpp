@@ -259,20 +259,20 @@ SpanClass classify_span(const TraceEvent& ev) {
 
 }  // namespace
 
-RequestBreakdown request_breakdown(std::span<const TraceEvent> events,
-                                   u64 request_id) {
+namespace {
+
+/// The breakdown of one request from its spans, in event order.
+RequestBreakdown breakdown_of(u64 request_id,
+                              std::span<const TraceEvent* const> spans) {
   RequestBreakdown b;
   b.request_id = request_id;
-  // Gather the request's spans and index them by span id.
+  // Index the request's spans by span id.
   std::map<u64, const TraceEvent*> by_id;
-  std::vector<const TraceEvent*> spans;
-  for (const TraceEvent& ev : events) {
-    if (ev.request_id != request_id) continue;
-    spans.push_back(&ev);
-    if (ev.span_id != 0) by_id[ev.span_id] = &ev;
-    if (ev.parent_span_id == 0) {
+  for (const TraceEvent* ev : spans) {
+    if (ev->span_id != 0) by_id[ev->span_id] = ev;
+    if (ev->parent_span_id == 0) {
       b.has_root = true;
-      b.total_us += ev.dur_us;
+      b.total_us += ev->dur_us;
     }
   }
   b.spans = static_cast<i64>(spans.size());
@@ -307,6 +307,44 @@ RequestBreakdown request_breakdown(std::span<const TraceEvent> events,
                b.retry_backoff_us;
   if (b.other_us < 0.0) b.other_us = 0.0;
   return b;
+}
+
+}  // namespace
+
+RequestBreakdown request_breakdown(std::span<const TraceEvent> events,
+                                   u64 request_id) {
+  std::vector<const TraceEvent*> spans;
+  for (const TraceEvent& ev : events) {
+    if (ev.request_id == request_id) spans.push_back(&ev);
+  }
+  return breakdown_of(request_id, spans);
+}
+
+std::vector<RequestBreakdown> request_breakdowns(
+    std::span<const TraceEvent> events) {
+  // Request-scoped spans grouped by id; the stable sort keeps each group in
+  // event order, so every sum adds in request_breakdown's order.
+  std::vector<const TraceEvent*> spans;
+  for (const TraceEvent& ev : events) {
+    if (ev.request_id != 0) spans.push_back(&ev);
+  }
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) {
+                     return a->request_id < b->request_id;
+                   });
+  std::vector<RequestBreakdown> out;
+  for (auto group = spans.begin(); group != spans.end();) {
+    const u64 id = (*group)->request_id;
+    const auto end = std::find_if(group, spans.end(), [id](const TraceEvent* ev) {
+      return ev->request_id != id;
+    });
+    out.push_back(breakdown_of(
+        id, std::span<const TraceEvent* const>(&*group,
+                                               static_cast<std::size_t>(
+                                                   end - group))));
+    group = end;
+  }
+  return out;
 }
 
 }  // namespace ispb::obs

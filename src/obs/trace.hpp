@@ -222,4 +222,10 @@ struct RequestBreakdown {
 [[nodiscard]] RequestBreakdown request_breakdown(
     std::span<const TraceEvent> events, u64 request_id);
 
+/// request_breakdown for every id of request_ids(events), in that order,
+/// from one grouping pass over `events` (O(events log events)) instead of
+/// one scan per request. Each entry equals request_breakdown(events, id).
+[[nodiscard]] std::vector<RequestBreakdown> request_breakdowns(
+    std::span<const TraceEvent> events);
+
 }  // namespace ispb::obs

@@ -20,15 +20,83 @@ namespace {
 /// Image slots of one run: [0] the caller's source, [i + 1] stage i's output.
 using Slots = std::span<const Image<f32>* const>;
 
+/// The inputs `stage` binds, from the run's slots.
+std::vector<const Image<f32>*> inputs_of(const KernelGraph::Stage& stage,
+                                         Slots slots) {
+  std::vector<const Image<f32>*> inputs;
+  inputs.reserve(stage.input_images.size());
+  for (i32 img : stage.input_images) {
+    inputs.push_back(slots[static_cast<std::size_t>(img)]);
+  }
+  return inputs;
+}
+
+/// Runs prepared native modules as one chain (one module: one stage), traced
+/// and counted as NativeBackend::run traces and counts a stage; returns wall
+/// milliseconds.
+f64 run_native_traced(std::span<const KernelGraph::Stage> stages,
+                      std::span<const exec::NativeModule* const> modules,
+                      Slots slots, Image<f32>& out, i64 bands) {
+  obs::ScopedSpan span("exec.native.run", "sim");
+  span.arg("kernel", stages.back().spec.name);
+  if (stages.size() > 1) span.arg("chain", static_cast<i64>(stages.size()));
+  const f64 wall_ms = exec::run_native_chain(
+      modules, inputs_of(stages.front(), slots), out, bands);
+  if (obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
+      reg != nullptr) {
+    for (const KernelGraph::Stage& stage : stages) {
+      reg->add("exec.launches", 1.0,
+               {{"backend", "native"}, {"kernel", stage.spec.name}});
+    }
+  }
+  return wall_ms;
+}
+
+/// A chain of two or more native stages (KernelGraph::chains) on its way to
+/// one run_native_chain call. While `deferred`, each stage's attempt goes
+/// through breakers, fault points and the cache exactly as a lone stage's
+/// does, but stores its resolved module here instead of running it. A stage
+/// that has to be served by the interpreter needs its input as a full
+/// image: it calls materialize() first, and the rest of the chain runs
+/// stage by stage.
+struct ChainLaunch {
+  std::span<const KernelGraph::Stage> stages;
+  Slots slots;
+  /// Outputs of every stage but the last; the slots point at them. Empty
+  /// images until materialize().
+  std::span<Image<f32>> interiors;
+  std::span<ExecutorResult::Stage> results;
+  i64 bands = 1;
+  std::vector<exec::NativeModulePtr> modules;  ///< resolved so far
+  bool deferred = true;
+
+  /// Allocates the intermediates and runs the modules resolved so far one
+  /// stage at a time into them.
+  void materialize() {
+    deferred = false;
+    for (Image<f32>& img : interiors) {
+      img = Image<f32>(slots[0]->size(), Uninitialized{});
+    }
+    for (std::size_t j = 0; j < modules.size(); ++j) {
+      const exec::NativeModule* const module = modules[j].get();
+      results[j].stats.time_ms = run_native_traced(
+          stages.subspan(j, 1), {&module, 1}, slots, interiors[j], bands);
+    }
+  }
+};
+
 /// Compiles (through the cache) and launches one stage with a fixed
 /// variant on the given engine; the building block the primary path, the
 /// breaker's naive fallback and the backend fallback all share.
+/// With a deferring `chain`, a native launch resolves its module into the
+/// chain instead of running it.
 ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
                                            const ExecutorConfig& config,
                                            Slots slots,
                                            Image<f32>& out,
                                            codegen::Variant variant,
-                                           exec::Backend backend) {
+                                           exec::Backend backend,
+                                           ChainLaunch* chain = nullptr) {
   const filters::AppSimConfig& sim_cfg = config.sim;
   codegen::CodegenOptions options;
   options.pattern = sim_cfg.pattern;
@@ -43,12 +111,6 @@ ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
     cache = config.cache != nullptr ? config.cache : &KernelCache::global();
   }
 
-  std::vector<const Image<f32>*> inputs;
-  inputs.reserve(stage.input_images.size());
-  for (i32 img : stage.input_images) {
-    inputs.push_back(slots[static_cast<std::size_t>(img)]);
-  }
-
   // Device-level fault point: fires for every launch attempt on this
   // simulated device (primary, breaker fallback and retry alike), so a
   // chaos "kill" rule takes the whole device down — naive fallback
@@ -56,11 +118,23 @@ ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
   resilience::fault_point("device.launch", sim_cfg.device.name);
 
   exec::BackendRun run;
-  if (backend == exec::Backend::kNative) {
+  if (backend == exec::Backend::kNative && chain != nullptr &&
+      chain->deferred) {
+    // A chain stage's inputs may be band-local: check the window against
+    // the run's size, the one size every image of a run has.
+    exec::NativeBackend engine(cache);
+    exec::NativeLaunch launch =
+        engine.prepare(stage.spec, options, sim_cfg.device,
+                       slots[0]->size());
+    chain->modules.push_back(std::move(launch.module));
+    run = launch.run;
+  } else if (backend == exec::Backend::kNative) {
+    const std::vector<const Image<f32>*> inputs = inputs_of(stage, slots);
     exec::NativeBackend engine(cache);
     run = engine.run(stage.spec, options, sim_cfg.device, inputs, out,
                      sim_cfg.block, sim_cfg.sampled);
   } else {
+    const std::vector<const Image<f32>*> inputs = inputs_of(stage, slots);
     exec::InterpretedBackend engine(cache);
     run = engine.run(stage.spec, options, sim_cfg.device, inputs, out,
                      sim_cfg.block, sim_cfg.sampled);
@@ -138,15 +212,22 @@ ExecutorResult::Stage run_stage_interp_once(
 ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
                                      const ExecutorConfig& config,
                                      Slots slots,
-                                     Image<f32>& out, exec::Backend backend) {
+                                     Image<f32>& out, exec::Backend backend,
+                                     ChainLaunch* chain) {
   if (backend != exec::Backend::kNative) {
     return run_stage_interp_once(stage, config, slots, out);
   }
+  // The interpreter reads full images: a deferring chain runs what it has
+  // resolved so far first.
+  const auto materialize = [chain] {
+    if (chain != nullptr && chain->deferred) chain->materialize();
+  };
 
   resilience::CircuitBreaker* breaker = nullptr;
   if (config.breakers != nullptr) {
     breaker = &config.breakers->get(stage.spec.name + "#native");
     if (!breaker->allow()) {
+      materialize();
       ExecutorResult::Stage s =
           run_stage_interp_once(stage, config, slots, out);
       s.backend_fallback = true;
@@ -158,7 +239,7 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
   try {
     ExecutorResult::Stage s = launch_stage_variant(
         stage, config, slots, out, config.sim.variant,
-        exec::Backend::kNative);
+        exec::Backend::kNative, chain);
     if (breaker != nullptr) breaker->record_success();
     return s;
   } catch (const ContractError&) {
@@ -166,6 +247,7 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
   } catch (...) {
     if (breaker == nullptr) throw;
     breaker->record_failure();
+    materialize();
     ExecutorResult::Stage s = run_stage_interp_once(stage, config, slots, out);
     s.backend_fallback = true;
     return s;
@@ -176,13 +258,16 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
 ExecutorResult::Stage run_stage(const KernelGraph::Stage& stage,
                                 const ExecutorConfig& config,
                                 Slots slots,
-                                Image<f32>& out, exec::Backend backend) {
+                                Image<f32>& out, exec::Backend backend,
+                                ChainLaunch* chain = nullptr) {
   resilience::RetryOutcome outcome;
   ExecutorResult::Stage s;
   try {
     s = resilience::retry_call(
         config.retry, config.clock,
-        [&] { return run_stage_once(stage, config, slots, out, backend); },
+        [&] {
+          return run_stage_once(stage, config, slots, out, backend, chain);
+        },
         &outcome);
   } catch (...) {
     if (obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
@@ -210,6 +295,35 @@ ExecutorResult::Stage run_stage(const KernelGraph::Stage& stage,
     }
   }
   return s;
+}
+
+/// Runs one chain: a lone stage as run_stage does; two or more native
+/// stages prepared one by one (retries, breakers, fault points and fallback
+/// per stage), then run band by band in one run_native_chain call, whose
+/// wall time the last stage reports. `interiors` holds the outputs of all
+/// stages but the last, `results` the chain's entries of the result.
+void run_chain(std::span<const KernelGraph::Stage> stages,
+               const ExecutorConfig& config, Slots slots,
+               std::span<Image<f32>> interiors, Image<f32>& out,
+               exec::Backend backend, i64 bands,
+               std::span<ExecutorResult::Stage> results) {
+  if (stages.size() == 1) {
+    results[0] = run_stage(stages[0], config, slots, out, backend);
+    return;
+  }
+  ChainLaunch chain{stages, slots, interiors, results, bands, {}, true};
+  chain.modules.reserve(stages.size());
+  for (std::size_t j = 0; j < stages.size(); ++j) {
+    Image<f32>& stage_out = j + 1 < stages.size() ? interiors[j] : out;
+    results[j] =
+        run_stage(stages[j], config, slots, stage_out, backend, &chain);
+  }
+  if (!chain.deferred) return;
+  std::vector<const exec::NativeModule*> modules;
+  modules.reserve(chain.modules.size());
+  for (const exec::NativeModulePtr& m : chain.modules) modules.push_back(m.get());
+  results.back().stats.time_ms =
+      run_native_traced(stages, modules, slots, out, bands);
 }
 
 }  // namespace
@@ -248,24 +362,46 @@ ExecutorResult PipelineExecutor::run(
   span.arg("backend", std::string(exec::to_string(engine)));
 
   const std::size_t n = run_graph.stages.size();
+  // The native engine runs each chain (KernelGraph::chains) as one unit,
+  // band by band, with the chain's intermediates in band-local scratch; the
+  // interpreted engine runs every stage alone. The band count decides
+  // whether repeat may chain, so the chain runner is handed the same one.
+  std::vector<KernelGraph::Chain> chains;
+  i64 bands = 1;
+  if (engine == exec::Backend::kNative) {
+    bands = exec::row_bands(source.size(),
+                            static_cast<i64>(ThreadPool::global().size()));
+    chains = run_graph.chains(config.sim.pattern, bands);
+  } else {
+    chains.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      chains.push_back({static_cast<i32>(i), static_cast<i32>(i)});
+    }
+  }
+  const std::size_t units = chains.size();
+  std::span<const KernelGraph::Stage> all_stages(run_graph.stages);
+
   // slots[0] = the caller's source, read in place: run() is synchronous, so
   // the caller's reference outlives every stage, and no stage writes it.
-  // slots[i + 1] = stage i's output, the plan's buffer for stage i. The
-  // buffers are allocated uninitialized: every backend defines each output
-  // pixel. A stage writes only its own buffer and reads only slots of
-  // completed dependencies; the plan hands a buffer on only once its
-  // previous holder and all that holder's readers are ancestors of the new
-  // stage. So no synchronization beyond scheduling order is needed, and no
-  // output ever aliases an input, which the native kernels' __restrict__
-  // relies on.
-  const KernelGraph::BufferPlan plan = run_graph.buffer_plan();
+  // slots[i + 1] = stage i's output: the plan's buffer for the last stage
+  // of a chain, else an image that stays empty unless a fallback
+  // materializes the chain. The buffers are allocated uninitialized: every
+  // backend defines each output pixel. A chain writes only its own buffer
+  // and reads only slots of completed dependencies; the plan hands a buffer
+  // on only once its previous holder and all that holder's readers are
+  // ancestors of the new chain. So no synchronization beyond scheduling
+  // order is needed, and no output ever aliases an input, which the native
+  // kernels' __restrict__ relies on.
+  const KernelGraph::BufferPlan plan = run_graph.buffer_plan(chains);
   std::vector<Image<f32>> buffers;
   buffers.reserve(static_cast<std::size_t>(plan.buffers));
   for (i32 b = 0; b < plan.buffers; ++b) {
     buffers.emplace_back(source.size(), Uninitialized{});
   }
+  std::vector<Image<f32>> interiors(n);
   const auto output_of = [&](std::size_t stage) -> Image<f32>& {
-    return buffers[static_cast<std::size_t>(plan.stage_buffer[stage])];
+    const i32 b = plan.stage_buffer[stage];
+    return b >= 0 ? buffers[static_cast<std::size_t>(b)] : interiors[stage];
   };
   std::vector<const Image<f32>*> slots;
   slots.reserve(n + 1);
@@ -274,6 +410,15 @@ ExecutorResult PipelineExecutor::run(
 
   ExecutorResult result;
   result.stages.resize(n);
+  const auto run_unit = [&](std::size_t u) {
+    const auto first = static_cast<std::size_t>(chains[u].first);
+    const auto count = static_cast<std::size_t>(chains[u].last) - first + 1;
+    run_chain(all_stages.subspan(first, count), config, slots,
+              std::span<Image<f32>>(interiors).subspan(first, count - 1),
+              output_of(first + count - 1), engine, bands,
+              std::span<ExecutorResult::Stage>(result.stages)
+                  .subspan(first, count));
+  };
 
   i32 concurrency = config.concurrency;
   if (concurrency == 0) {
@@ -282,42 +427,48 @@ ExecutorResult PipelineExecutor::run(
          std::max(1, static_cast<i32>(std::thread::hardware_concurrency()))});
   }
 
-  if (concurrency <= 1 || n == 1) {
-    // Inline: stage order is already topological.
-    for (std::size_t i = 0; i < n; ++i) {
-      result.stages[i] =
-          run_stage(run_graph.stages[i], config, slots, output_of(i), engine);
-    }
+  if (concurrency <= 1 || units == 1) {
+    // Inline: chain order is already topological.
+    for (std::size_t u = 0; u < units; ++u) run_unit(u);
   } else {
-    // Kahn scheduling over a dedicated pool (see header for why not the
-    // global pool).
-    std::vector<i32> remaining(n, 0);
-    std::vector<std::vector<i32>> dependents(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      remaining[i] = static_cast<i32>(run_graph.stages[i].deps.size());
-      for (i32 dep : run_graph.stages[i].deps) {
-        dependents[static_cast<std::size_t>(dep)].push_back(
-            static_cast<i32>(i));
+    // Kahn scheduling of chains over a dedicated pool (see header for why
+    // not the global pool). A chain depends on what its first stage reads.
+    std::vector<i32> unit_of(n);
+    for (std::size_t u = 0; u < units; ++u) {
+      for (i32 i = chains[u].first; i <= chains[u].last; ++i) {
+        unit_of[static_cast<std::size_t>(i)] = static_cast<i32>(u);
+      }
+    }
+    std::vector<i32> remaining(units, 0);
+    std::vector<std::vector<i32>> dependents(units);
+    for (std::size_t u = 0; u < units; ++u) {
+      const std::vector<i32>& deps =
+          run_graph.stages[static_cast<std::size_t>(chains[u].first)].deps;
+      remaining[u] = static_cast<i32>(deps.size());
+      for (i32 dep : deps) {
+        dependents[static_cast<std::size_t>(
+                       unit_of[static_cast<std::size_t>(dep)])]
+            .push_back(static_cast<i32>(u));
       }
     }
 
     ThreadPool pool(static_cast<unsigned>(concurrency));
     std::mutex mu;
     std::condition_variable done_cv;
-    std::size_t pending = n;
+    std::size_t pending = units;
     std::exception_ptr first_error;
 
-    std::function<void(i32)> submit_stage;
+    std::function<void(i32)> submit_unit;
 
-    // Called under `mu` when a stage's last dependency settled: run it, or —
+    // Called under `mu` when a chain's last dependency settled: run it, or —
     // once a failure is recorded — settle it unrun and cascade.
-    std::function<void(i32)> on_ready = [&](i32 stage_id) {
+    std::function<void(i32)> on_ready = [&](i32 unit) {
       if (first_error == nullptr) {
-        submit_stage(stage_id);
+        submit_unit(unit);
         return;
       }
       if (--pending == 0) done_cv.notify_all();
-      for (i32 dependent : dependents[static_cast<std::size_t>(stage_id)]) {
+      for (i32 dependent : dependents[static_cast<std::size_t>(unit)]) {
         if (--remaining[static_cast<std::size_t>(dependent)] == 0) {
           on_ready(dependent);
         }
@@ -325,27 +476,22 @@ ExecutorResult PipelineExecutor::run(
     };
 
     // Pool workers are fresh threads with empty trace contexts; carry the
-    // caller's (the request this run belongs to) onto each stage task so
-    // stage spans stay in the request's tree.
+    // caller's (the request this run belongs to) onto each chain task so
+    // stage spans stay in the request's tree. Each task writes only its own
+    // chain's entries of result.stages.
     const obs::TraceContext trace_ctx = obs::TraceContext::current();
-    submit_stage = [&, trace_ctx](i32 stage_id) {
-      pool.submit([&, trace_ctx, stage_id] {
+    submit_unit = [&, trace_ctx](i32 unit) {
+      pool.submit([&, trace_ctx, unit] {
         obs::TraceContext::Scope trace_scope(trace_ctx);
-        const auto idx = static_cast<std::size_t>(stage_id);
-        ExecutorResult::Stage outcome;
+        const auto idx = static_cast<std::size_t>(unit);
         std::exception_ptr error;
         try {
-          outcome = run_stage(run_graph.stages[idx], config, slots,
-                              output_of(idx), engine);
+          run_unit(idx);
         } catch (...) {
           error = std::current_exception();
         }
         std::lock_guard lock(mu);
-        if (error == nullptr) {
-          result.stages[idx] = std::move(outcome);
-        } else if (first_error == nullptr) {
-          first_error = error;
-        }
+        if (error != nullptr && first_error == nullptr) first_error = error;
         if (--pending == 0) done_cv.notify_all();
         for (i32 dependent : dependents[idx]) {
           if (--remaining[static_cast<std::size_t>(dependent)] == 0) {
@@ -357,7 +503,9 @@ ExecutorResult PipelineExecutor::run(
 
     {
       std::lock_guard lock(mu);
-      for (i32 root : run_graph.roots()) submit_stage(root);
+      for (std::size_t u = 0; u < units; ++u) {
+        if (remaining[u] == 0) submit_unit(static_cast<i32>(u));
+      }
     }
     std::unique_lock lock(mu);
     done_cv.wait(lock, [&] { return pending == 0; });

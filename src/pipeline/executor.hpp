@@ -5,7 +5,8 @@
 // parallel and the magnitude stage starts the moment both finish (the
 // native engine fuses all three into one kernel, KernelGraph::fused);
 // Night's Atrous chain degrades to sequential execution naturally (each
-// stage unblocks the next). Stage results are bit-identical to
+// stage unblocks the next); on the native engine it runs as one chain,
+// band by band, with band-local intermediates. Stage results are bit-identical to
 // filters::run_app_reference regardless of schedule: stages only share
 // images through completed dependencies, a buffer is reused only after
 // every reader of its previous contents has finished
@@ -99,7 +100,10 @@ class PipelineExecutor {
   /// two). On the native engine the stages are graph.fused()'s: sobel
   /// runs as one kernel and night as four, and ExecutorResult::stages
   /// lists the fused stages; the interpreted engine runs graph's own
-  /// stages. The run is synchronous, so the caller's reference outlives it.
+  /// stages. The native engine also runs each of the fused graph's chains
+  /// (KernelGraph::chains) band by band in one exec::run_native_chain call,
+  /// so only a chain's last stage gets a buffer (night's four stages need
+  /// one) and reports the chain's wall time; its other stages read 0. The run is synchronous, so the caller's reference outlives it.
   /// `backend` overrides ExecutorConfig::backend for this run
   /// (per-request selection in the server); `variant` pins every stage to
   /// one variant with model selection disabled (fleet brownout serves

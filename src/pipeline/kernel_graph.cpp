@@ -138,40 +138,82 @@ i32 KernelGraph::depth() const {
 }
 
 KernelGraph::BufferPlan KernelGraph::buffer_plan() const {
-  const std::size_t n = stages.size();
-  // ancestor[i][j]: stage j (transitively) produces an input of stage i.
-  // Deps point to earlier stages, so one pass in index order closes it.
+  std::vector<Chain> each(stages.size());
+  for (std::size_t i = 0; i < each.size(); ++i) {
+    each[i] = {static_cast<i32>(i), static_cast<i32>(i)};
+  }
+  return buffer_plan(each);
+}
+
+std::vector<KernelGraph::Chain> KernelGraph::chains(BorderPattern pattern,
+                                                    i64 bands) const {
+  // bindings[img]: how many input bindings read image img.
+  std::vector<i32> bindings(stages.size() + 1, 0);
+  for (const Stage& stage : stages) {
+    for (i32 img : stage.input_images) ++bindings[static_cast<std::size_t>(img)];
+  }
+  const bool wraps = pattern == BorderPattern::kRepeat && bands > 1;
+  std::vector<Chain> out;
+  for (std::size_t c = 0; c < stages.size(); ++c) {
+    const std::vector<i32>& in = stages[c].input_images;
+    // Stage c - 1 writes image c.
+    const auto producer = static_cast<i32>(c);
+    if (!wraps && c > 0 && in.size() == 1 && in[0] == producer &&
+        bindings[c] == 1) {
+      out.back().last = producer;
+    } else {
+      out.push_back({producer, producer});
+    }
+  }
+  return out;
+}
+
+KernelGraph::BufferPlan KernelGraph::buffer_plan(
+    const std::vector<Chain>& chains) const {
+  const std::size_t n = chains.size();
+  std::vector<i32> unit_of(stages.size());
+  for (std::size_t u = 0; u < n; ++u) {
+    for (i32 i = chains[u].first; i <= chains[u].last; ++i) {
+      unit_of[static_cast<std::size_t>(i)] = static_cast<i32>(u);
+    }
+  }
+  // ancestor[u][v]: chain v (transitively) produces an input of chain u. A
+  // chain reads only what its first stage reads, and deps point to earlier
+  // stages, so one pass in chain order closes it.
   std::vector<std::vector<bool>> ancestor(n, std::vector<bool>(n, false));
   std::vector<std::vector<i32>> readers(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (i32 dep : stages[i].deps) {
-      const auto d = static_cast<std::size_t>(dep);
-      readers[d].push_back(static_cast<i32>(i));
-      ancestor[i][d] = true;
+  for (std::size_t u = 0; u < n; ++u) {
+    for (i32 dep : stages[static_cast<std::size_t>(chains[u].first)].deps) {
+      const auto d =
+          static_cast<std::size_t>(unit_of[static_cast<std::size_t>(dep)]);
+      readers[d].push_back(static_cast<i32>(u));
+      ancestor[u][d] = true;
       for (std::size_t k = 0; k < d; ++k) {
-        if (ancestor[d][k]) ancestor[i][k] = true;
+        if (ancestor[d][k]) ancestor[u][k] = true;
       }
     }
   }
 
   BufferPlan plan;
-  plan.stage_buffer.resize(n);
-  std::vector<i32> holder;  // holder[b]: latest stage assigned buffer b
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto is_ancestor = [&](i32 s) {
-      return ancestor[i][static_cast<std::size_t>(s)];
+  plan.stage_buffer.assign(stages.size(), -1);
+  std::vector<i32> holder;  // holder[b]: latest chain assigned buffer b
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto is_ancestor = [&](i32 v) {
+      return ancestor[u][static_cast<std::size_t>(v)];
     };
-    const auto free_for_i = [&](i32 h) {
+    const auto free_for_u = [&](i32 h) {
       const std::vector<i32>& r = readers[static_cast<std::size_t>(h)];
       return is_ancestor(h) && std::all_of(r.begin(), r.end(), is_ancestor);
     };
-    const auto reuse = std::find_if(holder.begin(), holder.end(), free_for_i);
+    const auto reuse = std::find_if(holder.begin(), holder.end(), free_for_u);
+    i32& buffer =
+        plan.stage_buffer[static_cast<std::size_t>(chains[u].last)];
     if (reuse == holder.end()) {
-      plan.stage_buffer[i] = static_cast<i32>(holder.size());
-      holder.push_back(static_cast<i32>(i));
+      buffer = static_cast<i32>(holder.size());
+      holder.push_back(static_cast<i32>(u));
     } else {
-      plan.stage_buffer[i] = static_cast<i32>(reuse - holder.begin());
-      *reuse = static_cast<i32>(i);
+      buffer = static_cast<i32>(reuse - holder.begin());
+      *reuse = static_cast<i32>(u);
     }
   }
   plan.buffers = static_cast<i32>(holder.size());

@@ -55,6 +55,32 @@ struct KernelGraph {
   };
   [[nodiscard]] BufferPlan buffer_plan() const;
 
+  /// Stages [first, last] that run band by band as one unit
+  /// (exec::run_native_chain): only `last`'s output is a full image, the
+  /// others live in band-local scratch.
+  struct Chain {
+    i32 first = 0;
+    i32 last = 0;
+    friend bool operator==(const Chain&, const Chain&) = default;
+  };
+
+  /// The stages cut into chains, in stage order; each stage is in exactly
+  /// one. Stage c joins stage c - 1's chain when c reads only c - 1's output
+  /// (one binding), c is its only reader, and `pattern` keeps every band's
+  /// remapped rows inside the band: clamp and mirror remap a row past an
+  /// edge to a row within the radius of that edge, and constant reads
+  /// nothing, so they always chain; repeat wraps to the opposite edge, so
+  /// under repeat stages chain only when `bands` is 1 (one band covers the
+  /// image). One pass over the bindings, no spec copied.
+  [[nodiscard]] std::vector<Chain> chains(BorderPattern pattern,
+                                          i64 bands) const;
+
+  /// buffer_plan() over chains: the same reuse rule with each chain as one
+  /// unit. A chain's last stage writes its buffer; the other stages get -1
+  /// (their rows live in band-local scratch). Night's one chain needs one
+  /// buffer.
+  [[nodiscard]] BufferPlan buffer_plan(const std::vector<Chain>& chains) const;
+
   /// The graph with every pointwise consumer inlined into its producer,
   /// repeated until nothing more fuses. Producer P fuses into consumer C
   /// when C is the only stage reading P's output and reads it only at

@@ -67,7 +67,7 @@ struct ServeRequest {
   /// (model selection disabled for the request); nullopt = executor config.
   /// The fleet admission controller uses kNaive here to brown out low-tier
   /// requests — same pixels, cheaper plan.
-  std::optional<codegen::Variant> variant;
+  std::optional<codegen::Variant> variant = std::nullopt;
 };
 
 enum class ServeStatus : u8 {

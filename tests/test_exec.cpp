@@ -7,7 +7,8 @@
 // the backend.compile fault -> interpreted fallback path, and the KernelCache
 // native-module lifecycle (single-flight, refcounted eviction, artifact
 // GC, variant canonicalization), the row-band rule with a multi-band run on
-// the pool, and the request breakdown of a traced native server.
+// the pool, night's stencil chain band by band (runner and executor, with a
+// mid-chain fallback), and the request breakdown of a traced native server.
 #include <gtest/gtest.h>
 #include <unistd.h>
 #ifdef __GLIBC__
@@ -26,6 +27,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <regex>
 #include <thread>
 #include <vector>
@@ -1123,6 +1125,197 @@ TEST(NativeBands, MultiBandRunBitIdenticalToReference) {
         out, dsl::run_reference(spec, pattern, opt.border_constant, inputs)))
         << to_string(pattern);
   }
+}
+
+// ---- stencil chains ---------------------------------------------------------
+
+/// Night's fused stages (atrous3, atrous5, atrous9, atrous17+tonemap)
+/// compiled for `options`, in chain order.
+std::vector<exec::NativeModulePtr> night_chain(
+    const codegen::CodegenOptions& options, const exec::JitConfig& jit) {
+  std::vector<exec::NativeModulePtr> modules;
+  for (const auto& stage :
+       pipeline::build_graph(filters::make_night_app()).fused().stages) {
+    modules.push_back(exec::jit_compile(stage.spec, options, jit));
+  }
+  return modules;
+}
+
+std::vector<const exec::NativeModule*> raw(
+    const std::vector<exec::NativeModulePtr>& modules) {
+  std::vector<const exec::NativeModule*> out;
+  for (const auto& m : modules) out.push_back(m.get());
+  return out;
+}
+
+// Night's four fused stages as one chain, band by band with band-local
+// intermediates, match run_app_reference for every pattern a chain may run
+// under, at band counts from one band to one row per band (and more bands
+// than rows), with ragged last bands, on a padded-pitch image and on one
+// wide enough that the intermediates' windows slide. Repeat chains only as
+// one band.
+TEST(NativeChain, NightMatchesReferenceAtExplicitBandCounts) {
+  const TempDir dir("chain-bands");
+  const filters::MultiKernelApp night = filters::make_night_app();
+  // 131 wide: padded pitch, one strip per band. 9000 wide: strips of 3
+  // rows, so every intermediate's window slides down its band.
+  const Image<f32> narrow = make_noise_image({131, 75}, 21);
+  const Image<f32> wide = make_noise_image({9000, 41}, 25);
+  for (BorderPattern pattern : kAllBorderPatterns) {
+    const Image<f32> references[] = {
+        filters::run_app_reference(night, narrow, pattern, 1.25f),
+        filters::run_app_reference(night, wide, pattern, 1.25f)};
+    for (codegen::Variant variant :
+         {codegen::Variant::kNaive, codegen::Variant::kIsp,
+          codegen::Variant::kIspTiled}) {
+      codegen::CodegenOptions options;
+      options.pattern = pattern;
+      options.variant = variant;
+      options.border_constant = 1.25f;
+      const auto modules = night_chain(options, fast_jit(dir));
+      for (const Image<f32>* source : {&narrow, &wide}) {
+        const Image<f32>& reference = references[source == &wide ? 1 : 0];
+        const std::vector<const Image<f32>*> inputs{source};
+        for (i64 bands : {1, 2, 3, 7, 16, 75, 200}) {
+          if (pattern == BorderPattern::kRepeat && bands > 1) continue;
+          Image<f32> out(source->size(), Uninitialized{});
+          (void)exec::run_native_chain(raw(modules), inputs, out, bands);
+          EXPECT_EQ(first_mismatch(out, reference), "")
+              << to_string(pattern) << "/" << codegen::to_string(variant)
+              << " at " << source->width() << "x" << source->height()
+              << " in " << bands << " bands";
+        }
+      }
+    }
+  }
+}
+
+// At 2048² the chain runs in the production band count, with bands far
+// taller than night's 15-row reach, at the production JIT flags.
+TEST(NativeChain, NightMatchesReferenceAt2048) {
+  const TempDir dir("chain-2k");
+  const filters::MultiKernelApp night = filters::make_night_app();
+  const Image<f32> source = make_noise_image({2048, 2048}, 22);
+  const std::vector<const Image<f32>*> inputs{&source};
+  ASSERT_GT(exec::row_bands(source.size(),
+                            static_cast<i64>(ThreadPool::global().size())),
+            1);
+  for (BorderPattern pattern :
+       {BorderPattern::kClamp, BorderPattern::kMirror,
+        BorderPattern::kConstant}) {
+    codegen::CodegenOptions options;
+    options.pattern = pattern;
+    options.variant = codegen::Variant::kIsp;
+    const auto modules =
+        night_chain(options, {dir.path.string(), "", "", true});
+    Image<f32> out(source.size(), Uninitialized{});
+    (void)exec::run_native_chain(raw(modules), inputs, out);
+    EXPECT_EQ(first_mismatch(out, filters::run_app_reference(night, source,
+                                                             pattern)),
+              "")
+        << to_string(pattern);
+  }
+}
+
+/// Runs `app` on the native executor over `source` while tracing, and
+/// returns the result with the number of exec.native.run spans.
+std::pair<pipeline::ExecutorResult, i32> run_traced(
+    const pipeline::ExecutorConfig& cfg, const filters::MultiKernelApp& app,
+    const Image<f32>& source) {
+  obs::TraceSession::start();
+  pipeline::ExecutorResult result =
+      pipeline::PipelineExecutor(cfg).run(pipeline::build_graph(app), source);
+  i32 runs = 0;
+  for (const obs::TraceEvent& ev : obs::TraceSession::stop()) {
+    if (ev.name == "exec.native.run") ++runs;
+  }
+  return {std::move(result), runs};
+}
+
+// The native executor runs night's fused stages as one chain when the
+// pattern allows it over several bands, and stage by stage under repeat,
+// bit-identical either way, inline and on the executor's pool. A chain
+// launches once and reports its wall time on its last stage.
+TEST(ExecutorChain, NightRunsAsOneChainExceptRepeatOverBands) {
+  const TempDir dir("exec-chain");
+  pipeline::KernelCache cache(64);
+  cache.set_jit(fast_jit(dir));
+  const filters::MultiKernelApp night = filters::make_night_app();
+  const Image<f32> source = make_noise_image({523, 301}, 23);
+  ASSERT_GT(exec::row_bands(source.size(),
+                            static_cast<i64>(ThreadPool::global().size())),
+            1);
+  for (BorderPattern pattern : kAllBorderPatterns) {
+    const Image<f32> reference =
+        filters::run_app_reference(night, source, pattern, -2.0f);
+    const bool chained = pattern != BorderPattern::kRepeat;
+    for (i32 concurrency : {1, 0}) {
+      pipeline::ExecutorConfig cfg;
+      cfg.sim.pattern = pattern;
+      cfg.sim.constant = -2.0f;
+      cfg.sim.variant = codegen::Variant::kIsp;
+      cfg.concurrency = concurrency;
+      cfg.cache = &cache;
+      cfg.backend = exec::Backend::kNative;
+      const auto [result, runs] = run_traced(cfg, night, source);
+      const std::string combo = std::string(to_string(pattern)) +
+                                " at concurrency " +
+                                std::to_string(concurrency);
+      EXPECT_EQ(first_mismatch(result.output, reference), "") << combo;
+      ASSERT_EQ(result.stages.size(), 4u) << combo;
+      EXPECT_EQ(runs, chained ? 1 : 4) << combo;
+      for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(result.stages[i].backend_used, exec::Backend::kNative);
+        EXPECT_EQ(result.stages[i].stats.time_ms > 0.0, !chained || i == 3)
+            << combo << " stage " << i;
+      }
+    }
+  }
+}
+
+// A chain stage whose native compile fails is served by the interpreter:
+// the stages before it run on their own into full images first, the rest of
+// the chain runs stage by stage, the output stays bit-identical, and every
+// stage passes its fault points once per attempt, as without chains.
+TEST(ExecutorChain, FailingStageMidChainFallsBackBitIdentically) {
+  const TempDir dir("chain-fault");
+  pipeline::KernelCache cache(64);
+  cache.set_jit(fast_jit(dir));
+  resilience::FaultPlan plan;
+  plan.rules.push_back({"backend.compile", resilience::FaultKind::kThrow,
+                        "atrous9", 1.0, 0, 0});
+  resilience::FaultInjector injector(plan);
+  const resilience::FaultInjector::ScopedInstall install(injector);
+  resilience::BreakerRegistry breakers;
+
+  const filters::MultiKernelApp night = filters::make_night_app();
+  const Image<f32> source = make_noise_image({523, 301}, 24);
+  pipeline::ExecutorConfig cfg;
+  cfg.sim.pattern = BorderPattern::kMirror;
+  cfg.sim.variant = codegen::Variant::kIsp;
+  cfg.concurrency = 1;
+  cfg.cache = &cache;
+  cfg.backend = exec::Backend::kNative;
+  cfg.breakers = &breakers;
+  const auto [result, runs] = run_traced(cfg, night, source);
+
+  EXPECT_EQ(first_mismatch(result.output,
+                           filters::run_app_reference(night, source,
+                                                      BorderPattern::kMirror)),
+            "");
+  ASSERT_EQ(result.stages.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(result.stages[i].backend_fallback, i == 2) << i;
+    EXPECT_EQ(result.stages[i].backend_used,
+              i == 2 ? exec::Backend::kInterpreted : exec::Backend::kNative)
+        << i;
+  }
+  EXPECT_EQ(runs, 3);  // atrous3, atrous5 and atrous17+tonemap, one by one
+  // Four native attempts and atrous9's interpreted one.
+  std::map<std::string, u64> evaluated;
+  for (const auto& c : injector.counters()) evaluated[c.point] = c.evaluated;
+  EXPECT_EQ(evaluated["executor.stage"], 5u);
+  EXPECT_EQ(evaluated["device.launch"], 5u);
 }
 
 // The request breakdown sees the native engine: a cold request's JIT is

@@ -14,6 +14,8 @@
 // For ISP programs the static analyzer must also prove every access in
 // bounds, the region switch a partition of the grid and every barrier
 // reached by all lanes, and find no border guard left in the Body section.
+// A second leg runs random linear chains of stages band by band through
+// exec::run_native_chain (see "chain leg" below).
 //
 // Seeds: the ctest run covers seeds 1..kSeedsPerRun. Passing
 // --gtest_random_seed=S runs block S instead, seeds
@@ -47,6 +49,7 @@
 #include "gpusim/device.hpp"
 #include "image/generators.hpp"
 #include "ir/analysis/checkers.hpp"
+#include "pipeline/kernel_graph.hpp"
 
 namespace ispb {
 namespace {
@@ -172,7 +175,8 @@ struct Target {
   BlockSize tile;
   std::vector<Size2> sizes;
   u64 seed = 0;
-  std::optional<f32> border_constant;  ///< random per case when unset
+  /// Random per case when unset.
+  std::optional<f32> border_constant = std::nullopt;
 };
 
 /// A random spec with its geometries: a 1xN and an Nx1 strip, an image
@@ -472,6 +476,216 @@ TEST(LoweringFuzz, NativeInterpretedAndReferenceAgree) {
   std::vector<Target> targets;
   for (u64 seed : seeds_to_run()) targets.push_back(random_target(seed));
   run_targets(targets);
+}
+
+// ---- chain leg ---------------------------------------------------------------
+//
+// Random linear chains of 2-5 single-input stages run through
+// exec::run_native_chain the way the native executor runs them: grouped by
+// pipeline::KernelGraph::chains for the pattern and band count, each chain
+// band by band with band-local intermediates. Every pattern x variant runs
+// at 1, 2, 3 and 16 bands and a seeded ragged count, on a 1xN strip, an Nx1
+// strip, a wide short image, an image shorter than the chain's summed y
+// radius and one taller than it, and must match dsl::run_reference applied
+// stage by stage bit for bit. ISP chains also run in 2 bands on an image so
+// wide that a strip of exec::kChainStripPx pixels is two rows, so the
+// intermediates' windows slide down each band. Stage windows include zero radii on one axis,
+// and the summed radius exceeds a band's height at the higher band counts.
+// The stages JIT at -O0: these cases check which rows each call computes,
+// not the vectorizer, and -O0 keeps their compiles cheap.
+
+/// A chain stage: one input, taps at (±rx, ·) and (·, ±ry) so the window is
+/// exactly (2rx+1)x(2ry+1), folded by weighted sums with a min or max. Its
+/// values stay finite, so a row computed from the wrong neighbours shows.
+StencilSpec random_chain_stage(Rng& rng, const std::string& name, i32 rx,
+                               i32 ry) {
+  codegen::SpecBuilder b(name, 1);
+  std::vector<i32> taps{
+      b.read(0, rng.bernoulli(0.5f) ? rx : -rx, rng.uniform_i32(-ry, ry)),
+      b.read(0, rng.uniform_i32(-rx, rx), rng.bernoulli(0.5f) ? ry : -ry)};
+  for (i32 i = rng.uniform_i32(0, 3); i > 0; --i) {
+    taps.push_back(b.read(0, rng.uniform_i32(-rx, rx), rng.uniform_i32(-ry, ry)));
+  }
+  i32 acc = b.binary(NodeKind::kMul, taps[0], b.constant(0.5f));
+  for (std::size_t i = 1; i < taps.size(); ++i) {
+    const i32 weighted = b.binary(
+        NodeKind::kMul, taps[i],
+        b.constant(static_cast<f32>(rng.uniform_i32(-3, 3)) / 8.0f));
+    acc = b.binary(rng.bernoulli(0.25f)
+                       ? (rng.bernoulli(0.5f) ? NodeKind::kMin : NodeKind::kMax)
+                       : NodeKind::kAdd,
+                   acc, weighted);
+  }
+  return b.finish(acc);
+}
+
+struct ChainTarget {
+  u64 seed = 0;
+  std::vector<StencilSpec> stages;
+  std::vector<Size2> sizes;
+  /// Strips of two rows: run in 2 bands, ISP only (a band covering the
+  /// image runs each stage whole).
+  Size2 wide;
+  i64 ragged_bands = 4;
+};
+
+/// 2-5 stages of radius 0..3 in x and 0..4 in y, one of them zero on one
+/// axis, with the geometries of the leg's comment.
+ChainTarget random_chain(u64 seed) {
+  Rng rng(seed ^ 0x27d4eb2full);
+  ChainTarget t;
+  t.seed = seed;
+  const i32 n = rng.uniform_i32(2, 5);
+  const i32 flat = rng.uniform_i32(0, n - 1);
+  i32 reach = 0;
+  for (i32 k = 0; k < n; ++k) {
+    i32 rx = rng.uniform_i32(0, 3);
+    i32 ry = rng.uniform_i32(0, 4);
+    if (k == flat) (rng.bernoulli(0.5f) ? rx : ry) = 0;
+    reach += ry;
+    t.stages.push_back(random_chain_stage(
+        rng, "chain" + std::to_string(seed) + "_" + std::to_string(k), rx,
+        ry));
+  }
+  t.sizes = {{1, rng.uniform_i32(2, 40)},
+             {rng.uniform_i32(2, 40), 1},
+             {rng.uniform_i32(40, 90), rng.uniform_i32(2, 6)},
+             {rng.uniform_i32(3, 20), std::max(1, reach - 1)},
+             {rng.uniform_i32(9, 40), rng.uniform_i32(reach + 3, 60)}};
+  t.wide = {rng.uniform_i32(11000, 11500), rng.uniform_i32(reach + 6, reach + 9)};
+  t.ragged_bands = rng.uniform_i32(4, 13);
+  return t;
+}
+
+/// The chain as a graph: stage k reads image k.
+pipeline::KernelGraph chain_graph(const ChainTarget& t) {
+  pipeline::KernelGraph g;
+  g.name = "chain" + std::to_string(t.seed);
+  for (std::size_t k = 0; k < t.stages.size(); ++k) {
+    g.stages.push_back(
+        {t.stages[k], {static_cast<i32>(k)}, {}});
+    if (k > 0) g.stages.back().deps = {static_cast<i32>(k) - 1};
+  }
+  g.validate();
+  return g;
+}
+
+struct ChainCase {
+  const ChainTarget* target;
+  codegen::CodegenOptions options;
+  std::vector<exec::NativeModulePtr> modules;
+};
+
+/// Every pattern x variant of each chain, compiled at -O0 on a few threads.
+std::vector<ChainCase> compile_chain_cases(
+    const std::vector<ChainTarget>& targets, const TempDir& dir) {
+  std::vector<ChainCase> cases;
+  for (const ChainTarget& t : targets) {
+    Rng rng(t.seed ^ 0x165667b1ull);
+    for (BorderPattern pattern : kAllBorderPatterns) {
+      for (Variant variant : kVariants) {
+        ChainCase c{&t, {}, {}};
+        c.options.pattern = pattern;
+        c.options.variant = variant;
+        c.options.tile_block = {8, 2};
+        c.options.border_constant = random_constant(rng);
+        c.modules.resize(t.stages.size());
+        cases.push_back(std::move(c));
+      }
+    }
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> jobs;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (std::size_t k = 0; k < cases[c].modules.size(); ++k) {
+      jobs.emplace_back(c, k);
+    }
+  }
+  const exec::JitConfig jit{dir.path.string(), "", "-O0", true};
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> compilers;
+  const unsigned threads =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+  for (unsigned i = 0; i < threads; ++i) {
+    compilers.emplace_back([&] {
+      for (std::size_t j = next.fetch_add(1); j < jobs.size();
+           j = next.fetch_add(1)) {
+        ChainCase& c = cases[jobs[j].first];
+        c.modules[jobs[j].second] = exec::jit_compile(
+            c.target->stages[jobs[j].second], c.options, jit);
+      }
+    });
+  }
+  for (std::thread& th : compilers) th.join();
+  return cases;
+}
+
+void check_chain_case(const ChainCase& c) {
+  const ChainTarget& t = *c.target;
+  const codegen::CodegenOptions& opt = c.options;
+  std::string stages;
+  for (const StencilSpec& spec : t.stages) stages += describe(spec);
+  SCOPED_TRACE("chain seed " + std::to_string(t.seed) + ", " +
+               std::string(to_string(opt.pattern)) + "/" +
+               std::string(codegen::to_string(opt.variant)) + "\n" + stages);
+  const pipeline::KernelGraph graph = chain_graph(t);
+  std::vector<std::pair<Size2, std::vector<i64>>> runs;
+  for (const Size2 size : t.sizes) {
+    runs.push_back({size, {1, 2, 3, 16, t.ragged_bands}});
+  }
+  if (opt.variant == Variant::kIsp) runs.push_back({t.wide, {2}});
+  for (const auto& [size, band_counts] : runs) {
+    // Mirror reflects once; the launch contract needs each radius to fit.
+    if (opt.pattern == BorderPattern::kMirror &&
+        std::any_of(t.stages.begin(), t.stages.end(),
+                    [&](const StencilSpec& spec) {
+                      return spec.window().radius_x() > size.x ||
+                             spec.window().radius_y() > size.y;
+                    })) {
+      continue;
+    }
+    std::vector<Image<f32>> reference;
+    reference.push_back(random_image(size, t.seed * 17 + 3));
+    for (const StencilSpec& spec : t.stages) {
+      const std::vector<const Image<f32>*> in{&reference.back()};
+      reference.push_back(
+          dsl::run_reference(spec, opt.pattern, opt.border_constant, in));
+    }
+    for (i64 bands : band_counts) {
+      SCOPED_TRACE("image " + std::to_string(size.x) + "x" +
+                   std::to_string(size.y) + " in " + std::to_string(bands) +
+                   " bands");
+      // images[k]: the input of stage k, or the chain output for k == n.
+      std::vector<Image<f32>> images;
+      images.push_back(reference.front());
+      images.resize(t.stages.size() + 1);
+      for (const pipeline::KernelGraph::Chain& chain :
+           graph.chains(opt.pattern, bands)) {
+        std::vector<const exec::NativeModule*> modules;
+        for (i32 k = chain.first; k <= chain.last; ++k) {
+          modules.push_back(c.modules[static_cast<std::size_t>(k)].get());
+        }
+        const auto in_id = static_cast<std::size_t>(chain.first);
+        const auto out_id = static_cast<std::size_t>(chain.last) + 1;
+        const std::vector<const Image<f32>*> in{&images[in_id]};
+        images[out_id] = Image<f32>(size, Uninitialized{});
+        (void)exec::run_native_chain(modules, in, images[out_id], bands);
+      }
+      EXPECT_EQ(first_mismatch(images.back(), reference.back()), "");
+    }
+  }
+}
+
+TEST(LoweringFuzz, NativeChainsMatchStagesInSequence) {
+  // Half the block's seeds: each chain covers every pattern x variant, and
+  // its stages' compiles are what the leg's run time is made of.
+  std::vector<ChainTarget> targets;
+  for (u64 seed : seeds_to_run()) {
+    if (seed % 2 == 1) targets.push_back(random_chain(seed));
+  }
+  const TempDir dir;
+  for (const ChainCase& c : compile_chain_cases(targets, dir)) {
+    check_chain_case(c);
+  }
 }
 
 // Minimized failures the fuzzer found, each a named regression.

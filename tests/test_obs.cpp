@@ -568,5 +568,66 @@ TEST(Trace, RequestBreakdownCategorizesAndDetectsOrphans) {
   EXPECT_NE(first.find("args")->find("req"), nullptr);
 }
 
+// The one-pass grouping gives exactly the per-request breakdowns, on a
+// synthetic trace whose requests interleave, with orphans, a request
+// without a root, nested compile and run spans, unscoped events and span
+// ids reused across requests.
+TEST(Trace, RequestBreakdownsEqualsOneBreakdownPerRequest) {
+  std::vector<TraceEvent> events;
+  const auto span = [&](const char* name, u64 req, u64 id, u64 parent,
+                        f64 dur_us) {
+    TraceEvent ev;
+    ev.name = name;
+    ev.cat = "test";
+    ev.request_id = req;
+    ev.span_id = id;
+    ev.parent_span_id = parent;
+    ev.dur_us = dur_us;
+    events.push_back(std::move(ev));
+  };
+  for (u64 round = 0; round < 3; ++round) {
+    for (u64 req : {7u, 3u, 11u, 5u}) {
+      const u64 base = req * 100 + round * 10;  // ids repeat across requests
+      if (round == 0 && req != 5) {
+        span("pipeline.server.request.root", req, req, 0, 1000.0 + req);
+      }
+      span("pipeline.server.queue_wait", req, base + 1, req, 10.0 + round);
+      span("pipeline.cache.compile", req, base + 2, req, 40.0);
+      span("dsl.compile_kernel", req, base + 3, base + 2, 25.0);
+      span("exec.native.compile", req, base + 4, base + 3, 5.0);
+      span("exec.native.run", req, base + 5, req, 20.0 + 0.1 * req);
+      span("sim.launch.block", req, base + 6, base + 5, 3.0);
+      span("resilience.retry.backoff", req, base + 7, req, 2.5);
+      span("lost", req, base + 8, 987654321, 1.0);  // orphan
+      span("unscoped", 0, base + 9, 0, 50.0);
+    }
+  }
+  const std::vector<u64> ids = request_ids(events);
+  const std::vector<RequestBreakdown> all = request_breakdowns(events);
+  ASSERT_EQ(all.size(), ids.size());
+  ASSERT_EQ(ids, (std::vector<u64>{3, 5, 7, 11}));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const RequestBreakdown one = request_breakdown(events, ids[i]);
+    const RequestBreakdown& got = all[i];
+    EXPECT_EQ(got.request_id, ids[i]);
+    EXPECT_EQ(got.has_root, one.has_root) << ids[i];
+    EXPECT_EQ(got.spans, one.spans) << ids[i];
+    EXPECT_EQ(got.unreachable, one.unreachable) << ids[i];
+    EXPECT_EQ(got.total_us, one.total_us) << ids[i];
+    EXPECT_EQ(got.queue_us, one.queue_us) << ids[i];
+    EXPECT_EQ(got.compile_us, one.compile_us) << ids[i];
+    EXPECT_EQ(got.sim_us, one.sim_us) << ids[i];
+    EXPECT_EQ(got.retry_backoff_us, one.retry_backoff_us) << ids[i];
+    EXPECT_EQ(got.other_us, one.other_us) << ids[i];
+  }
+  // Request 5 has no root: all of its spans are unreachable.
+  EXPECT_FALSE(all[1].has_root);
+  EXPECT_EQ(all[1].unreachable, all[1].spans);
+  // Request 3: three orphans; nested compiles and runs counted once.
+  EXPECT_EQ(all[0].unreachable, 3);
+  EXPECT_DOUBLE_EQ(all[0].compile_us, 120.0);
+  EXPECT_TRUE(request_breakdowns({}).empty());
+}
+
 }  // namespace
 }  // namespace ispb::obs

@@ -290,6 +290,103 @@ TEST(KernelGraph, BufferPlanIsSafeOnSyntheticGraphs) {
   }
 }
 
+// ---- stencil chains ----------------------------------------------------------
+
+using Chains = std::vector<pipeline::KernelGraph::Chain>;
+
+// Night's fused stages form one chain under every pattern that keeps a
+// band's remapped rows inside the band; under repeat only when one band
+// covers the image. Its native plan then holds one full-size buffer, the
+// chain's output, instead of two.
+TEST(KernelGraph, NightChainsAndItsPlanHoldsOneBuffer) {
+  const pipeline::KernelGraph night =
+      pipeline::build_graph(filters::make_night_app()).fused();
+  for (BorderPattern pattern : kAllBorderPatterns) {
+    for (i64 bands : {1, 2, 16}) {
+      const Chains chains = night.chains(pattern, bands);
+      if (pattern == BorderPattern::kRepeat && bands > 1) {
+        EXPECT_EQ(chains, (Chains{{0, 0}, {1, 1}, {2, 2}, {3, 3}}));
+      } else {
+        EXPECT_EQ(chains, (Chains{{0, 3}})) << to_string(pattern) << bands;
+      }
+    }
+  }
+  EXPECT_EQ(night.buffer_plan().buffers, 2);
+  const pipeline::KernelGraph::BufferPlan plan =
+      night.buffer_plan(night.chains(BorderPattern::kClamp, 16));
+  EXPECT_EQ(plan.buffers, 1);
+  EXPECT_EQ(plan.stage_buffer, (std::vector<i32>{-1, -1, -1, 0}));
+
+  // The apps with one fused stage are one-stage chains.
+  for (const auto& app : filters::all_apps()) {
+    if (app.name == "night") continue;
+    EXPECT_EQ(pipeline::build_graph(app).fused().chains(BorderPattern::kMirror,
+                                                        4),
+              (Chains{{0, 0}}))
+        << app.name;
+  }
+}
+
+// A stage joins its predecessor's chain only when it reads that stage
+// alone, through one binding, and is its only reader; and a chained plan
+// still never lets a chain overwrite what a later chain reads.
+TEST(KernelGraph, ChainsNeedASingleReaderOfASingleProducer) {
+  const std::vector<std::pair<filters::MultiKernelApp, Chains>> cases = {
+      {synthetic_app("chain", {{0}, {1}, {2}, {3}, {4}, {5}}), {{0, 5}}},
+      // Stage 0 has two readers; stage 3 reads two images.
+      {synthetic_app("skip-chain", {{0}, {1}, {2}, {1, 3}}),
+       {{0, 0}, {1, 2}, {3, 3}}},
+      {synthetic_app("fan-out", {{0}, {1}, {1}, {1}}),
+       {{0, 0}, {1, 1}, {2, 2}, {3, 3}}},
+      {synthetic_app("diamond", {{0}, {1}, {1}, {2, 3}, {4}}),
+       {{0, 0}, {1, 1}, {2, 2}, {3, 4}}},
+      {synthetic_app("source-fan", {{0}, {0}, {0}, {1, 2}, {3, 4}}),
+       {{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4}}},
+      // Stage 1 reads the source, not stage 0, so it starts a chain.
+      {synthetic_app("two-chains", {{0}, {0}, {2}, {1, 3}, {4}}),
+       {{0, 0}, {1, 2}, {3, 4}}},
+  };
+  for (const auto& [app, want] : cases) {
+    const pipeline::KernelGraph g = pipeline::build_graph(app);
+    const Chains chains = g.chains(BorderPattern::kClamp, 4);
+    EXPECT_EQ(chains, want) << app.name;
+    const pipeline::KernelGraph::BufferPlan plan = g.buffer_plan(chains);
+    // Only a chain's last stage writes a buffer; a chain never writes the
+    // buffer of an image its first stage reads, and takes a buffer over only
+    // from an earlier chain whose output every reader has consumed: each
+    // of those readers is an earlier chain that writes a different buffer
+    // or the taker itself.
+    for (std::size_t u = 0; u < chains.size(); ++u) {
+      for (i32 i = chains[u].first; i < chains[u].last; ++i) {
+        EXPECT_EQ(plan.stage_buffer[static_cast<std::size_t>(i)], -1)
+            << app.name;
+      }
+      const i32 b =
+          plan.stage_buffer[static_cast<std::size_t>(chains[u].last)];
+      ASSERT_GE(b, 0) << app.name;
+      for (i32 dep :
+           g.stages[static_cast<std::size_t>(chains[u].first)].deps) {
+        EXPECT_NE(plan.stage_buffer[static_cast<std::size_t>(dep)], b)
+            << app.name << ": chain " << u << " writes its input";
+      }
+      const std::set<i32> anc = ancestors_of(g, chains[u].first);
+      for (std::size_t v = 0; v < u; ++v) {
+        const i32 tail = chains[v].last;
+        if (plan.stage_buffer[static_cast<std::size_t>(tail)] != b) continue;
+        EXPECT_TRUE(anc.count(tail)) << app.name << ": " << u << " takes "
+                                     << v << "'s buffer";
+        for (std::size_t r = 0; r < g.stages.size(); ++r) {
+          const auto& deps = g.stages[r].deps;
+          if (std::find(deps.begin(), deps.end(), tail) == deps.end()) continue;
+          EXPECT_TRUE(anc.count(static_cast<i32>(r)))
+              << app.name << ": " << u << " overwrites " << v
+              << " before its reader " << r;
+        }
+      }
+    }
+  }
+}
+
 // Branches fan out of one stage and run two at a time on the pool while the
 // plan hands dead buffers to later stages; the output stays bit-identical
 // to the reference. (The TSan CI job runs this test too.)

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <regex>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "codegen/cuda_printer.hpp"
@@ -162,8 +163,11 @@ TEST(PrinterSweep, CudaKernelsAreWellFormedSource) {
                                 src.string() + "' > '" + log.string() +
                                 "' 2>&1";
         if (std::system(cmd.c_str()) != 0) {
-          std::ifstream in(log);
-          errors[i].assign(std::istreambuf_iterator<char>(in), {});
+          // Read through rdbuf(): GCC 12 at -O2 reports a false
+          // -Wnull-dereference inside istreambuf_iterator.
+          std::ostringstream text;
+          text << std::ifstream(log).rdbuf();
+          errors[i] = text.str();
           if (errors[i].empty()) errors[i] = "compiler failed";
         }
       }

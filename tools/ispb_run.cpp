@@ -1569,7 +1569,8 @@ obs::Json tier_json(std::string_view name, f64 multiplier, f64 duration_ms,
 /// time went, and whether every span linked into its request's tree.
 obs::Json critical_path_json(const std::vector<obs::TraceEvent>& events) {
   obs::Json out = obs::Json::object();
-  const std::vector<u64> ids = obs::request_ids(events);
+  const std::vector<obs::RequestBreakdown> breakdowns =
+      obs::request_breakdowns(events);
   u64 complete = 0;
   u64 unreachable_spans = 0;
   f64 total = 0.0;
@@ -1578,8 +1579,7 @@ obs::Json critical_path_json(const std::vector<obs::TraceEvent>& events) {
   f64 sim = 0.0;
   f64 retry = 0.0;
   f64 other = 0.0;
-  for (u64 id : ids) {
-    const obs::RequestBreakdown b = obs::request_breakdown(events, id);
+  for (const obs::RequestBreakdown& b : breakdowns) {
     if (b.has_root && b.unreachable == 0) ++complete;
     unreachable_spans += static_cast<u64>(b.unreachable);
     total += b.total_us;
@@ -1589,7 +1589,7 @@ obs::Json critical_path_json(const std::vector<obs::TraceEvent>& events) {
     retry += b.retry_backoff_us;
     other += b.other_us;
   }
-  out["requests_traced"] = static_cast<i64>(ids.size());
+  out["requests_traced"] = static_cast<i64>(breakdowns.size());
   out["requests_complete_trees"] = complete;
   out["unreachable_spans"] = unreachable_spans;
   if (total > 0.0) {
