@@ -9,15 +9,28 @@
 // acceptance bar cares about (warm >= 2x cold). Launches are sampled
 // (timing-only): this bench measures the runtime around the simulator, not
 // the simulated kernels.
+//
+// A second table times two adjacent rungs of perfbench's layer ladder on
+// night at 2048² (native, clamp, ISP): PipelineExecutor::run and
+// PipelineServer::submit, interleaved rep by rep, each rep's outputs held
+// until the rep ends as the ladder holds them, with minor page faults
+// (getrusage ru_minflt, whole process) per call. Their difference is the
+// server rung's self time without the ladder's other rungs around it.
+#include <sys/resource.h>
+
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "exec/backend.hpp"
 #include "harness.hpp"
+#include "image/compare.hpp"
 #include "image/generators.hpp"
 #include "pipeline/server.hpp"
 
@@ -55,6 +68,103 @@ ServingRun run_serving(const std::shared_ptr<const pipeline::KernelGraph>& graph
                                  (out.wall_ms / 1000.0)
                            : 0.0;
   return out;
+}
+
+/// Minor page faults of the whole process so far.
+i64 minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+/// The executor and server rungs for night at 2048², `reps` interleaved
+/// reps after one untimed rep (JIT and first touch). Returns false if the
+/// two rungs' outputs differ.
+bool run_rungs(i32 reps, BenchJson& json) {
+  using Clock = std::chrono::steady_clock;
+  constexpr i32 kSize = 2048;
+  const filters::MultiKernelApp app = filters::make_night_app();
+  const auto graph = std::make_shared<const pipeline::KernelGraph>(
+      pipeline::build_graph(app));
+  const auto source = std::make_shared<const Image<f32>>(
+      make_noise_image({kSize, kSize}, 1));
+
+  pipeline::KernelCache cache;
+  pipeline::ExecutorConfig exec_cfg;
+  exec_cfg.sim.pattern = BorderPattern::kClamp;
+  exec_cfg.sim.variant = codegen::Variant::kIsp;
+  exec_cfg.concurrency = 1;
+  exec_cfg.cache = &cache;
+  exec_cfg.backend = exec::Backend::kNative;
+  const pipeline::PipelineExecutor executor(exec_cfg);
+  pipeline::ServerConfig server_cfg;
+  server_cfg.workers = 1;
+  server_cfg.queue_capacity = 128;
+  server_cfg.executor = exec_cfg;
+  pipeline::PipelineServer server(server_cfg);
+
+  enum Rung { kExecutor, kServer, kRungs };
+  std::array<std::vector<f64>, kRungs> ms;
+  std::array<i64, kRungs> faults{};
+  bool identical = true;
+  for (i32 k = -1; k < reps; ++k) {
+    const i64 f0 = minor_faults();
+    const Clock::time_point t0 = Clock::now();
+    const pipeline::ExecutorResult er = executor.run(*graph, *source);
+    const Clock::time_point t1 = Clock::now();
+    const i64 f1 = minor_faults();
+    const pipeline::ServeResponse srv =
+        server.submit({graph, source, /*deadline_ms=*/0.0, std::nullopt})
+            .get();
+    const Clock::time_point t2 = Clock::now();
+    const i64 f2 = minor_faults();
+    if (k < 0) {
+      identical = srv.status == pipeline::ServeStatus::kOk &&
+                  compare(er.output, srv.output).max_abs == 0.0;
+      continue;
+    }
+    ms[kExecutor].push_back(std::chrono::duration<f64, std::milli>(t1 - t0)
+                                .count());
+    ms[kServer].push_back(std::chrono::duration<f64, std::milli>(t2 - t1)
+                              .count());
+    faults[kExecutor] += f1 - f0;
+    faults[kServer] += f2 - f1;
+  }
+  server.shutdown();
+
+  const f64 px = static_cast<f64>(kSize) * kSize;
+  AsciiTable table("night 2048x2048, native, clamp: executor and server "
+                   "rungs interleaved (" + std::to_string(reps) + " reps)");
+  table.set_header({"rung", "p25 ms", "median ms", "p75 ms", "minflt/call"});
+  BenchJson::Row row;
+  row.app = app.name;
+  row.pattern = "clamp";
+  row.variant = "isp";
+  row.backend = "native";
+  row.size = kSize;
+  const auto add = [&](std::string metric, f64 value) {
+    row.metric = std::move(metric);
+    row.value = value;
+    json.add(row);
+  };
+  const char* names[kRungs] = {"executor", "server"};
+  for (i32 r = 0; r < kRungs; ++r) {
+    const f64 per_call =
+        static_cast<f64>(faults[r]) / static_cast<f64>(reps);
+    table.add_row({names[r], AsciiTable::num(percentile(ms[r], 25.0), 3),
+                   AsciiTable::num(median(ms[r]), 3),
+                   AsciiTable::num(percentile(ms[r], 75.0), 3),
+                   AsciiTable::num(per_call, 2)});
+    add(std::string("rung_ms_p50.") + names[r], median(ms[r]));
+    add(std::string("minflt_per_call.") + names[r], per_call);
+  }
+  const f64 self_ns_px =
+      (median(ms[kServer]) - median(ms[kExecutor])) * 1e6 / px;
+  table.add_row({"server - executor", "", AsciiTable::num(self_ns_px, 3) +
+                                              " ns/px", "", ""});
+  add("server_self_ns_px", self_ns_px);
+  table.print(std::cout);
+  return identical;
 }
 
 int run(int argc, char** argv) {
@@ -189,9 +299,18 @@ int run(int argc, char** argv) {
   json.add(geo_row);
 
   table.print(std::cout);
-  json.write(cli.get_string("json", ""));
   std::cout << "\nAcceptance bar: geomean warm/cold >= 2 (compiles dominate "
-               "a sampled launch at this size).\n";
+               "a sampled launch at this size).\n\n";
+
+  bool identical = true;
+  if (only_app.empty() || only_app == "night") {
+    identical = run_rungs(cli.get_flag("quick") ? 31 : 61, json);
+  }
+  json.write(cli.get_string("json", ""));
+  if (!identical) {
+    std::cerr << "night: the executor and server rungs' outputs differ\n";
+    return 1;
+  }
   return 0;
 }
 

@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <exception>
+#include <thread>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "common/error.hpp"
 #include "core/model.hpp"
@@ -19,6 +24,17 @@ using pipeline::ServeStatus;
 f64 ms_between(std::chrono::steady_clock::time_point a,
                std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<f64, std::milli>(b - a).count();
+}
+
+/// One step of a spin-wait: a pause instruction on x86 (the core yields to
+/// its sibling hyperthread and the loop exits without a memory-order
+/// flush), a yield elsewhere.
+void spin_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#else
+  std::this_thread::yield();
+#endif
 }
 
 void publish_fleet_status(FleetStatus status) {
@@ -177,6 +193,7 @@ void FleetServer::admit(ItemPtr item) {
   item->submitted_at = Clock::now();
   FleetStatus refused = FleetStatus::kOk;  // kOk: enqueued
   std::string why;
+  bool wake = false;
   {
     std::lock_guard lock(mu_);
     ++stats_.submitted;
@@ -215,6 +232,10 @@ void FleetServer::admit(ItemPtr item) {
           }
           inflight_.fetch_add(1, std::memory_order_relaxed);
           queue_.push_back(item);
+          queued_ = queue_.size();
+          // A spinning worker takes the request without a wake-up; only
+          // requests beyond the spinners need a parked worker.
+          wake = queue_.size() > (spinning_ ? 1u : 0u);
           break;
       }
     }
@@ -223,16 +244,23 @@ void FleetServer::admit(ItemPtr item) {
     settle(*item, refused, {}, kNoShard, std::move(why));
     return;
   }
-  work_cv_.notify_one();
+  if (wake) work_cv_.notify_one();
   // The sweeper may need to wake earlier than it planned to.
   if (item->has_deadline()) sweeper_cv_.notify_one();
 }
 
 void FleetServer::worker_loop() {
+  bool spun = false;  // this worker holds the spin and must release it
   for (;;) {
     ItemPtr item;
     {
       std::unique_lock lock(mu_);
+      // Released under mu_: an admit that skipped its notify because this
+      // worker was spinning enqueued before this point, so the check below
+      // sees its request (or another worker already took it).
+      if (spun) spinning_ = false;
+      const bool warm = spun && !paused_ && !queue_.empty();
+      spun = false;
       work_cv_.wait(lock, [this] {
         return draining_ || (!paused_ && !queue_.empty());
       });
@@ -242,9 +270,21 @@ void FleetServer::worker_loop() {
       }
       item = std::move(queue_.front());
       queue_.pop_front();
+      queued_ = queue_.size();
+      if (warm) ++stats_.warm_pickups;
     }
     process(item);
+    spun = spin_for_work();
   }
+}
+
+bool FleetServer::spin_for_work() {
+  if (queued_ != 0) return false;  // work waits: take it at once
+  bool idle = false;
+  if (!spinning_.compare_exchange_strong(idle, true)) return false;
+  const Clock::time_point until = Clock::now() + kSpinWindow;
+  while (queued_ == 0 && Clock::now() < until) spin_pause();
+  return true;
 }
 
 void FleetServer::sweeper_loop() {
@@ -283,6 +323,7 @@ void FleetServer::sweeper_loop() {
         ++it;
       }
     }
+    queued_ = queue_.size();
     lock.unlock();
     for (const ItemPtr& item : expired) {
       if (item->request_id != 0) {
@@ -677,6 +718,11 @@ void FleetServer::resume() {
     paused_ = false;
   }
   work_cv_.notify_all();
+}
+
+void FleetServer::pause() {
+  std::lock_guard lock(mu_);
+  if (!draining_) paused_ = true;
 }
 
 void FleetServer::shutdown() {

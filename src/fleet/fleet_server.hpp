@@ -49,6 +49,15 @@
 // degradation ladder (admission.hpp): shed low tiers under load, brown out
 // survivors to kNaive (bit-identical), reject at saturation.
 //
+// Hand-off: a worker that settles a request and finds the queue empty
+// spins for up to kSpinWindow on an atomic mirror of the queue's length
+// before it parks on work_cv_, so a closed-loop caller's next request is
+// taken by a worker that is still awake. At most one worker spins at a
+// time; admit() skips its notify while the queue holds no more requests
+// than there are spinners. The spinner stops spinning under mu_ and then
+// checks the queue under the same lock, so a request whose notify was
+// skipped is always seen (FleetStats::warm_pickups counts them).
+//
 // Tracing: with an obs::TraceSession active, an enqueued request gets a
 // request id; its queue wait, every execution and its root span
 // (pipeline.server.{queue_wait,request,request.root}) form one tree.
@@ -167,6 +176,8 @@ struct FleetStats {
   u64 deadline_expired = 0;
   u64 errors = 0;
   u64 failovers = 0;  ///< re-placements after a device failure
+  /// Requests a spinning worker took off the queue without a wake-up.
+  u64 warm_pickups = 0;
   obs::StreamingHistogram queue_latency_ms;  ///< kOk serve.queue_ms
   obs::StreamingHistogram exec_latency_ms;   ///< kOk serve.exec_ms
   std::vector<FleetDeviceStats> devices;
@@ -175,6 +186,12 @@ struct FleetStats {
 
 class FleetServer {
  public:
+  /// How long a worker that settled a request and found the queue empty
+  /// spins for the next one before it parks. Measured by a sweep of 10, 30
+  /// and 100 µs on serve_128 (DESIGN.md §18, EXPERIMENTS.md "Warm
+  /// hand-off").
+  static constexpr std::chrono::microseconds kSpinWindow{30};
+
   explicit FleetServer(FleetConfig config);
   /// Shuts down (drains the queue) if the caller has not already.
   ~FleetServer();
@@ -186,9 +203,13 @@ class FleetServer {
   /// future settles exactly once.
   [[nodiscard]] std::future<FleetResponse> submit(FleetRequest request);
 
-  /// Starts the workers of a fleet constructed shard.start_paused.
-  /// Idempotent.
+  /// Starts the workers of a fleet constructed shard.start_paused, or
+  /// paused by pause(). Idempotent.
   void resume();
+  /// Stops workers from taking queued requests until resume(); running
+  /// requests finish and the sweeper still expires queued ones. A no-op
+  /// once shutdown() began (the drain runs the queue). Idempotent.
+  void pause();
   /// Stops accepting, drains the queue, joins the workers and the sweeper,
   /// then waits for watchdog-detached executions. Idempotent.
   void shutdown();
@@ -270,6 +291,11 @@ class FleetServer {
   /// settle the refusal.
   void admit(ItemPtr item);
   void worker_loop();
+  /// After a settle: unless the queue already holds work or another worker
+  /// spins, claims the spin and waits up to kSpinWindow for queued_ to turn
+  /// non-zero. Returns whether it claimed the spin, which the caller must
+  /// release under mu_.
+  [[nodiscard]] bool spin_for_work();
   void sweeper_loop();
   /// Places, runs and fails over one dequeued request until it settles.
   void process(const ItemPtr& item);
@@ -299,6 +325,8 @@ class FleetServer {
   std::condition_variable work_cv_;
   std::condition_variable sweeper_cv_;
   std::deque<ItemPtr> queue_;
+  std::atomic<std::size_t> queued_{0};  ///< queue_.size(), stored under mu_
+  std::atomic<bool> spinning_{false};   ///< a worker spins; cleared under mu_
   bool paused_ = false;
   bool accepting_ = true;
   bool draining_ = false;

@@ -42,8 +42,9 @@
 
 namespace ispb::pipeline {
 
-/// Structural fingerprint of a spec: FNV-1a over name, num_inputs, output
-/// id and every node (kind, f32 bit pattern, input, offsets, operand ids).
+/// Structural fingerprint of a spec: FNV-1a over the name's bytes, then one
+/// 32-bit word each for num_inputs, the output id and every node field
+/// (kind, f32 bit pattern, input, offsets, operand ids).
 [[nodiscard]] u64 spec_fingerprint(const codegen::StencilSpec& spec);
 
 /// The full cache key: fingerprint + every CodegenOptions field + device.

@@ -66,6 +66,7 @@ ServerStats PipelineServer::stats() const {
   s.deadline_expired = fleet.deadline_expired;
   s.watchdog_expired = fleet.devices.front().watchdog_expired;
   s.errors = fleet.errors;
+  s.warm_pickups = fleet.warm_pickups;
   s.total_latency_ms = fleet.tiers.front().latency_ms;
   s.queue_latency_ms = fleet.queue_latency_ms;
   s.exec_latency_ms = fleet.exec_latency_ms;

@@ -22,6 +22,9 @@
 //     specialized ISP path keeps failing is served by the naive variant and
 //     restored via half-open probes, plus the executor's RetryPolicy for
 //     transient stage failures;
+//   - a worker that settles a request and finds the queue empty spins
+//     briefly before it parks, so the next request of a closed-loop caller
+//     needs no wake-up (FleetServer's hand-off; ServerStats::warm_pickups);
 //   - latency (queue wait, execution, submit-to-finish) streams into
 //     bounded obs::StreamingHistograms, and an always-on SloWindow tracks
 //     sliding-window throughput and error / rejection / deadline-miss
@@ -108,6 +111,9 @@ struct ServerStats {
   u64 deadline_expired = 0;  ///< queued + mid-execution expiries
   u64 watchdog_expired = 0;  ///< subset cut off mid-execution
   u64 errors = 0;
+  /// Requests a spinning worker took without a wake-up (the warm hand-off
+  /// in fleet_server.hpp): how much of queue_latency_ms skipped a futex.
+  u64 warm_pickups = 0;
   obs::StreamingHistogram total_latency_ms;
   obs::StreamingHistogram queue_latency_ms;
   obs::StreamingHistogram exec_latency_ms;

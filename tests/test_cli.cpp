@@ -139,7 +139,8 @@ TEST(IspbRunCli, LoadtestQuickWritesSchemaValidArtifact) {
   for (const char* field :
        {"\"bench\": \"loadtest\"", "\"schema_version\"", "\"capacity_rps\"",
         "\"tiers\"", "\"throughput_rps\"", "\"rejection_rate\"",
-        "\"obs_overhead\"", "\"critical_path\"", "\"slo_timeline\""}) {
+        "\"obs_overhead\"", "\"critical_path\"", "\"slo_timeline\"",
+        "\"warm_pickups\""}) {
     EXPECT_NE(artifact.find(field), std::string::npos)
         << field << "\n" << artifact;
   }
@@ -150,7 +151,8 @@ TEST(IspbRunCli, ServeEmitsJsonReport) {
       "serve --requests=4 --concurrency=2 --size=32 --sampled --json");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   for (const char* field :
-       {"throughput_rps", "p99_ms", "hit_rate", "completed"}) {
+       {"throughput_rps", "p99_ms", "hit_rate", "completed",
+        "warm_pickups"}) {
     EXPECT_NE(r.output.find(field), std::string::npos)
         << field << "\n" << r.output;
   }
@@ -193,7 +195,7 @@ TEST(IspbRunCli, FleetServeReportsPerDevicePlacement) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   for (const char* field :
        {"\"devices\"", "GTX680", "RTX2080", "\"admission\"", "\"routed\"",
-        "\"failovers\""}) {
+        "\"failovers\"", "\"warm_pickups\""}) {
     EXPECT_NE(r.output.find(field), std::string::npos)
         << field << "\n" << r.output;
   }

@@ -1,13 +1,16 @@
 // Fleet layer: admission ladder table, multi-device placement with
 // bit-identity, failover off a killed device, half-open probe recovery
 // after a flap, shed/brownout/reject degradation, placement at dequeue,
-// failover during the shutdown drain, and pinned routing.
+// failover during the shutdown drain, the warm hand-off to a spinning
+// worker, and pinned routing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "filters/filters.hpp"
@@ -404,6 +407,260 @@ TEST(FleetServer, ShutdownSettlesFailoversInFlight) {
   for (std::size_t i = 0; i < server.num_shards(); ++i) {
     EXPECT_EQ(server.shard_health(i).orphaned_executions, 0u);
   }
+}
+
+// ---- warm hand-off ----------------------------------------------------------
+//
+// A worker that settles a request and finds the queue empty spins briefly
+// before it parks, and admit() skips the wake-up the spinner does not need.
+// Each test below starts right after a settle, while that worker spins, and
+// checks that no wake-up is lost and that pause, shutdown and the deadline
+// sweeper keep their meaning.
+
+using SteadyClock = std::chrono::steady_clock;
+
+f64 ms_since(SteadyClock::time_point t0) {
+  return std::chrono::duration<f64, std::milli>(SteadyClock::now() - t0)
+      .count();
+}
+
+/// Polls `f` until it is ready and returns its response. The caller stays
+/// awake, so its next submit follows a settle by its own work, not by the
+/// host's latency in waking a parked thread.
+fleet::FleetResponse await_awake(std::future<fleet::FleetResponse>& f) {
+  while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+  }
+  return f.get();
+}
+
+/// Whether two threads of this process run side by side right now: one
+/// spins for up to the fleet's spin window waiting for the other, which
+/// polls, to answer; true once any of 100 tries is answered in time. While
+/// the host lends the process about one core, only one thread runs at a
+/// time: no answer arrives, and no fleet request can be picked up warm.
+bool threads_run_side_by_side() {
+  std::atomic<int> ask{0};
+  std::atomic<int> answer{0};
+  std::atomic<bool> done{false};
+  std::thread responder([&] {
+    while (!done) {
+      const int a = ask.load();
+      if (a != answer.load()) answer.store(a);
+    }
+  });
+  bool answered = false;
+  for (int i = 1; i <= 100 && !answered; ++i) {
+    ask.store(i);
+    const SteadyClock::time_point until =
+        SteadyClock::now() + fleet::FleetServer::kSpinWindow;
+    while (answer.load() != i && SteadyClock::now() < until) {
+    }
+    answered = answer.load() == i;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  done = true;
+  responder.join();
+  return answered;
+}
+
+/// Closed-loop rounds of 100 requests, one outstanding, from a caller that
+/// stays awake, until a round ends with at least one warm pickup or 10 s of
+/// rounds have run. A warm pickup needs the caller to run while the
+/// settling worker spins, which a host that lends the process about one
+/// core does not allow (threads_run_side_by_side), so a round can see none.
+/// Returns the requests sent; each must settle kOk.
+u64 closed_loop_until_warm(fleet::FleetServer& server,
+                           const fleet::FleetRequest& request) {
+  const SteadyClock::time_point t0 = SteadyClock::now();
+  u64 sent = 0;
+  do {
+    for (int i = 0; i < 100; ++i, ++sent) {
+      std::future<fleet::FleetResponse> f = server.submit(request);
+      const fleet::FleetResponse resp = await_awake(f);
+      EXPECT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+    }
+  } while (server.stats().warm_pickups == 0 && ms_since(t0) < 10'000.0);
+  return sent;
+}
+
+TEST(FleetHandOff, OneDelayedRequestPerWorkerAllRunAtOnce) {
+  // Every launch sleeps D of wall time. Each round submits one request per
+  // worker right after the previous round settled. If admit() skipped a
+  // wake-up that no spinner answered, a request would wait for a busy
+  // worker and its round would take 2·D.
+  const auto app = filters::make_gaussian_app();
+  const auto graph = make_graph(app);
+  const auto src = make_source(16);
+  const Image<f32> expect =
+      filters::run_app_reference(app, *src, BorderPattern::kClamp);
+
+  fleet::FleetConfig cfg = two_device_config();  // 2 devices x 2 workers
+  const std::size_t workers =
+      cfg.devices.size() * static_cast<std::size_t>(cfg.shard.workers);
+  fleet::FleetServer server(cfg);
+  for (const char* device : {"GTX680", "RTX2080"}) {
+    fleet::FleetRequest warm = make_request(graph, src);
+    warm.pin_device = device;
+    ASSERT_EQ(server.submit(warm).get().status, fleet::FleetStatus::kOk);
+  }
+
+  constexpr u64 kDelayMs = 200;
+  resilience::FaultPlan plan;
+  plan.rules.push_back(
+      {"device.launch", resilience::FaultKind::kDelay, "", 1.0, 0, kDelayMs});
+  resilience::FaultInjector injector(plan);  // SystemClock: real sleep
+  resilience::FaultInjector::ScopedInstall install(injector);
+
+  for (int round = 0; round < 5; ++round) {
+    const SteadyClock::time_point t0 = SteadyClock::now();
+    std::vector<std::future<fleet::FleetResponse>> futures;
+    for (std::size_t i = 0; i < workers; ++i) {
+      futures.push_back(server.submit(make_request(graph, src)));
+    }
+    for (auto& f : futures) {
+      const fleet::FleetResponse resp = f.get();
+      ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+      EXPECT_EQ(compare(resp.serve.output, expect).max_abs, 0.0);
+    }
+    EXPECT_LT(ms_since(t0), 1.5 * static_cast<f64>(kDelayMs))
+        << "round " << round << ": a request waited behind another";
+  }
+  server.shutdown();
+  const fleet::FleetStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 2 + 5 * workers);
+  EXPECT_LE(stats.warm_pickups, stats.completed);
+}
+
+TEST(FleetHandOff, PausedFleetRunsNothingUntilResume) {
+  const auto graph = make_graph(filters::make_gaussian_app());
+  const auto src = make_source(16);
+  fleet::FleetConfig cfg = two_device_config();
+  cfg.devices = {sim::make_gtx680()};
+  cfg.shard.workers = 1;
+  fleet::FleetServer server(cfg);
+
+  for (int round = 0; round < 10; ++round) {
+    auto settled = server.submit(make_request(graph, src));
+    ASSERT_EQ(await_awake(settled).status, fleet::FleetStatus::kOk);
+    server.pause();  // the worker that just settled may still spin
+    auto queued = server.submit(make_request(graph, src));
+    ASSERT_EQ(queued.wait_for(std::chrono::milliseconds(50)),
+              std::future_status::timeout)
+        << "round " << round << ": a paused fleet ran a request";
+    server.resume();
+    const fleet::FleetResponse resp = queued.get();
+    ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+    EXPECT_GE(resp.serve.queue_ms, 50.0);
+  }
+  server.shutdown();
+}
+
+TEST(FleetHandOff, ShutdownRightAfterASettleReturnsPromptly) {
+  const auto app = filters::make_gaussian_app();
+  const auto graph = make_graph(app);
+  const auto src = make_source(16);
+  const Image<f32> expect =
+      filters::run_app_reference(app, *src, BorderPattern::kClamp);
+
+  for (const int queued : {0, 8}) {
+    fleet::FleetServer server(two_device_config());
+    ASSERT_EQ(server.submit(make_request(graph, src)).get().status,
+              fleet::FleetStatus::kOk);
+    std::vector<std::future<fleet::FleetResponse>> futures;
+    for (int i = 0; i < queued; ++i) {
+      futures.push_back(server.submit(make_request(graph, src)));
+    }
+    const SteadyClock::time_point t0 = SteadyClock::now();
+    server.shutdown();
+    // Each queued request is a 16x16 kernel; a worker left spinning or
+    // parked without a wake-up would hold shutdown far longer than this.
+    EXPECT_LT(ms_since(t0), 2000.0) << queued << " queued";
+    for (auto& f : futures) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << "shutdown returned with a request unsettled";
+      const fleet::FleetResponse resp = f.get();
+      ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+      EXPECT_EQ(compare(resp.serve.output, expect).max_abs, 0.0);
+    }
+    EXPECT_EQ(server.stats().completed, static_cast<u64>(queued + 1));
+  }
+}
+
+TEST(FleetHandOff, QueuedRequestExpiresThroughTheSweeper) {
+  const auto graph = make_graph(filters::make_gaussian_app());
+  const auto src = make_source(16);
+  fleet::FleetConfig cfg = two_device_config();
+  cfg.devices = {sim::make_gtx680()};
+  cfg.shard.workers = 1;
+  fleet::FleetServer server(cfg);
+  fleet::FleetRequest expiring = make_request(graph, src);
+  expiring.deadline_ms = 20.0;
+
+  // Paused right after a settle, the request stays queued while the worker
+  // spins and then parks; only the sweeper can settle it.
+  ASSERT_EQ(server.submit(make_request(graph, src)).get().status,
+            fleet::FleetStatus::kOk);
+  server.pause();
+  const fleet::FleetResponse expired = server.submit(expiring).get();
+  EXPECT_EQ(expired.status, fleet::FleetStatus::kDeadlineExpired);
+  EXPECT_EQ(expired.dispatches, 0u);
+  EXPECT_NE(expired.error.find("never dequeued"), std::string::npos)
+      << expired.error;
+  server.resume();
+
+  // The sweeper's erase must store the queue's new length: a count left at
+  // 1 would keep the next settling worker from spinning. Each round, a
+  // launch delayed 50 ms holds the only worker, a request with a 20 ms
+  // deadline expires behind it, and the request sent right after the
+  // settle must be picked up warm. Rounds repeat until one is, for at most
+  // 10 s (see closed_loop_until_warm for why one round may see none).
+  const SteadyClock::time_point t0 = SteadyClock::now();
+  u64 rounds = 0;
+  u64 warm = 0;
+  do {
+    ++rounds;
+    resilience::FaultPlan plan;
+    plan.rules.push_back({"device.launch", resilience::FaultKind::kDelay, "",
+                          1.0, /*max_fires=*/1, /*delay_ms=*/50});
+    resilience::FaultInjector injector(plan);
+    resilience::FaultInjector::ScopedInstall install(injector);
+    auto held = server.submit(make_request(graph, src));
+    const fleet::FleetResponse behind = server.submit(expiring).get();
+    ASSERT_EQ(behind.status, fleet::FleetStatus::kDeadlineExpired);
+    ASSERT_NE(behind.error.find("never dequeued"), std::string::npos)
+        << behind.error;
+    const u64 warm_before = server.stats().warm_pickups;  // held is running
+    ASSERT_EQ(await_awake(held).status, fleet::FleetStatus::kOk);
+    auto next = server.submit(make_request(graph, src));
+    ASSERT_EQ(await_awake(next).status, fleet::FleetStatus::kOk);
+    warm = server.stats().warm_pickups - warm_before;
+  } while (warm == 0 && ms_since(t0) < 10'000.0);
+  server.shutdown();
+  const fleet::FleetStats stats = server.stats();
+  EXPECT_EQ(stats.deadline_expired, 1 + rounds);
+  EXPECT_EQ(stats.completed, 1 + 2 * rounds);
+  if (warm == 0 && !threads_run_side_by_side()) {
+    GTEST_SKIP() << "the host ran one thread at a time throughout";
+  }
+  EXPECT_GE(warm, 1u);
+}
+
+TEST(FleetHandOff, ClosedLoopRequestsArePickedUpWarm) {
+  // One request outstanding at a time: the worker that settled one is still
+  // spinning when the next arrives, so at least some need no wake-up.
+  const auto graph = make_graph(filters::make_gaussian_app());
+  const auto src = make_source(16);
+  fleet::FleetServer server(two_device_config());
+  const u64 sent = closed_loop_until_warm(server, make_request(graph, src));
+  server.shutdown();
+  const fleet::FleetStats stats = server.stats();
+  EXPECT_EQ(stats.completed, sent);
+  EXPECT_LE(stats.warm_pickups, stats.completed);
+  if (stats.warm_pickups == 0 && !threads_run_side_by_side()) {
+    GTEST_SKIP() << "the host ran one thread at a time throughout";
+  }
+  EXPECT_GE(stats.warm_pickups, 1u);
 }
 
 // ---- pinned routing ---------------------------------------------------------

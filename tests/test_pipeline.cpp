@@ -54,6 +54,25 @@ TEST(SpecFingerprint, DistinguishesSpecs) {
   EXPECT_NE(g5, l5);
 }
 
+TEST(SpecFingerprint, DistinguishesSignedZeroConstants) {
+  // 0.0f == -0.0f, but in(x, y) + 0.0f and in(x, y) + -0.0f differ on a
+  // -0.0f pixel, so the two kernels must never share a cache entry.
+  using codegen::NodeKind;
+  codegen::StencilSpec positive;
+  positive.name = "add_zero";
+  positive.nodes = {{.kind = NodeKind::kRead},
+                    {.kind = NodeKind::kConst, .value = 0.0f},
+                    {.kind = NodeKind::kAdd, .lhs = 0, .rhs = 1}};
+  positive.output = 2;
+  positive.validate();
+  codegen::StencilSpec negative = positive;
+  negative.nodes[1].value = -0.0f;
+  EXPECT_NE(pipeline::spec_fingerprint(positive),
+            pipeline::spec_fingerprint(negative));
+  EXPECT_NE(pipeline::cache_key(positive, opts(Variant::kIsp), ""),
+            pipeline::cache_key(negative, opts(Variant::kIsp), ""));
+}
+
 TEST(CacheKey, CoversOptionsAndDevice) {
   const auto spec = filters::gaussian_spec(3);
   const std::string base = pipeline::cache_key(spec, opts(Variant::kIsp), "");

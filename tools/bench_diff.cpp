@@ -73,8 +73,10 @@ std::vector<TierSummary> validate(const std::string& path) {
   // every load tier carries a per-priority-tier admission breakdown (shed /
   // browned-out / completed counts with latency percentiles), and a
   // top-level `devices` array records where the router placed the work.
-  if (require_number(report, "schema_version", "top level") != 2.0) {
-    throw IoError(path + ": unsupported schema_version (expected 2)");
+  // v3 adds each load tier's warm_pickups: requests a spinning worker took
+  // without a wake-up, so the tier's queue wait can be read from the file.
+  if (require_number(report, "schema_version", "top level") != 3.0) {
+    throw IoError(path + ": unsupported schema_version (expected 3)");
   }
   const obs::Json& config = require(report, "config", "top level");
   const obs::Json& config_devices = require(config, "devices", "config");
@@ -114,6 +116,7 @@ std::vector<TierSummary> validate(const std::string& path) {
     require_number(t, "rejection_rate", "tier entry");
     require_number(t, "shed_rate", "tier entry");
     require_number(t, "failovers", "tier entry");
+    require_number(t, "warm_pickups", "tier entry");
     const obs::Json& latency = require(t, "latency", "tier entry");
     for (const char* key : {"p50_ms", "p99_ms"}) {
       const obs::Json& v = require(latency, key, "tier latency");

@@ -64,7 +64,7 @@
 //              behavior per admission tier and placement per device, re-run
 //              the top tier with tracing + metrics + the SLO exporter
 //              enabled to measure observability overhead, and write the
-//              BENCH_serve.json perf artifact (schema v2):
+//              BENCH_serve.json perf artifact (schema v3):
 //
 //     ispb_run loadtest [--apps=gaussian,sobel] [--patterns=clamp,mirror]
 //              [--devices=gtx680,rtx2080] [--shed-tiers=3] [--size=128]
@@ -1056,6 +1056,7 @@ int serve_fleet(const Cli& cli, const filters::MultiKernelApp& app,
   statuses["errors"] = stats.errors;
   statuses["failovers"] = stats.failovers;
   report["statuses"] = std::move(statuses);
+  report["warm_pickups"] = stats.warm_pickups;
   obs::Json latency = obs::Json::object();
   latency["p50_ms"] = opt_json(latency_all.percentile(50.0));
   latency["p95_ms"] = opt_json(latency_all.percentile(95.0));
@@ -1110,6 +1111,7 @@ int serve_fleet(const Cli& cli, const filters::MultiKernelApp& app,
   table.add_row({"rejected", std::to_string(stats.rejected)});
   table.add_row({"errors", std::to_string(stats.errors)});
   table.add_row({"failovers", std::to_string(stats.failovers)});
+  table.add_row({"warm pickups", std::to_string(stats.warm_pickups)});
   table.add_row({"wall time ms", AsciiTable::num(wall_ms, 2)});
   table.add_row({"throughput req/s", AsciiTable::num(throughput_rps, 1)});
   for (const fleet::FleetDeviceStats& d : stats.devices) {
@@ -1237,6 +1239,7 @@ int run_serve(int argc, char** argv) {
   statuses["deadline_expired"] = stats.deadline_expired;
   statuses["errors"] = stats.errors;
   report["statuses"] = std::move(statuses);
+  report["warm_pickups"] = stats.warm_pickups;
   obs::Json cache_json = obs::Json::object();
   cache_json["hits"] = cache_stats.hits;
   cache_json["misses"] = cache_stats.misses;
@@ -1268,6 +1271,7 @@ int run_serve(int argc, char** argv) {
   table.add_row({"rejected", std::to_string(stats.rejected)});
   table.add_row({"deadline expired", std::to_string(stats.deadline_expired)});
   table.add_row({"errors", std::to_string(stats.errors)});
+  table.add_row({"warm pickups", std::to_string(stats.warm_pickups)});
   table.add_row({"wall time ms", AsciiTable::num(wall_ms, 2)});
   table.add_row({"throughput req/s", AsciiTable::num(throughput_rps, 1)});
   const auto pct_cell = [&](f64 p) {
@@ -1391,6 +1395,7 @@ void merge_fleet_stats(fleet::FleetStats& into,
   into.deadline_expired += from.deadline_expired;
   into.errors += from.errors;
   into.failovers += from.failovers;
+  into.warm_pickups += from.warm_pickups;
   if (into.devices.empty()) into.devices.resize(from.devices.size());
   for (std::size_t i = 0; i < from.devices.size(); ++i) {
     fleet::FleetDeviceStats& d = into.devices[i];
@@ -1530,6 +1535,7 @@ obs::Json tier_json(std::string_view name, f64 multiplier, f64 duration_ms,
   t["deadline_expired"] = tier.stats.deadline_expired;
   t["errors"] = tier.stats.errors;
   t["failovers"] = tier.stats.failovers;
+  t["warm_pickups"] = tier.stats.warm_pickups;
   t["throughput_rps"] = tier.throughput_rps();
   t["rejection_rate"] = tier.rejection_rate();
   t["shed_rate"] = tier.shed_rate();
@@ -1801,7 +1807,9 @@ int run_loadtest(int argc, char** argv) {
   report["bench"] = "loadtest";
   // v2: fleet serving — per-device placement stats and per-admission-tier
   // shed/brownout breakdowns joined the schema (bench_diff gates on it).
-  report["schema_version"] = static_cast<i64>(2);
+  // v3: each load tier counts its warm pickups (requests a spinning worker
+  // took without a wake-up), which explain its queue wait.
+  report["schema_version"] = static_cast<i64>(3);
   obs::Json config = obs::Json::object();
   config["apps"] = [&] {
     obs::Json a = obs::Json::array();
