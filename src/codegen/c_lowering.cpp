@@ -24,8 +24,8 @@ std::string float_lit(f32 v) {
 /// coordinates, Repeat loops, Constant guards).
 std::string emit_read_expr(std::ostringstream& body, const CodegenOptions& opt,
                            Side sides, i32 input, i32 dx, i32 dy, int* temp,
-                           const std::string& pad,
-                           const TileDims* tile = nullptr) {
+                           const std::string& pad, const TileDims* tile,
+                           const Hoist* hoist) {
   if (tile != nullptr) {
     // (ly + dy) * tw + (lx + dx) + input * slab, constants folded.
     const i32 off = dy * tile->tw + dx + input * tile->slab;
@@ -50,73 +50,72 @@ std::string emit_read_expr(std::ostringstream& body, const CodegenOptions& opt,
     return os.str();
   };
 
+  // A hoisted axis's statements go to the hoist stream, in the order the
+  // body alone would hold them: both coordinates, then x's remaps, then y's.
+  const bool hoist_x = hoist != nullptr && hoist->axis == 'x';
+  const bool hoist_y = hoist != nullptr && hoist->axis == 'y';
+  std::ostringstream& xs = hoist_x ? *hoist->os : body;
+  std::ostringstream& ys = hoist_y ? *hoist->os : body;
+  const std::string& xpad = hoist_x ? hoist->pad : pad;
+  const std::string& ypad = hoist_y ? hoist->pad : pad;
   const std::string id = std::to_string((*temp)++);
   const std::string xi = "x" + id;
   const std::string yi = "y" + id;
-  body << pad << "int " << xi << " = " << offset("gx", dx) << ";\n";
-  body << pad << "int " << yi << " = " << offset("gy", dy) << ";\n";
+  xs << xpad << "int " << xi << " = " << offset("gx", dx) << ";\n";
+  ys << ypad << "int " << yi << " = " << offset("gy", dy) << ";\n";
 
-  switch (opt.pattern) {
-    case BorderPattern::kClamp:
-      if (check_l) body << pad << "if (" << xi << " < 0) " << xi << " = 0;\n";
-      if (check_r) {
-        body << pad << "if (" << xi << " > sx - 1) " << xi << " = sx - 1;\n";
-      }
-      if (check_t) body << pad << "if (" << yi << " < 0) " << yi << " = 0;\n";
-      if (check_b) {
-        body << pad << "if (" << yi << " > sy - 1) " << yi << " = sy - 1;\n";
-      }
-      break;
-    case BorderPattern::kMirror:
-      // Single reflection (edge included); valid because launch validation
-      // rejects radii larger than the image extent.
-      if (check_l) {
-        body << pad << "if (" << xi << " < 0) " << xi << " = -" << xi
+  // Listing 1's border function of `v` against [0, s) per side checked
+  // (Constant guards the read below instead). Mirror reflects once: launch
+  // validation rejects radii larger than the image extent.
+  const auto remap = [&](std::ostringstream& os, const std::string& p,
+                         const std::string& v, bool lo, bool hi,
+                         const std::string& s) {
+    switch (opt.pattern) {
+      case BorderPattern::kClamp:
+        if (lo) os << p << "if (" << v << " < 0) " << v << " = 0;\n";
+        if (hi) {
+          os << p << "if (" << v << " > " << s << " - 1) " << v << " = " << s
              << " - 1;\n";
-      }
-      if (check_r) {
-        body << pad << "if (" << xi << " >= sx) " << xi << " = 2 * sx - "
-             << xi << " - 1;\n";
-      }
-      if (check_t) {
-        body << pad << "if (" << yi << " < 0) " << yi << " = -" << yi
-             << " - 1;\n";
-      }
-      if (check_b) {
-        body << pad << "if (" << yi << " >= sy) " << yi << " = 2 * sy - "
-             << yi << " - 1;\n";
-      }
-      break;
-    case BorderPattern::kRepeat:
-      if (check_l) {
-        body << pad << "while (" << xi << " < 0) " << xi << " += sx;\n";
-      }
-      if (check_r) {
-        body << pad << "while (" << xi << " >= sx) " << xi << " -= sx;\n";
-      }
-      if (check_t) {
-        body << pad << "while (" << yi << " < 0) " << yi << " += sy;\n";
-      }
-      if (check_b) {
-        body << pad << "while (" << yi << " >= sy) " << yi << " -= sy;\n";
-      }
-      break;
-    case BorderPattern::kConstant: {
-      if (check_l || check_r || check_t || check_b) {
-        const std::string vi = "v" + id;
-        body << pad << "float " << vi << " = "
-             << float_lit(opt.border_constant) << ";\n";
-        body << pad << "if (1";
-        if (check_l) body << " && " << xi << " >= 0";
-        if (check_r) body << " && " << xi << " < sx";
-        if (check_t) body << " && " << yi << " >= 0";
-        if (check_b) body << " && " << yi << " < sy";
-        body << ") " << vi << " = in" << input << "[" << yi << " * pitch_in"
-             << input << " + " << xi << "];\n";
-        return vi;
-      }
-      break;
+        }
+        break;
+      case BorderPattern::kMirror:
+        if (lo) {
+          os << p << "if (" << v << " < 0) " << v << " = -" << v << " - 1;\n";
+        }
+        if (hi) {
+          os << p << "if (" << v << " >= " << s << ") " << v << " = 2 * " << s
+             << " - " << v << " - 1;\n";
+        }
+        break;
+      case BorderPattern::kRepeat:
+        if (lo) {
+          os << p << "while (" << v << " < 0) " << v << " += " << s << ";\n";
+        }
+        if (hi) {
+          os << p << "while (" << v << " >= " << s << ") " << v << " -= " << s
+             << ";\n";
+        }
+        break;
+      case BorderPattern::kConstant:
+        break;
     }
+  };
+  remap(xs, xpad, xi, check_l, check_r, "sx");
+  remap(ys, ypad, yi, check_t, check_b, "sy");
+
+  if (opt.pattern == BorderPattern::kConstant &&
+      (check_l || check_r || check_t || check_b)) {
+    const std::string vi = "v" + id;
+    body << pad << "float " << vi << " = " << float_lit(opt.border_constant)
+         << ";\n";
+    body << pad << "if (1";
+    if (check_l) body << " && " << xi << " >= 0";
+    if (check_r) body << " && " << xi << " < sx";
+    if (check_t) body << " && " << yi << " >= 0";
+    if (check_b) body << " && " << yi << " < sy";
+    body << ") " << vi << " = in" << input << "[" << yi << " * pitch_in"
+         << input << " + " << xi << "];\n";
+    return vi;
   }
   return "in" + std::to_string(input) + "[" + yi + " * pitch_in" +
          std::to_string(input) + " + " + xi + "]";
@@ -160,7 +159,7 @@ std::string sanitize_ident(std::string_view text) {
 std::string emit_dag(std::ostringstream& body, const StencilSpec& spec,
                      const CodegenOptions& opt, const CDialect& dialect,
                      Side sides, const std::string& pad,
-                     const TileDims* tile) {
+                     const TileDims* tile, const Hoist* hoist) {
   int temp = 0;
   std::vector<std::string> names(spec.nodes.size());
   for (std::size_t i = 0; i < spec.nodes.size(); ++i) {
@@ -173,7 +172,7 @@ std::string emit_dag(std::ostringstream& body, const StencilSpec& spec,
     switch (n.kind) {
       case NodeKind::kRead:
         expr = emit_read_expr(body, opt, sides, n.input, n.dx, n.dy, &temp,
-                              pad, tile);
+                              pad, tile, hoist);
         break;
       case NodeKind::kConst:
         expr = float_lit(n.value);

@@ -43,15 +43,26 @@ struct TileDims {
   i32 slab = 0;
 };
 
+/// Where the coordinate and remap statements of `axis` ('x' or 'y') go,
+/// each line prefixed by `pad`: a loop nest whose outer loop fixes that
+/// coordinate prints them once per outer iteration. Constant guards stay.
+struct Hoist {
+  char axis = 'y';
+  std::ostringstream* os = nullptr;
+  std::string pad;
+};
+
 /// Appends the statements computing `spec` at pixel (gx, gy) to `body`,
 /// each line prefixed by `pad`, and returns the name holding the output
 /// value. Reads of input k index `in<k>[y * pitch_in<k> + x]` and apply the
 /// `sides` checks of opt.pattern; with `tile` set (the kIspTiled Body) they
 /// read the staged local buffer instead, whose values are exact copies, so
-/// the computed bits are unchanged.
+/// the computed bits are unchanged. With `hoist` set, that axis's
+/// coordinate statements go to its stream instead of `body`.
 std::string emit_dag(std::ostringstream& body, const StencilSpec& spec,
                      const CodegenOptions& opt, const CDialect& dialect,
                      Side sides, const std::string& pad,
-                     const TileDims* tile = nullptr);
+                     const TileDims* tile = nullptr,
+                     const Hoist* hoist = nullptr);
 
 }  // namespace ispb::codegen

@@ -1,33 +1,66 @@
 #include "codegen/cpp_printer.hpp"
 
 #include <sstream>
+#include <vector>
 
 #include "codegen/c_lowering.hpp"
-#include "core/region.hpp"
 
 namespace ispb::codegen {
 
 namespace {
 
-/// A doubly-nested pixel loop over x in [x_lo, x_hi), y in [y_lo, y_hi)
-/// clipped to the caller's [y_begin, y_end) row band, with `sides` checks.
+/// One pixel rectangle [x_lo, x_hi) x [y_lo, y_hi), as C expressions.
+struct Rect {
+  std::string x_lo, x_hi, y_lo, y_hi;
+};
+
+/// The pixel loops over `rects` (a table when several), each clipped to the
+/// caller's [y_begin, y_end), around one copy of the DAG with `sides`
+/// checks. `hoist` 'y' walks rows and computes the y statements once per
+/// row, 'x' walks columns with the x statements once per column (see
+/// Hoist), and 0 walks rows with every statement per pixel.
 void emit_loop(std::ostringstream& os, const StencilSpec& spec,
                const CodegenOptions& opt, Side sides, std::string_view label,
-               const std::string& x_lo, const std::string& x_hi,
-               const std::string& y_lo, const std::string& y_hi) {
+               const std::vector<Rect>& rects, char hoist = 0) {
+  const bool table = rects.size() > 1;
+  // The bounds the loops read: the rectangle, or the table's row r.
+  const Rect bounds = table ? Rect{"rect[r][0]", "rect[r][1]", "rect[r][2]",
+                                   "rect[r][3]"}
+                            : rects[0];
+  const std::string pad = table ? "      " : "    ";
   os << "  { // " << label << "\n";
-  os << "    int ys = " << y_lo << " > y_begin ? " << y_lo
+  if (table) {
+    os << "    const int rect[" << rects.size()
+       << "][4] = { // {x_lo, x_hi, y_lo, y_hi}\n";
+    for (const Rect& each : rects) {
+      os << "      {" << each.x_lo << ", " << each.x_hi << ", " << each.y_lo
+         << ", " << each.y_hi << "},\n";
+    }
+    os << "    };\n";
+    os << "    for (int r = 0; r < " << rects.size() << "; ++r) {\n";
+  }
+  os << pad << "int ys = " << bounds.y_lo << " > y_begin ? " << bounds.y_lo
      << " : y_begin;\n";
-  os << "    int ye = " << y_hi << " < y_end ? " << y_hi << " : y_end;\n";
-  os << "    for (int gy = ys; gy < ye; ++gy) {\n";
-  os << "      for (int gx = " << x_lo << "; gx < " << x_hi << "; ++gx) {\n";
+  os << pad << "int ye = " << bounds.y_hi << " < y_end ? " << bounds.y_hi
+     << " : y_end;\n";
+  const std::string rows = "for (int gy = ys; gy < ye; ++gy) {\n";
+  const std::string columns = "for (int gx = " + bounds.x_lo + "; gx < " +
+                              bounds.x_hi + "; ++gx) {\n";
+  const bool by_column = hoist == 'x';
+  std::ostringstream outer;
   std::ostringstream body;
+  const Hoist hoisted{hoist, &outer, pad + "  "};
   const std::string result =
-      emit_dag(body, spec, opt, kHostDialect, sides, "        ");
+      emit_dag(body, spec, opt, kHostDialect, sides, pad + "    ", nullptr,
+               hoist == 0 ? nullptr : &hoisted);
+  os << pad << (by_column ? columns : rows);
+  os << outer.str();
+  os << pad << "  " << (by_column ? rows : columns);
   os << body.str();
-  os << "        out[gy * pitch_out + gx] = " << result << ";\n";
-  os << "      }\n";
-  os << "    }\n";
+  os << pad << "    out[gy * pitch_out + gx] = " << result << ";\n";
+  os << pad << "  }\n";
+  os << pad << "}\n";
+  if (table) os << "    }\n";
   os << "  }\n";
 }
 
@@ -112,84 +145,39 @@ std::string emit_cpp(const StencilSpec& spec, const CodegenOptions& opt) {
   }
 
   if (!isp) {
-    emit_loop(os, spec, opt, kAllSides, "naive: all checks everywhere", "0",
-              "sx", "0", "sy");
+    emit_loop(os, spec, opt, kAllSides, "naive: all checks everywhere",
+              {{"0", "sx", "0", "sy"}});
     os << "}\n";
     return os.str();
   }
 
   os << "  const int rx = " << w.radius_x() << ", ry = " << w.radius_y()
      << ";\n";
-  os << "  if (sx < 2 * rx || sy < 2 * ry) {\n";
-  // Degenerate partition (opposing sides would overlap): serve the
-  // all-checks loop, as launch_on_sim's naive fallback does.
-  {
-    std::ostringstream inner;
-    emit_loop(inner, spec, opt, kAllSides, "degenerate: all checks", "0",
-              "sx", "0", "sy");
-    std::istringstream lines(inner.str());
-    std::string line;
-    while (std::getline(lines, line)) os << "  " << line << "\n";
-  }
-  os << "    return;\n";
-  os << "  }\n";
-  os << "  // pixel-granular ISP bounds (paper Eq. (1), CPU flavor)\n";
+  os << "  // pixel-granular ISP bounds (paper Eq. (1), CPU flavor); under\n";
+  os << "  // twice the radius the Body is empty and Rows and Rim cover all\n";
   os << "  const int bx0 = rx < sx ? rx : sx;\n";
   os << "  const int bx1 = sx - rx > bx0 ? sx - rx : bx0;\n";
   os << "  const int by0 = ry < sy ? ry : sy;\n";
   os << "  const int by1 = sy - ry > by0 ? sy - ry : by0;\n";
-
-  // Region -> (x interval, y interval), intervals indexed 0:[0,b_0),
-  // 1:[b_0,b_1), 2:[b_1,s).
-  const auto interval = [](int which, const char* axis) {
-    const std::string b0 = std::string("b") + axis + "0";
-    const std::string b1 = std::string("b") + axis + "1";
-    const std::string s = std::string("s") + axis;
-    switch (which) {
-      case 0:
-        return std::pair<std::string, std::string>{"0", b0};
-      case 1:
-        return std::pair<std::string, std::string>{b0, b1};
-      default:
-        return std::pair<std::string, std::string>{b1, s};
-    }
-  };
-  const auto slot = [](Region r) -> std::pair<int, int> {  // (x, y)
-    switch (r) {
-      case Region::kTL:
-        return {0, 0};
-      case Region::kT:
-        return {1, 0};
-      case Region::kTR:
-        return {2, 0};
-      case Region::kL:
-        return {0, 1};
-      case Region::kBody:
-        return {1, 1};
-      case Region::kR:
-        return {2, 1};
-      case Region::kBL:
-        return {0, 2};
-      case Region::kB:
-        return {1, 2};
-      case Region::kBR:
-        return {2, 2};
-    }
-    return {1, 1};
-  };
-  const bool staged = opt.variant == Variant::kIspTiled &&
-                      (w.radius_x() > 0 || w.radius_y() > 0);
-  for (Region r : kAllRegions) {
-    if (r == Region::kBody && staged) {
-      emit_tiled_body(os, spec, opt, w.radius_x(), w.radius_y());
-      continue;
-    }
-    const auto [xs, ys] = slot(r);
-    const auto [x_lo, x_hi] = interval(xs, "x");
-    const auto [y_lo, y_hi] = interval(ys, "y");
-    emit_loop(os, spec, opt, region_sides(r), to_string(r), x_lo, x_hi, y_lo,
-              y_hi);
+  if (opt.variant == Variant::kIspTiled &&
+      (w.radius_x() > 0 || w.radius_y() > 0)) {
+    emit_tiled_body(os, spec, opt, w.radius_x(), w.radius_y());
+  } else {
+    emit_loop(os, spec, opt, Side::kNone, "Body: no checks",
+              {{"bx0", "bx1", "by0", "by1"}});
   }
+  // The Rows vectorize along x once their y checks leave the x loop. Repeat
+  // keeps its remaps per pixel: they are while loops, and hoisted they made
+  // GCC take 44 s instead of 17.5 s over bilateral13's TU.
+  const bool hoist = opt.pattern != BorderPattern::kRepeat;
+  emit_loop(os, spec, opt, Side::kTop | Side::kBottom,
+            "Rows: top and bottom strips, y checks only",
+            {{"bx0", "bx1", "0", "by0"}, {"bx0", "bx1", "by1", "sy"}},
+            hoist ? 'y' : 0);
+  emit_loop(os, spec, opt, kAllSides,
+            "Rim: left and right columns, all checks",
+            {{"0", "bx0", "0", "sy"}, {"bx1", "sx", "0", "sy"}},
+            hoist ? 'x' : 0);
   os << "}\n";
   return os.str();
 }

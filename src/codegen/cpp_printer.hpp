@@ -12,16 +12,16 @@
 // the output alias an input, and without the promise the compiler cannot
 // vectorize the guard-free Body loop.
 //
-// Region/guard structure: the ISP variants keep the paper's 9-way
-// partition, but at pixel granularity and computed inside the emitted
-// function (the radii are compile-time constants of the TU) instead of via
-// block-index bounds — on a CPU there are no threadblocks, the partition
-// exists purely so the Body loop nest carries no border guards. kIspWarp
-// lowers identically to kIsp (warp refinement is meaningless without
-// warps); kNaive emits the single all-checks loop. Degenerate geometry
-// (image smaller than twice the radius) is handled by an all-checks
-// fallback loop at the top of the ISP function, mirroring
-// dsl::launch_on_sim's degenerate naive fallback.
+// Region/guard structure: on a CPU only the guard-free Body pays for the
+// paper's partition (it is the loop that vectorizes), so an ISP TU holds
+// three DAG copies over a pixel-granular partition computed from the TU's
+// compile-time radii: the Body [rx, sx-rx) x [ry, sy-ry), no checks
+// (kIspTiled stages it through a local tile); the Rows, the top and bottom
+// strips over the Body's columns, y checks (once per row but for Repeat);
+// the Rim, the left and right columns, all checks. An image under twice
+// the radius gets an empty Body, and the Rows and Rim cover it. kIspWarp
+// lowers as kIsp; kNaive is one all-checks loop. The CUDA printer keeps
+// all nine regions.
 //
 // ABI of the emitted entry point (see cpp_kernel_symbol):
 //

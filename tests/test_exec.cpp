@@ -153,6 +153,30 @@ TEST(CppPrinter, EmitsExternCEntryAndCanonicalSymbol) {
   EXPECT_NE(tiled_src.find("extern \"C\" void " + tiled_sym), std::string::npos)
       << tiled_src;
   EXPECT_NE(tiled_src.find("tile["), std::string::npos) << tiled_src;
+
+  // One copy of the DAG per check set: the naive TU holds one, an ISP TU
+  // three (the unchecked Body, the top and bottom rows with y checks, the
+  // left and right rim with all checks), and the Body copy remaps nothing.
+  const auto copies = [](const std::string& text) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find("out[gy * pitch_out + gx] =");
+         at != std::string::npos;
+         at = text.find("out[gy * pitch_out + gx] =", at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(copies(codegen::emit_cpp(spec, naive)), 1u);
+  for (const std::string& text : {src, tiled_src}) {
+    EXPECT_EQ(copies(text), 3u) << text;
+    const std::size_t body = text.find("{ // Body");
+    const std::size_t rows = text.find("{ // Rows");
+    ASSERT_NE(body, std::string::npos) << text;
+    ASSERT_LT(body, rows) << text;
+    const std::string body_text = text.substr(body, rows - body);
+    EXPECT_EQ(body_text.find("if ("), std::string::npos) << body_text;
+    EXPECT_EQ(body_text.find("while ("), std::string::npos) << body_text;
+  }
 }
 
 // The TU is self-contained (no header parse on every JIT run), and every
@@ -794,8 +818,9 @@ TEST(ExecutorNative, DegenerateGeometryServesAllChecksNaive) {
   pipeline::KernelCache cache;
   cache.set_jit(fast_jit(dir));
   // bilateral13 has radius 6: an 8x8 image is smaller than twice the radius,
-  // the partition would overlap, and the emitted degenerate branch serves
-  // the all-checks loop — same contract as launch_on_sim's naive fallback.
+  // so the partition would overlap. The ISP module's Body comes out empty
+  // and its all-checks rim covers the image; the stage reports naive, as
+  // launch_on_sim's naive fallback does.
   const filters::MultiKernelApp app = filters::make_bilateral_app();
   const pipeline::KernelGraph graph = pipeline::build_graph(app);
   const Image<f32> source = make_noise_image({8, 8}, 3);

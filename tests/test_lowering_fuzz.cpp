@@ -4,8 +4,10 @@
 // (non-square, sparse taps), 1-3 inputs, and DAGs over every NodeKind. Each
 // spec runs under every border pattern and the naive, isp and isp-tiled
 // variants on a few awkward geometries: 1xN and Nx1 strips, an image
-// smaller than the window, and sizes one off a tile_block multiple. Three
-// engines must agree bit for bit (NaN compared by NaN-ness only):
+// smaller than the window, an image of twice the radius (empty Body) and
+// one of twice the radius plus one (one-pixel Body), and sizes one off a
+// tile_block multiple. Three engines must agree bit for bit (NaN compared
+// by NaN-ness only):
 //   - dsl::run_reference, the CPU oracle built on border/border.cpp;
 //   - the native JIT (emit_cpp -> jit_compile -> run_native_module), and
 //     the module called once per band of a seeded random row split, which
@@ -179,10 +181,18 @@ struct Target {
   std::optional<f32> border_constant = std::nullopt;
 };
 
+/// The two sizes at the edge of the ISP partition for radii (rx, ry):
+/// twice the radius, where the Body is empty and the left and right rim
+/// columns touch, and one more, where the Body is one pixel.
+std::vector<Size2> partition_edge_sizes(i32 rx, i32 ry) {
+  return {{std::max(1, 2 * rx), std::max(1, 2 * ry)},
+          {2 * rx + 1, 2 * ry + 1}};
+}
+
 /// A random spec with its geometries: a 1xN and an Nx1 strip, an image
-/// smaller than the window (where the window is wider than one pixel), and
-/// a size one off a tile_block multiple on each axis. The 8x2 tile is a
-/// block of less than one warp.
+/// smaller than the window (where the window is wider than one pixel), the
+/// partition edge sizes, and a size one off a tile_block multiple on each
+/// axis. The 8x2 tile is a block of less than one warp.
 Target random_target(u64 seed) {
   Target t{random_spec(seed), {}, {}, seed};
   Rng rng(seed ^ 0x5bd1e995ull);
@@ -192,6 +202,10 @@ Target random_target(u64 seed) {
   t.sizes = {{1, rng.uniform_i32(1, 40)}, {rng.uniform_i32(2, 40), 1}};
   if (w.m > 1 || w.n > 1) {
     t.sizes.push_back({rng.uniform_i32(1, w.m), rng.uniform_i32(1, w.n)});
+  }
+  for (const Size2 size :
+       partition_edge_sizes(w.radius_x(), w.radius_y())) {
+    t.sizes.push_back(size);
   }
   t.sizes.push_back(
       {t.tile.tx * rng.uniform_i32(1, 2) + rng.uniform_i32(-1, 1),
@@ -486,7 +500,8 @@ TEST(LoweringFuzz, NativeInterpretedAndReferenceAgree) {
 // band by band with band-local intermediates. Every pattern x variant runs
 // at 1, 2, 3 and 16 bands and a seeded ragged count, on a 1xN strip, an Nx1
 // strip, a wide short image, an image shorter than the chain's summed y
-// radius and one taller than it, and must match dsl::run_reference applied
+// radius and one taller than it, and the partition edge sizes of the
+// stages' largest radii, and must match dsl::run_reference applied
 // stage by stage bit for bit. ISP chains also run in 2 bands on an image so
 // wide that a strip of exec::kChainStripPx pixels is two rows, so the
 // intermediates' windows slide down each band. Stage windows include zero radii on one axis,
@@ -538,11 +553,15 @@ ChainTarget random_chain(u64 seed) {
   const i32 n = rng.uniform_i32(2, 5);
   const i32 flat = rng.uniform_i32(0, n - 1);
   i32 reach = 0;
+  i32 max_rx = 0;
+  i32 max_ry = 0;
   for (i32 k = 0; k < n; ++k) {
     i32 rx = rng.uniform_i32(0, 3);
     i32 ry = rng.uniform_i32(0, 4);
     if (k == flat) (rng.bernoulli(0.5f) ? rx : ry) = 0;
     reach += ry;
+    max_rx = std::max(max_rx, rx);
+    max_ry = std::max(max_ry, ry);
     t.stages.push_back(random_chain_stage(
         rng, "chain" + std::to_string(seed) + "_" + std::to_string(k), rx,
         ry));
@@ -552,6 +571,9 @@ ChainTarget random_chain(u64 seed) {
              {rng.uniform_i32(40, 90), rng.uniform_i32(2, 6)},
              {rng.uniform_i32(3, 20), std::max(1, reach - 1)},
              {rng.uniform_i32(9, 40), rng.uniform_i32(reach + 3, 60)}};
+  for (const Size2 size : partition_edge_sizes(max_rx, max_ry)) {
+    t.sizes.push_back(size);
+  }
   t.wide = {rng.uniform_i32(11000, 11500), rng.uniform_i32(reach + 6, reach + 9)};
   t.ragged_bands = rng.uniform_i32(4, 13);
   return t;
