@@ -22,6 +22,13 @@ class IoError : public std::runtime_error {
   explicit IoError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Thrown by a stop check once the running request's deadline has passed
+/// (common/stop.hpp): the request was cut, nothing failed.
+class DeadlineExceeded : public std::runtime_error {
+ public:
+  DeadlineExceeded() : std::runtime_error("deadline passed: request cut") {}
+};
+
 /// Thrown when a generated IR program fails verification.
 class VerifyError : public std::logic_error {
  public:

@@ -31,12 +31,9 @@ CompiledKernel compile_kernel(const codegen::StencilSpec& spec,
   return k;
 }
 
-namespace {
-
-void validate_geometry(const codegen::StencilSpec& spec,
-                       BorderPattern pattern,
-                       std::span<const Image<f32>* const> inputs,
-                       Size2 out_size) {
+void validate_inputs(const codegen::StencilSpec& spec,
+                     std::span<const Image<f32>* const> inputs,
+                     Size2 out_size) {
   ISPB_EXPECTS(static_cast<i32>(inputs.size()) == spec.num_inputs);
   for (const Image<f32>* img : inputs) {
     ISPB_EXPECTS(img != nullptr);
@@ -45,6 +42,10 @@ void validate_geometry(const codegen::StencilSpec& spec,
                           spec.name + "'");
     }
   }
+}
+
+void validate_window(const codegen::StencilSpec& spec, BorderPattern pattern,
+                     Size2 out_size) {
   const Window w = spec.window();
   if (pattern == BorderPattern::kMirror &&
       (w.radius_x() > out_size.x || w.radius_y() > out_size.y)) {
@@ -55,8 +56,6 @@ void validate_geometry(const codegen::StencilSpec& spec,
         std::to_string(out_size.x) + "x" + std::to_string(out_size.y));
   }
 }
-
-}  // namespace
 
 sim::ParamMap build_params(const ir::Program& prog, Size2 image,
                            std::span<const Image<f32>* const> inputs,
@@ -105,8 +104,8 @@ sim::ParamMap build_params(const ir::Program& prog, Size2 image,
 SimRun launch_on_sim(const sim::DeviceSpec& dev, const CompiledKernel& kernel,
                      std::span<const Image<f32>* const> inputs,
                      Image<f32>& output, BlockSize block, bool sampled) {
-  validate_geometry(kernel.spec, kernel.options.pattern, inputs,
-                    output.size());
+  validate_inputs(kernel.spec, inputs, output.size());
+  validate_window(kernel.spec, kernel.options.pattern, output.size());
   resilience::fault_point("launcher.launch", kernel.program.name);
   const Size2 image = output.size();
   const Window window = kernel.spec.window();
@@ -184,7 +183,8 @@ PerRegionRun launch_per_region(const sim::DeviceSpec& dev,
                                const codegen::CodegenOptions& options,
                                std::span<const Image<f32>* const> inputs,
                                Image<f32>& output, BlockSize block) {
-  validate_geometry(spec, options.pattern, inputs, output.size());
+  validate_inputs(spec, inputs, output.size());
+  validate_window(spec, options.pattern, output.size());
   const Size2 image = output.size();
   const Window window = spec.window();
   const GridDims grid = make_grid(image, block);
@@ -258,7 +258,8 @@ Image<f32> run_reference(const codegen::StencilSpec& spec,
                          std::span<const Image<f32>* const> inputs) {
   spec.validate();
   ISPB_EXPECTS(!inputs.empty());
-  validate_geometry(spec, pattern, inputs, inputs[0]->size());
+  validate_inputs(spec, inputs, inputs[0]->size());
+  validate_window(spec, pattern, inputs[0]->size());
   const Size2 size = inputs[0]->size();
 
   Image<f32> out(size);
@@ -279,7 +280,8 @@ Image<f32> run_reference_partitioned(const codegen::StencilSpec& spec,
                                      std::span<const Image<f32>* const> inputs) {
   spec.validate();
   ISPB_EXPECTS(!inputs.empty());
-  validate_geometry(spec, pattern, inputs, inputs[0]->size());
+  validate_inputs(spec, inputs, inputs[0]->size());
+  validate_window(spec, pattern, inputs[0]->size());
   const Size2 size = inputs[0]->size();
   const Window window = spec.window();
 

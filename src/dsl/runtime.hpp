@@ -23,6 +23,17 @@ struct CompiledKernel {
 [[nodiscard]] CompiledKernel compile_kernel(const codegen::StencilSpec& spec,
                                             const codegen::CodegenOptions& options);
 
+/// The geometry contract every engine enforces, in two halves so a caller
+/// whose inputs are not whole images (a native chain's band-local scratch)
+/// can check the window alone. validate_inputs: one image per spec input,
+/// each of `out_size`. validate_window: Mirror needs the window radius to
+/// fit the image (single reflection). Both throw ContractError.
+void validate_inputs(const codegen::StencilSpec& spec,
+                     std::span<const Image<f32>* const> inputs,
+                     Size2 out_size);
+void validate_window(const codegen::StencilSpec& spec, BorderPattern pattern,
+                     Size2 out_size);
+
 /// Outcome of a simulated launch.
 struct SimRun {
   sim::LaunchStats stats;

@@ -8,47 +8,13 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/stop.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/kernel_cache.hpp"
 
 namespace ispb::exec {
-
-namespace {
-
-/// Same geometry contract as dsl::launch_on_sim (validate_geometry): the
-/// native path must reject exactly what the interpreted path rejects, so a
-/// backend switch can never turn a ContractError into silent corruption.
-/// Split in two because a chain's later stages read band-local scratch, not
-/// images: the executor checks their window against the run's size only.
-void validate_inputs(const codegen::StencilSpec& spec,
-                     std::span<const Image<f32>* const> inputs,
-                     Size2 out_size) {
-  ISPB_EXPECTS(static_cast<i32>(inputs.size()) == spec.num_inputs);
-  for (const Image<f32>* img : inputs) {
-    ISPB_EXPECTS(img != nullptr);
-    if (img->size() != out_size) {
-      throw ContractError("input/output size mismatch in kernel '" +
-                          spec.name + "'");
-    }
-  }
-}
-
-void validate_window(const codegen::StencilSpec& spec, BorderPattern pattern,
-                     Size2 out_size) {
-  const Window w = spec.window();
-  if (pattern == BorderPattern::kMirror &&
-      (w.radius_x() > out_size.x || w.radius_y() > out_size.y)) {
-    throw ContractError(
-        "Mirror border handling requires the window radius to fit the image "
-        "(single reflection); got window " +
-        std::to_string(w.m) + "x" + std::to_string(w.n) + " on image " +
-        std::to_string(out_size.x) + "x" + std::to_string(out_size.y));
-  }
-}
-
-}  // namespace
 
 std::string_view to_string(Backend b) {
   return b == Backend::kNative ? "native" : "interp";
@@ -141,6 +107,8 @@ f64 run_native_chain(std::span<const NativeModule* const> modules,
   // edge, chain as one band.
   const i32 chain_strip =
       static_cast<i32>(std::max<i64>(1, kChainStripPx / sx));
+  // The bands run on pool threads, which carry no stop time of their own.
+  const StopClock::time_point stop = stop_time();
 
   const auto run_band = [&](i32 y0, i32 y1) {
     const i32 strip_rows =
@@ -189,6 +157,7 @@ f64 run_native_chain(std::span<const NativeModule* const> modules,
     std::vector<const float*> shifted(in_ptrs.size());
     const float* mid_in = nullptr;
     for (i32 y = y0; y < y1;) {
+      check_stop(stop);  // parallel_for rethrows the cut
       y = std::min(y1, y + strip_rows);
       for (std::size_t k = 0; k <= last; ++k) {
         Stage& st = stages[k];
@@ -275,7 +244,7 @@ f64 run_native_module(const NativeModule& module,
 NativeLaunch NativeBackend::prepare(const codegen::StencilSpec& spec,
                                     const codegen::CodegenOptions& options,
                                     const sim::DeviceSpec& device, Size2 size) {
-  validate_window(spec, options.pattern, size);
+  dsl::validate_window(spec, options.pattern, size);
   NativeLaunch launch;
   if (cache_ != nullptr) {
     launch.module = cache_->get_or_compile_native(spec, options, device.name);
@@ -300,7 +269,7 @@ BackendRun NativeBackend::run(const codegen::StencilSpec& spec,
                               std::span<const Image<f32>* const> inputs,
                               Image<f32>& output, BlockSize /*block*/,
                               bool /*sampled*/) {
-  validate_inputs(spec, inputs, output.size());
+  dsl::validate_inputs(spec, inputs, output.size());
   NativeLaunch launch = prepare(spec, options, device, output.size());
 
   obs::ScopedSpan span("exec.native.run", "sim");

@@ -166,6 +166,9 @@ inline constexpr i64 kChainStripPx = 32 * 1024;
 /// remapped rows of clamp, mirror and constant stay inside the band;
 /// repeat wraps to the opposite edge, so a chain of two or more stages
 /// under repeat must run as one band (pipeline::KernelGraph::chains).
+///
+/// Every band checks the calling thread's stop time (common/stop.hpp)
+/// before each strip and throws DeadlineExceeded once it passed.
 f64 run_native_chain(std::span<const NativeModule* const> modules,
                      std::span<const Image<f32>* const> inputs,
                      Image<f32>& output);

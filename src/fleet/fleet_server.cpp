@@ -9,6 +9,7 @@
 #endif
 
 #include "common/error.hpp"
+#include "common/stop.hpp"
 #include "core/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -61,50 +62,6 @@ ServeStatus serve_status(FleetStatus status) {
       break;
   }
   return ServeStatus::kError;
-}
-
-/// Runs one request to a ServeResponse (kOk or kError) and aggregates the
-/// per-stage resilience outcome: attempts beyond the first into `retries`,
-/// whether any stage was served by the breaker's naive fallback, and the
-/// variant that reached the caller (kNaive if *any* stage degraded to it —
-/// the conservative answer to "what quality of service did I get").
-void run_request(const pipeline::PipelineExecutor& executor,
-                 const pipeline::ServeRequest& request, ServeResponse& response,
-                 u64& retries) {
-  try {
-    obs::ScopedSpan span("pipeline.server.request", "pipeline");
-    span.arg("graph", request.graph->name);
-    resilience::fault_point("server.exec", request.graph->name);
-    pipeline::ExecutorResult result = executor.run(
-        *request.graph, *request.source, request.backend, request.variant);
-    response.sim_time_ms = result.total_time_ms;
-    codegen::Variant variant = result.stages.empty()
-                                   ? codegen::Variant::kNaive
-                                   : result.stages.back().variant_used;
-    exec::Backend backend_used = result.stages.empty()
-                                     ? exec::Backend::kInterpreted
-                                     : result.stages.back().backend_used;
-    for (const pipeline::ExecutorResult::Stage& stage : result.stages) {
-      retries += stage.attempts > 0 ? stage.attempts - 1 : 0;
-      response.served_by_fallback |= stage.served_by_fallback;
-      response.backend_fallback |= stage.backend_fallback;
-      if (stage.variant_used == codegen::Variant::kNaive) {
-        variant = codegen::Variant::kNaive;
-      }
-      if (stage.backend_used == exec::Backend::kInterpreted) {
-        backend_used = exec::Backend::kInterpreted;
-      }
-    }
-    response.variant_used = variant;
-    response.backend_used = backend_used;
-    response.output = std::move(result.output);
-  } catch (const std::exception& e) {
-    response.status = ServeStatus::kError;
-    response.error = e.what();
-  } catch (...) {
-    response.status = ServeStatus::kError;
-    response.error = "unknown execution error";
-  }
 }
 
 }  // namespace
@@ -168,7 +125,7 @@ FleetServer::FleetServer(FleetConfig config)
 FleetServer::~FleetServer() { shutdown(); }
 
 std::future<FleetResponse> FleetServer::submit(FleetRequest request) {
-  auto item = std::make_shared<Item>();
+  auto item = std::make_unique<Item>();
   item->request = std::move(request);
   std::future<FleetResponse> future =
       std::get<std::promise<FleetResponse>>(item->promise).get_future();
@@ -178,7 +135,7 @@ std::future<FleetResponse> FleetServer::submit(FleetRequest request) {
 
 std::future<ServeResponse> FleetServer::submit_serve(
     pipeline::ServeRequest request) {
-  auto item = std::make_shared<Item>();
+  auto item = std::make_unique<Item>();
   static_cast<pipeline::ServeRequest&>(item->request) = std::move(request);
   std::future<ServeResponse> future =
       item->promise.emplace<std::promise<ServeResponse>>().get_future();
@@ -194,6 +151,8 @@ void FleetServer::admit(ItemPtr item) {
   FleetStatus refused = FleetStatus::kOk;  // kOk: enqueued
   std::string why;
   bool wake = false;
+  // Read before the queue takes the item: a worker may settle it at once.
+  const bool has_deadline = item->has_deadline();
   {
     std::lock_guard lock(mu_);
     ++stats_.submitted;
@@ -231,7 +190,7 @@ void FleetServer::admit(ItemPtr item) {
             item->submitted_ns = obs::TraceSession::now_ns();
           }
           inflight_.fetch_add(1, std::memory_order_relaxed);
-          queue_.push_back(item);
+          queue_.push_back(std::move(item));
           queued_ = queue_.size();
           // A spinning worker takes the request without a wake-up; only
           // requests beyond the spinners need a parked worker.
@@ -246,7 +205,7 @@ void FleetServer::admit(ItemPtr item) {
   }
   if (wake) work_cv_.notify_one();
   // The sweeper may need to wake earlier than it planned to.
-  if (item->has_deadline()) sweeper_cv_.notify_one();
+  if (has_deadline) sweeper_cv_.notify_one();
 }
 
 void FleetServer::worker_loop() {
@@ -273,7 +232,7 @@ void FleetServer::worker_loop() {
       queued_ = queue_.size();
       if (warm) ++stats_.warm_pickups;
     }
-    process(item);
+    process(*item);
     spun = spin_for_work();
   }
 }
@@ -340,8 +299,7 @@ void FleetServer::sweeper_loop() {
   }
 }
 
-void FleetServer::process(const ItemPtr& item) {
-  Item& it = *item;
+void FleetServer::process(Item& it) {
   it.dequeued_at = Clock::now();
   if (it.request_id != 0) {
     obs::record_span("pipeline.server.queue_wait", "pipeline",
@@ -387,7 +345,7 @@ void FleetServer::process(const ItemPtr& item) {
     }
 
     shard.running.fetch_add(1, std::memory_order_relaxed);
-    Attempt attempt = execute(shard, item);
+    Attempt attempt = execute(shard, it);
     shard.running.fetch_sub(1, std::memory_order_relaxed);
     const ServeStatus status = attempt.response.status;
     {
@@ -402,7 +360,7 @@ void FleetServer::process(const ItemPtr& item) {
           attempt.response.backend_fallback) {
         ++d.fallbacks;
       }
-      if (attempt.watchdog_cut) ++d.watchdog_expired;
+      if (status == ServeStatus::kDeadlineExpired) ++d.watchdog_expired;
       if (status == ServeStatus::kOk) ++d.completed;
       if (status == ServeStatus::kError) {
         ++d.errors;
@@ -420,9 +378,9 @@ void FleetServer::process(const ItemPtr& item) {
       last_error = std::move(attempt.response.error);
       continue;
     }
-    // kDeadlineExpired, cut by the watchdog; terminal. A probe that timed
-    // out did not prove health — re-open so the slot is not leaked.
-    if (probe) shard.breaker.record_failure();
+    // kDeadlineExpired, cut at a stop check; terminal. A cut says nothing
+    // about the device: a probe only hands back its slot.
+    if (probe) shard.breaker.release();
     if (obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
         reg != nullptr) {
       reg->add("resilience.watchdog.expired", 1.0);
@@ -504,80 +462,51 @@ std::size_t FleetServer::place(const Item& item, u64 tried, bool& probe,
   }
 }
 
-FleetServer::Attempt FleetServer::execute(Shard& shard, const ItemPtr& item) {
-  // The request's spans (executor, cache fills, launches, retries) hang off
-  // its root span; carried explicitly onto the execution-watchdog thread.
-  const obs::TraceContext trace_ctx{item->request_id, item->root_span_id};
+FleetServer::Attempt FleetServer::execute(Shard& shard, const Item& item) {
+  // The request's spans hang off its root span, and its deadline is the
+  // stop every check compares with; the executor carries both onto its
+  // pool tasks.
+  const obs::TraceContext::Scope trace_scope(
+      {item.request_id, item.root_span_id});
+  const StopScope stop_scope(item.has_deadline() ? item.deadline_at()
+                                                 : kNoStop);
   Attempt attempt;
-  if (!item->has_deadline()) {
-    obs::TraceContext::Scope trace_scope(trace_ctx);
-    run_request(shard.executor, item->request, attempt.response,
-                attempt.retries);
-    return attempt;
-  }
-
-  // Execution watchdog: run the request on a dedicated thread and wait only
-  // until the deadline. On overrun the stage is detached (it finishes in
-  // the background against the shared item and shard, and its result is
-  // discarded) so this worker is freed immediately.
-  struct ExecSlot {
-    std::mutex mu;
-    bool finished = false;
-    bool orphaned = false;
-    std::promise<void> done;
-    Attempt attempt;
-  };
-  auto slot = std::make_shared<ExecSlot>();
-  std::future<void> done = slot->done.get_future();
-  std::thread exec_thread([this, &shard, slot, item, trace_ctx] {
-    obs::TraceContext::Scope trace_scope(trace_ctx);
-    Attempt result;
-    run_request(shard.executor, item->request, result.response,
-                result.retries);
-    bool orphaned = false;
-    {
-      std::lock_guard lk(slot->mu);
-      slot->finished = true;
-      orphaned = slot->orphaned;
-      slot->attempt = std::move(result);
-    }
-    slot->done.set_value();
-    if (orphaned) {
-      std::lock_guard ol(orphan_mu_);
-      --shard.orphans;
-      orphan_cv_.notify_all();
-    }
-  });
-
-  if (done.wait_until(item->deadline_at()) != std::future_status::ready) {
-    // Pre-register the orphan before marking the slot so the execution
-    // thread can never decrement a count we have not incremented yet.
-    {
-      std::lock_guard ol(orphan_mu_);
-      ++shard.orphans;
-    }
-    bool orphaned = false;
-    {
-      std::lock_guard lk(slot->mu);
-      if (!slot->finished) {
-        slot->orphaned = true;
-        orphaned = true;
+  ServeResponse& response = attempt.response;
+  try {
+    obs::ScopedSpan span("pipeline.server.request", "pipeline");
+    span.arg("graph", item.request.graph->name);
+    resilience::fault_point("server.exec", item.request.graph->name);
+    pipeline::ExecutorResult result =
+        shard.executor.run(*item.request.graph, *item.request.source,
+                           item.request.backend, item.request.variant);
+    // The variant and engine that reached the caller: kNaive/kInterpreted
+    // if *any* stage degraded to it (a graph has at least one stage).
+    response.sim_time_ms = result.total_time_ms;
+    response.variant_used = result.stages.back().variant_used;
+    response.backend_used = result.stages.back().backend_used;
+    for (const pipeline::ExecutorResult::Stage& stage : result.stages) {
+      attempt.retries += stage.attempts > 0 ? stage.attempts - 1 : 0;
+      response.served_by_fallback |= stage.served_by_fallback;
+      response.backend_fallback |= stage.backend_fallback;
+      if (stage.variant_used == codegen::Variant::kNaive) {
+        response.variant_used = codegen::Variant::kNaive;
+      }
+      if (stage.backend_used == exec::Backend::kInterpreted) {
+        response.backend_used = exec::Backend::kInterpreted;
       }
     }
-    if (orphaned) {
-      exec_thread.detach();
-      attempt.watchdog_cut = true;
-      attempt.response.status = ServeStatus::kDeadlineExpired;
-      attempt.response.error =
-          "watchdog: execution exceeded the remaining deadline budget";
-      return attempt;
-    }
-    // Finished in the window between wait_until and the orphan check.
-    std::lock_guard ol(orphan_mu_);
-    --shard.orphans;
+    response.output = std::move(result.output);
+  } catch (const DeadlineExceeded& e) {  // the only kDeadlineExpired here
+    response.status = ServeStatus::kDeadlineExpired;
+    response.error = e.what();
+  } catch (const std::exception& e) {
+    response.status = ServeStatus::kError;
+    response.error = e.what();
+  } catch (...) {
+    response.status = ServeStatus::kError;
+    response.error = "unknown execution error";
   }
-  exec_thread.join();
-  return std::move(slot->attempt);
+  return attempt;
 }
 
 void FleetServer::settle(Item& item, FleetStatus status, ServeResponse serve,
@@ -738,13 +667,6 @@ void FleetServer::shutdown() {
     if (w.joinable()) w.join();
   }
   if (sweeper_.joinable()) sweeper_.join();
-  // Wait out watchdog-detached executions: they hold references to their
-  // shard's executor, so the fleet must not die under them.
-  std::unique_lock lock(orphan_mu_);
-  orphan_cv_.wait(lock, [this] {
-    return std::all_of(shards_.begin(), shards_.end(),
-                       [](const auto& s) { return s->orphans == 0; });
-  });
 }
 
 FleetStats FleetServer::stats() const {
@@ -783,15 +705,11 @@ resilience::HealthState FleetServer::shard_health(std::size_t index) const {
   const Shard& shard = *shards_[index];
   resilience::HealthState h;
   h.breakers = shard.breakers.snapshot();
-  {
-    std::lock_guard lock(mu_);
-    const FleetDeviceStats& d = stats_.devices[index];
-    h.retries = d.retries;
-    h.fallbacks_served = d.fallbacks;
-    h.watchdog_expired = d.watchdog_expired;
-  }
-  std::lock_guard lock(orphan_mu_);
-  h.orphaned_executions = shard.orphans;
+  std::lock_guard lock(mu_);
+  const FleetDeviceStats& d = stats_.devices[index];
+  h.retries = d.retries;
+  h.fallbacks_served = d.fallbacks;
+  h.watchdog_expired = d.watchdog_expired;
   return h;
 }
 

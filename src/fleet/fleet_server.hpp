@@ -28,10 +28,12 @@
 // Deadlines: deadline_ms covers the whole request, submit to settle. A
 // request that expires queued is settled kDeadlineExpired by the sweeper
 // (timely while paused and during the shutdown drain) or by the worker
-// that dequeues it, without executing. An execution that overruns the
-// deadline is cut by the execution watchdog: the stage is detached to
-// finish in the background (its result discarded), the worker is freed at
-// once, and shutdown() joins the detached execution.
+// that dequeues it, without executing. Every request runs inline on its
+// worker; execute() installs the deadline as the thread's stop time
+// (common/stop.hpp), and the executor cuts the run at its next check —
+// before each stage, per native strip, per simulated block — with
+// DeadlineExceeded. The worker settles the cut kDeadlineExpired itself
+// (counted in watchdog_expired); no kernel or device breaker records it.
 //
 // Failover: an execution that settles kError charges the device breaker (a
 // tripped breaker quarantines the device — no placements — until its
@@ -65,7 +67,7 @@
 // Every request resolves its future exactly once. shutdown() stops
 // accepting and drains the queue: each request runs (failing over as
 // needed) or expires on the worker or sweeper that holds it, so no future
-// is orphaned.
+// is left unsettled.
 #pragma once
 
 #include <atomic>
@@ -153,7 +155,7 @@ struct FleetDeviceStats {
   u64 inflight = 0;     ///< running on this device now
   u64 retries = 0;      ///< stage attempts beyond the first
   u64 fallbacks = 0;    ///< executions with any stage served by fallback
-  u64 watchdog_expired = 0;  ///< executions cut off by the watchdog
+  u64 watchdog_expired = 0;  ///< executions cut at a stop check
 };
 
 struct FleetTierStats {
@@ -210,8 +212,8 @@ class FleetServer {
   /// requests finish and the sweeper still expires queued ones. A no-op
   /// once shutdown() began (the drain runs the queue). Idempotent.
   void pause();
-  /// Stops accepting, drains the queue, joins the workers and the sweeper,
-  /// then waits for watchdog-detached executions. Idempotent.
+  /// Stops accepting, drains the queue, joins the workers and the sweeper.
+  /// Idempotent.
   void shutdown();
 
   [[nodiscard]] FleetStats stats() const;
@@ -222,8 +224,8 @@ class FleetServer {
   /// expired queued or between failovers) go to every device's window.
   [[nodiscard]] std::vector<std::pair<std::string, obs::SloSnapshot>>
   device_slo() const;
-  /// Device-internal health (kernel breakers, retries, fallbacks, watchdog
-  /// cuts, orphans) for invariants. queue_expired reads 0: a queued request
+  /// Device-internal health (kernel breakers, retries, fallbacks, cuts)
+  /// for invariants. queue_expired reads 0: a queued request
   /// belongs to no device (FleetStats::deadline_expired counts it).
   [[nodiscard]] resilience::HealthState shard_health(std::size_t index) const;
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
@@ -245,7 +247,6 @@ class FleetServer {
     resilience::CircuitBreaker breaker;  ///< device-level quarantine
     obs::SloWindow slo;                  ///< own lock
     std::atomic<u64> running{0};
-    u64 orphans = 0;  ///< watchdog-detached executions; under orphan_mu_
   };
   /// One admitted request. Driven by one thread at a time: the submitter,
   /// then the worker or sweeper that takes it off the queue.
@@ -275,12 +276,11 @@ class FleetServer {
                  std::chrono::duration<f64, std::milli>(request.deadline_ms));
     }
   };
-  using ItemPtr = std::shared_ptr<Item>;
+  using ItemPtr = std::unique_ptr<Item>;
   /// One execution on one device.
   struct Attempt {
     pipeline::ServeResponse response;  ///< kOk, kError or kDeadlineExpired
     u64 retries = 0;                   ///< stage attempts beyond the first
-    bool watchdog_cut = false;
   };
   static constexpr std::size_t kNoShard = ~std::size_t{0};
 
@@ -298,14 +298,14 @@ class FleetServer {
   [[nodiscard]] bool spin_for_work();
   void sweeper_loop();
   /// Places, runs and fails over one dequeued request until it settles.
-  void process(const ItemPtr& item);
+  void process(Item& it);
   /// The device for the next placement, or kNoShard with `why` set;
   /// `probe` marks a half-open probe. Skips devices in `tried`.
   [[nodiscard]] std::size_t place(const Item& item, u64 tried, bool& probe,
                                   std::string& why);
-  /// Runs the request on `shard`'s executor, under the execution watchdog
-  /// when it has a deadline.
-  [[nodiscard]] Attempt execute(Shard& shard, const ItemPtr& item);
+  /// Runs the request on `shard`'s executor on this thread, with its
+  /// deadline as the stop time.
+  [[nodiscard]] Attempt execute(Shard& shard, const Item& item);
   /// Accounts, publishes and resolves the future. `index` is the device
   /// of the terminal execution, or kNoShard.
   void settle(Item& item, FleetStatus status, pipeline::ServeResponse serve,
@@ -334,9 +334,6 @@ class FleetServer {
   std::unordered_map<std::string, f64> weights_;
   std::vector<std::thread> workers_;
   std::thread sweeper_;
-
-  mutable std::mutex orphan_mu_;  ///< Shard::orphans
-  std::condition_variable orphan_cv_;
 };
 
 }  // namespace ispb::fleet

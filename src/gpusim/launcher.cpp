@@ -1,9 +1,11 @@
 #include "gpusim/launcher.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <queue>
 
 #include "common/error.hpp"
+#include "common/stop.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -180,7 +182,15 @@ LaunchStats launch_grid_impl(const DeviceSpec& dev, const ir::Program& prog,
   std::vector<f64> block_cycles(static_cast<std::size_t>(total), 0.0);
   std::vector<WarpResult> block_stats(static_cast<std::size_t>(total));
 
+  // A cut (common/stop.hpp) skips the remaining blocks; the pool threads
+  // compare against the caller's stop time and raise the flag.
+  const StopClock::time_point stop = stop_time();
+  std::atomic<bool> cut{false};
   parallel_for(0, total, [&](i64 b) {
+    if (cut.load(std::memory_order_relaxed) || stop_reached(stop)) {
+      cut.store(true, std::memory_order_relaxed);
+      return;
+    }
     // Per-block span: records into the worker thread's own sink, so the
     // pool loop traces without contention; a no-op when tracing is off.
     obs::ScopedSpan block_span("sim.block", "sim");
@@ -191,6 +201,7 @@ LaunchStats launch_grid_impl(const DeviceSpec& dev, const ir::Program& prog,
     block_cycles[static_cast<std::size_t>(b)] = warp_cycles(dev, r);
     block_stats[static_cast<std::size_t>(b)] = r;
   });
+  if (cut.load(std::memory_order_relaxed)) throw DeadlineExceeded();
 
   LaunchStats stats;
   for (const WarpResult& r : block_stats) stats.warps += r;

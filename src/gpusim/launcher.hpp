@@ -63,7 +63,9 @@ using BlockClassFn = std::function<u32(i32 bx, i32 by)>;
 /// the complete kernel result afterwards. Blocks run in parallel on the host
 /// thread pool; they are independent by construction. A non-empty `classify`
 /// additionally fills LaunchStats::per_region (attribution only; the
-/// aggregate statistics are bit-identical with and without it).
+/// aggregate statistics are bit-identical with and without it). Each block
+/// first checks the caller's stop time (common/stop.hpp); once it passed
+/// the remaining blocks are skipped and DeadlineExceeded is thrown.
 LaunchStats launch_full(const DeviceSpec& dev, const ir::Program& prog,
                         const LaunchConfig& cfg, const ParamMap& params,
                         std::span<const ir::BufferBinding> buffers,

@@ -7,6 +7,7 @@
 #include <span>
 
 #include "common/error.hpp"
+#include "common/stop.hpp"
 #include "common/thread_pool.hpp"
 #include "dsl/compile.hpp"
 #include "obs/metrics.hpp"
@@ -188,6 +189,9 @@ ExecutorResult::Stage run_stage_interp_once(
     return s;
   } catch (const ContractError&) {
     throw;  // geometry/contract violations: the naive kernel cannot help
+  } catch (const DeadlineExceeded&) {
+    if (breaker != nullptr) breaker->release();  // a cut is no verdict
+    throw;
   } catch (...) {
     if (breaker == nullptr) throw;
     breaker->record_failure();
@@ -208,7 +212,8 @@ ExecutorResult::Stage run_stage_interp_once(
 /// already open — the stage is served by the full interpreted path
 /// instead, bit-identically, with the degradation visible in
 /// backend_used/backend_fallback. ContractErrors pass through untouched:
-/// bad geometry fails on every engine.
+/// bad geometry fails on every engine. Neither does a cut (DeadlineExceeded):
+/// it records nothing on a breaker and triggers no fallback.
 ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
                                      const ExecutorConfig& config,
                                      Slots slots,
@@ -244,6 +249,9 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
     return s;
   } catch (const ContractError&) {
     throw;
+  } catch (const DeadlineExceeded&) {
+    if (breaker != nullptr) breaker->release();
+    throw;
   } catch (...) {
     if (breaker == nullptr) throw;
     breaker->record_failure();
@@ -255,11 +263,13 @@ ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
 }
 
 /// Runs one stage under the retry policy and publishes resilience metrics.
+/// A request whose stop passed is cut here, before the stage starts.
 ExecutorResult::Stage run_stage(const KernelGraph::Stage& stage,
                                 const ExecutorConfig& config,
                                 Slots slots,
                                 Image<f32>& out, exec::Backend backend,
                                 ChainLaunch* chain = nullptr) {
+  check_stop();
   resilience::RetryOutcome outcome;
   ExecutorResult::Stage s;
   try {
@@ -475,14 +485,17 @@ ExecutorResult PipelineExecutor::run(
       }
     };
 
-    // Pool workers are fresh threads with empty trace contexts; carry the
-    // caller's (the request this run belongs to) onto each chain task so
-    // stage spans stay in the request's tree. Each task writes only its own
-    // chain's entries of result.stages.
+    // Pool workers are fresh threads with empty trace contexts and no stop
+    // time; carry the caller's (the request this run belongs to) onto each
+    // chain task so stage spans stay in the request's tree and a cut stops
+    // every chain. Each task writes only its own chain's entries of
+    // result.stages.
     const obs::TraceContext trace_ctx = obs::TraceContext::current();
-    submit_unit = [&, trace_ctx](i32 unit) {
-      pool.submit([&, trace_ctx, unit] {
+    const StopClock::time_point stop = stop_time();
+    submit_unit = [&, trace_ctx, stop](i32 unit) {
+      pool.submit([&, trace_ctx, stop, unit] {
         obs::TraceContext::Scope trace_scope(trace_ctx);
+        StopScope stop_scope(stop);
         const auto idx = static_cast<std::size_t>(unit);
         std::exception_ptr error;
         try {
@@ -514,6 +527,7 @@ ExecutorResult PipelineExecutor::run(
     if (first_error != nullptr) std::rethrow_exception(first_error);
   }
 
+  check_stop();  // an output that arrives past the stop is late: a cut
   for (const ExecutorResult::Stage& stage : result.stages) {
     result.total_time_ms += stage.stats.time_ms;
   }

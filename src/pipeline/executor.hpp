@@ -108,6 +108,10 @@ class PipelineExecutor {
   /// (per-request selection in the server); `variant` pins every stage to
   /// one variant with model selection disabled (fleet brownout serves
   /// kNaive this way).
+  /// Under a stop time (common/stop.hpp) it checks before each stage, per
+  /// native strip or full-launch block, and after the last stage, and
+  /// throws DeadlineExceeded at the first check past the stop: a cut that
+  /// is not retried, charges no breaker and takes no fallback.
   [[nodiscard]] ExecutorResult run(
       const KernelGraph& graph, const Image<f32>& source,
       std::optional<exec::Backend> backend = std::nullopt,

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/stop.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resilience/fault_injector.hpp"
@@ -19,6 +20,19 @@ namespace {
 /// models). Negative register demand can never come out of the compiler.
 bool is_poisoned(const KernelCache::KernelPtr& k) {
   return k == nullptr || k->regs_per_thread < 0;
+}
+
+/// A coalesced waiter's get(): waits at most until its own stop. The fill
+/// leader compiles with its stop cleared, so its cut can neither reach the
+/// other waiters as their error nor leave the key unfilled; a cold compile
+/// is therefore the one step a cut cannot stop.
+template <typename T>
+T await_fill(const std::shared_future<T>& future) {
+  if (stop_time() != kNoStop &&
+      future.wait_until(stop_time()) != std::future_status::ready) {
+    throw DeadlineExceeded();
+  }
+  return future.get();
 }
 
 constexpr u64 kFnvOffset = 14695981039346656037ull;
@@ -160,7 +174,7 @@ KernelCache::KernelPtr KernelCache::get_or_compile(
       publish_counters_locked();
       std::shared_future<KernelPtr> future = it->second.future;
       lock.unlock();
-      return future.get();
+      return await_fill(future);
     }
     ++stats_.misses;
     publish_counters_locked();
@@ -176,6 +190,7 @@ KernelCache::KernelPtr KernelCache::get_or_compile(
   KernelPtr kernel;
   resilience::RetryOutcome fill;
   try {
+    const StopScope unstopped(kNoStop);  // see await_fill
     obs::ScopedSpan span("pipeline.cache.compile", "compile");
     span.arg("key", key);
     kernel = resilience::retry_call(
@@ -261,7 +276,7 @@ exec::NativeModulePtr KernelCache::get_or_compile_native(
       publish_counters_locked();
       std::shared_future<exec::NativeModulePtr> future = it->second.future;
       lock.unlock();
-      return future.get();
+      return await_fill(future);
     }
     ++stats_.native_misses;
     publish_counters_locked();
@@ -290,6 +305,7 @@ exec::NativeModulePtr KernelCache::get_or_compile_native(
   exec::NativeModulePtr module;
   resilience::RetryOutcome fill;
   try {
+    const StopScope unstopped(kNoStop);  // see await_fill
     module = resilience::retry_call(
         retry, retry_clock,
         [&]() -> exec::NativeModulePtr {

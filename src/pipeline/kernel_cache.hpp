@@ -10,9 +10,12 @@
 //
 // Concurrency contract (single-flight): when several threads request the
 // same missing key at once, exactly one compiles while the rest block on a
-// shared future — a key is never compiled twice. Ready entries are returned
-// without blocking. Eviction is LRU over ready entries only; in-flight
-// compiles are never evicted (the map may transiently exceed capacity).
+// shared future — a key is never compiled twice. A waiter blocks at most
+// until its request's stop (common/stop.hpp), then is cut; the compiling
+// thread runs with its stop cleared, so its fill always completes. Ready
+// entries are returned without blocking. Eviction is LRU over ready entries
+// only; in-flight compiles are never evicted (the map may transiently
+// exceed capacity).
 //
 // Observability: each compile runs under a ScopedSpan ("pipeline.cache
 // .compile") and hit/miss/eviction counters plus a size gauge are published

@@ -79,8 +79,8 @@ obs::SloSnapshot PipelineServer::slo_snapshot() const {
 
 resilience::HealthState PipelineServer::health() const {
   resilience::HealthState h = fleet_->shard_health(0);
-  // Every other expiry happened in the queue. (Saturating: the watchdog
-  // count can lead the settled count while a cut request is settling.)
+  // Every other expiry happened in the queue. (Saturating: the cut count
+  // can lead the settled count while a cut request is settling.)
   const u64 expired = fleet_->stats().deadline_expired;
   h.queue_expired = expired > h.watchdog_expired ? expired - h.watchdog_expired
                                                  : 0;

@@ -4,35 +4,11 @@
 // over config.executor.sim.device, with the admission ladder turned off:
 // one tier that never browns out or rejects, and a device breaker that
 // never quarantines its only device. Everything else is the fleet's one
-// serving core:
-//
-//   - requests (a kernel graph + a source image) enter one bounded queue
-//     drained by `workers` threads; submit() never blocks, and a full
-//     queue or a shut-down server settles kRejected at once;
-//   - deadline_ms covers the whole request, submit to completion: a
-//     request that expires while queued is settled kDeadlineExpired by the
-//     deadline sweeper (timely while paused and during the shutdown drain)
-//     or by the dequeuing worker, without executing; an execution that
-//     overruns it is cut by the execution watchdog, which detaches the
-//     stage (its result discarded) so the worker is freed at once.
-//     Detached executions are accounted in HealthState and joined at
-//     shutdown;
-//   - the device owns a per-kernel resilience::BreakerRegistry threaded
-//     into its executor (see ExecutorConfig::breakers): a kernel whose
-//     specialized ISP path keeps failing is served by the naive variant and
-//     restored via half-open probes, plus the executor's RetryPolicy for
-//     transient stage failures;
-//   - a worker that settles a request and finds the queue empty spins
-//     briefly before it parks, so the next request of a closed-loop caller
-//     needs no wake-up (FleetServer's hand-off; ServerStats::warm_pickups);
-//   - latency (queue wait, execution, submit-to-finish) streams into
-//     bounded obs::StreamingHistograms, and an always-on SloWindow tracks
-//     sliding-window throughput and error / rejection / deadline-miss
-//     rates (slo_snapshot());
-//   - with an obs::TraceSession active, every request forms one span tree
-//     (pipeline.server.queue_wait, pipeline.server.request,
-//     pipeline.server.request.root) across whichever threads ran it (see
-//     obs::request_breakdown).
+// serving core and is documented there: the bounded queue drained by
+// `workers` threads (submit() never blocks), deadlines (the sweeper for
+// queued requests, stop checks for running ones), the per-kernel breakers
+// with their naive fallback and the executor's retries, the warm hand-off,
+// latency histograms and an SloWindow, and request-scoped tracing.
 //
 // Workers execute stages inline (executor concurrency 1) by default:
 // throughput comes from request-level parallelism, and the simulator's
@@ -62,7 +38,8 @@ struct ServeRequest {
   std::shared_ptr<const Image<f32>> source;
   /// Whole-request budget in wall milliseconds, measured from submit();
   /// 0 = none. Covers queue wait AND execution: expiry while queued is
-  /// settled without executing, expiry mid-execution detaches the stage.
+  /// settled without executing, expiry mid-execution cuts the run at its
+  /// next stop check.
   f64 deadline_ms = 0.0;
   /// Per-request engine override; nullopt = ExecutorConfig::backend.
   std::optional<exec::Backend> backend;
@@ -109,7 +86,7 @@ struct ServerStats {
   u64 rejected = 0;
   u64 completed = 0;
   u64 deadline_expired = 0;  ///< queued + mid-execution expiries
-  u64 watchdog_expired = 0;  ///< subset cut off mid-execution
+  u64 watchdog_expired = 0;  ///< subset cut at a stop check mid-execution
   u64 errors = 0;
   /// Requests a spinning worker took without a wake-up (the warm hand-off
   /// in fleet_server.hpp): how much of queue_latency_ms skipped a futex.
@@ -147,10 +124,9 @@ struct ServerConfig {
   resilience::Clock* clock = nullptr;
   /// Sliding-window shape for slo_snapshot().
   obs::SloConfig slo;
-  /// Optional crash-dump sink: the execution watchdog notes a
-  /// "watchdog_cut" frame (graph name + latency + an SLO snapshot) every
-  /// time it detaches an overrunning request. Not owned; must outlive the
-  /// server.
+  /// Optional crash-dump sink: the worker notes a "watchdog_cut" frame
+  /// (graph name + latency + an SLO snapshot) every time a request is cut
+  /// at a stop check. Not owned; must outlive the server.
   obs::FlightRecorder* flight_recorder = nullptr;
 };
 
@@ -171,8 +147,7 @@ class PipelineServer {
   void resume();
 
   /// Stops accepting, drains every queued request (expired ones settle
-  /// kDeadlineExpired, the rest execute), joins the workers, then waits
-  /// for any watchdog-detached executions to finish. Idempotent.
+  /// kDeadlineExpired, the rest execute) and joins the workers. Idempotent.
   void shutdown();
 
   [[nodiscard]] ServerStats stats() const;
@@ -181,8 +156,8 @@ class PipelineServer {
   /// deadline-miss rates over the configured window ending now.
   [[nodiscard]] obs::SloSnapshot slo_snapshot() const;
 
-  /// Resilience snapshot: breaker states, retry/fallback counters,
-  /// watchdog and queue expiries, detached executions still running.
+  /// Resilience snapshot: breaker states, retry/fallback counters, cuts
+  /// and queue expiries.
   [[nodiscard]] resilience::HealthState health() const;
 
  private:

@@ -88,6 +88,13 @@ void CircuitBreaker::record_failure() {
   }
 }
 
+void CircuitBreaker::release() {
+  std::lock_guard lock(mu_);
+  if (state_ == BreakerState::kHalfOpen && probes_in_flight_ > 0) {
+    --probes_in_flight_;
+  }
+}
+
 BreakerSnapshot CircuitBreaker::snapshot() const {
   std::lock_guard lock(mu_);
   BreakerSnapshot s;

@@ -67,6 +67,9 @@ class CircuitBreaker {
   /// Report the outcome of a specialized attempt admitted by allow().
   void record_success();
   void record_failure();
+  /// Ends an attempt admitted by allow() without a verdict (it was cut by
+  /// its deadline): a half-open probe frees its slot, nothing else changes.
+  void release();
 
   [[nodiscard]] BreakerSnapshot snapshot() const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/stop.hpp"
 #include "obs/metrics.hpp"
 
 namespace ispb::resilience {
@@ -202,7 +203,8 @@ void FaultInjector::hit(std::string_view point, std::string_view detail) {
     state.fires.fetch_add(1);
     if (rule.kind == FaultKind::kDelay) {
       record_fire(point, occurrence, FaultKind::kDelay);
-      clock_or_system(clock_).sleep_ms(rule.delay_ms);
+      // A delay ends at the running request's stop; its next check cuts it.
+      clock_or_system(clock_).sleep_ms(cap_to_stop(rule.delay_ms));
     } else if (throwing == nullptr) {
       throwing = &rule;
       throw_occurrence = occurrence;

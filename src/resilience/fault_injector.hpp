@@ -60,7 +60,8 @@ class InjectedFault : public std::runtime_error {
 
 enum class FaultKind : u8 {
   kThrow,    ///< fault_point() throws InjectedFault
-  kDelay,    ///< fault_point() sleeps delay_ms on the injector's Clock
+  kDelay,    ///< fault_point() sleeps delay_ms on the injector's Clock,
+             ///< at most until the running request's stop (common/stop.hpp)
   kCorrupt,  ///< should_corrupt() returns true; the site must detect it
 };
 [[nodiscard]] std::string_view to_string(FaultKind k);

@@ -15,13 +15,11 @@ struct HealthState {
 
   u64 retries = 0;            ///< stage attempts beyond the first
   u64 fallbacks_served = 0;   ///< requests answered by the naive fallback
-  u64 watchdog_expired = 0;   ///< executions cut off by the watchdog
+  u64 watchdog_expired = 0;   ///< executions cut at a stop check
   u64 queue_expired = 0;      ///< requests expired while still queued
-  u64 orphaned_executions = 0;  ///< detached stages still running
 
-  /// Degraded = any breaker not closed or any execution still orphaned.
+  /// Degraded = any breaker not closed.
   [[nodiscard]] bool degraded() const {
-    if (orphaned_executions > 0) return true;
     for (const BreakerSnapshot& b : breakers) {
       if (b.state != BreakerState::kClosed) return true;
     }

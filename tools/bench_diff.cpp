@@ -87,6 +87,10 @@ std::vector<TierSummary> validate(const std::string& path) {
   require_number(report, "capacity_rps", "top level");
   require(report, "obs_overhead", "top level");
   require(report, "critical_path", "top level");
+  // Optional: the run's peak RSS in MiB (older reports lack it).
+  if (report.find("peak_rss_mb") != nullptr) {
+    require_number(report, "peak_rss_mb", "top level");
+  }
 
   const obs::Json& devices = require(report, "devices", "top level");
   if (!devices.is_array() || devices.size() != config_devices.size()) {

