@@ -3,7 +3,7 @@
 //
 // Drives the PipelineServer with the same request stream twice per app:
 // once with the cache disabled (every request recompiles its stage kernels,
-// the way run_app_simulated behaved before the cache existed) and once
+// ExecutorConfig::use_cache = false) and once
 // against a pre-warmed KernelCache. Emits throughput and latency
 // percentiles per mode plus the warm/cold throughput ratio — the number the
 // acceptance bar cares about (warm >= 2x cold). Launches are sampled

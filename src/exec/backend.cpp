@@ -26,21 +26,21 @@ std::optional<Backend> parse_backend(std::string_view name) {
   return std::nullopt;
 }
 
-BackendRun InterpretedBackend::run(const codegen::StencilSpec& spec,
-                                   const codegen::CodegenOptions& options,
-                                   const sim::DeviceSpec& device,
-                                   std::span<const Image<f32>* const> inputs,
-                                   Image<f32>& output, BlockSize block,
-                                   bool sampled) {
+BackendRun run_interpreted(const codegen::StencilSpec& spec,
+                           const codegen::CodegenOptions& options,
+                           const sim::DeviceSpec& device,
+                           std::span<const Image<f32>* const> inputs,
+                           Image<f32>& output, BlockSize block, bool sampled,
+                           pipeline::KernelCache* cache) {
   pipeline::KernelCache::KernelPtr kernel;
-  if (cache_ != nullptr) {
-    kernel = cache_->get_or_compile(spec, options, device.name);
+  if (cache != nullptr) {
+    kernel = cache->get_or_compile(spec, options, device.name);
   } else {
     kernel = std::make_shared<const dsl::CompiledKernel>(
         dsl::compile_kernel(spec, options));
   }
   // A sampled launch leaves unsampled blocks unwritten; zero them so the
-  // output is fully defined (run()'s contract).
+  // output is fully defined.
   if (sampled) output.fill(0.0f);
   const dsl::SimRun sim_run =
       dsl::launch_on_sim(device, *kernel, inputs, output, block, sampled);

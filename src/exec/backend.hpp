@@ -1,27 +1,27 @@
-// ExecutionBackend: the second execution engine behind one interface.
+// The two execution engines a compiled stencil runs on.
 //
-// The serving stack runs a compiled stencil in one of two ways:
-//
-//   InterpretedBackend — the existing path: dsl::compile_kernel lowers the
-//   spec to IR, dsl::launch_on_sim interprets it per warp lane on the GPU
-//   simulator. Keeps modeled time, occupancy and the per-region counters
-//   the cost model validates against. The throughput ceiling.
+//   run_interpreted — dsl::compile_kernel lowers the spec to IR,
+//   dsl::launch_on_sim interprets it per warp lane on the GPU simulator.
+//   Keeps modeled time, occupancy and the per-region counters the cost
+//   model validates against. The throughput ceiling.
 //
 //   NativeBackend — lowers the same spec through codegen::emit_cpp,
-//   compiles it to a shared object (src/exec/jit), and executes the
-//   dlopened function inline on the calling thread for a small image, or
-//   over row bands on the host thread pool sized by row_bands();
-//   run_native_chain runs several modules band by band as one chain.
+//   compiles it to a shared object (src/exec/jit) and runs the dlopened
+//   function through run_native_chain: inline on the calling thread for a
+//   small image, over row bands on the host thread pool sized by
+//   row_bands() above it, several modules band by band as one chain.
 //   Outputs are bit-identical to the interpreted path and the CPU
 //   reference (the printer emits StencilSpec::evaluate's exact float
 //   sequence; the JIT disables FP contraction); modeled GPU counters are
 //   *not* produced — stats carry wall time only.
 //
-// Both backends resolve compiled artifacts through pipeline::KernelCache
-// when one is supplied (single-flight, LRU, shared fingerprint keys) and
-// compile directly when not. PipelineExecutor selects the backend per run
-// (ExecutorConfig::backend, overridable per ServeRequest); native failures
-// circuit-break to interpreted via the executor's resilience path.
+// Both resolve compiled artifacts through pipeline::KernelCache when one is
+// supplied (single-flight, LRU, shared fingerprint keys) and compile
+// directly when not. PipelineExecutor selects the engine per run
+// (ExecutorConfig::backend, overridable per ServeRequest), prepares every
+// native stage with NativeBackend::prepare and runs it as part of a chain;
+// native failures circuit-break to interpreted via the executor's
+// resilience path.
 #pragma once
 
 #include <optional>
@@ -57,40 +57,19 @@ struct BackendRun {
   i32 regs_per_thread = 0;  ///< 0 for native (no register model)
 };
 
-class ExecutionBackend {
- public:
-  virtual ~ExecutionBackend() = default;
-  [[nodiscard]] virtual Backend kind() const = 0;
-  /// Executes `spec` over `output.size()` and defines every in-bounds
-  /// output pixel, whatever `output` held before: callers may pass an
-  /// Image(Size2, Uninitialized). Inputs must match the output size; throws
-  /// ContractError on geometry violations (never retried or
-  /// circuit-broken by the executor).
-  virtual BackendRun run(const codegen::StencilSpec& spec,
-                         const codegen::CodegenOptions& options,
-                         const sim::DeviceSpec& device,
-                         std::span<const Image<f32>* const> inputs,
-                         Image<f32>& output, BlockSize block,
-                         bool sampled) = 0;
-};
-
-/// Wraps dsl::compile_kernel + dsl::launch_on_sim; compiles through
-/// `cache` when non-null. A `sampled` launch runs only a sample of the
-/// blocks, so the output is zero-filled first and unsampled pixels read 0.
-class InterpretedBackend final : public ExecutionBackend {
- public:
-  explicit InterpretedBackend(pipeline::KernelCache* cache = nullptr)
-      : cache_(cache) {}
-  [[nodiscard]] Backend kind() const override { return Backend::kInterpreted; }
-  BackendRun run(const codegen::StencilSpec& spec,
-                 const codegen::CodegenOptions& options,
-                 const sim::DeviceSpec& device,
-                 std::span<const Image<f32>* const> inputs,
-                 Image<f32>& output, BlockSize block, bool sampled) override;
-
- private:
-  pipeline::KernelCache* cache_;
-};
+/// The interpreted engine: compiles `spec` (through `cache` when non-null)
+/// and launches it on the simulator. Defines every in-bounds output pixel,
+/// whatever `output` held before, so callers may pass an Image(Size2,
+/// Uninitialized): a `sampled` launch runs only a sample of the blocks, so
+/// the output is zero-filled first and unsampled pixels read 0. Inputs must
+/// match the output size; throws ContractError on geometry violations
+/// (never retried or circuit-broken by the executor).
+BackendRun run_interpreted(const codegen::StencilSpec& spec,
+                           const codegen::CodegenOptions& options,
+                           const sim::DeviceSpec& device,
+                           std::span<const Image<f32>* const> inputs,
+                           Image<f32>& output, BlockSize block, bool sampled,
+                           pipeline::KernelCache* cache);
 
 /// A native stage resolved but not yet run: the module and what
 /// NativeBackend::run reports for the stage, bar the wall time.
@@ -100,25 +79,29 @@ struct NativeLaunch {
 };
 
 /// JIT path: resolves a NativeModule (through `cache` when non-null, else
-/// jit_compile directly) and runs it through run_native_module: inline
-/// below the band floor, over row bands on the host pool above it.
-/// `sampled` is ignored — native runs always produce the full output.
-class NativeBackend final : public ExecutionBackend {
+/// jit_compile directly).
+class NativeBackend {
  public:
   explicit NativeBackend(pipeline::KernelCache* cache = nullptr,
                          JitConfig jit = {})
       : cache_(cache), jit_(std::move(jit)) {}
-  [[nodiscard]] Backend kind() const override { return Backend::kNative; }
+
+  /// Resolves the module and runs it alone through run_native_module:
+  /// inline below the band floor, over row bands on the host pool above
+  /// it. Defines every in-bounds output pixel; `block` and `sampled` are
+  /// ignored — native runs always produce the full output. The executor
+  /// does not call this (it prepares and runs chains); benches time it as
+  /// the rung between the bare module and the executor.
   BackendRun run(const codegen::StencilSpec& spec,
                  const codegen::CodegenOptions& options,
                  const sim::DeviceSpec& device,
                  std::span<const Image<f32>* const> inputs,
-                 Image<f32>& output, BlockSize block, bool sampled) override;
+                 Image<f32>& output, BlockSize block, bool sampled);
 
   /// run() without running: checks the window against an image of `size`
   /// as run() does (ContractError) and resolves the module. The executor
-  /// prepares every stage of a chain this way, then runs the modules
-  /// together through run_native_chain.
+  /// prepares every native stage this way, a lone stage as a chain of one,
+  /// then runs a chain's modules together through run_native_chain.
   [[nodiscard]] NativeLaunch prepare(const codegen::StencilSpec& spec,
                                      const codegen::CodegenOptions& options,
                                      const sim::DeviceSpec& device,

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "dsl/compile.hpp"
-#include "pipeline/kernel_cache.hpp"
 
 namespace ispb::filters {
 
@@ -337,53 +335,6 @@ Image<f32> run_app_reference(const MultiKernelApp& app,
     images.push_back(dsl::run_reference(stage.spec, pattern, constant, inputs));
   }
   return std::move(images.back());
-}
-
-AppSimResult run_app_simulated(const MultiKernelApp& app,
-                               const Image<f32>& source,
-                               const AppSimConfig& config) {
-  ISPB_EXPECTS(!app.stages.empty());
-  AppSimResult result;
-  std::vector<Image<f32>> images;
-  images.push_back(source);
-
-  for (const auto& stage : app.stages) {
-    codegen::Variant variant = config.variant;
-    if (config.use_model) {
-      const dsl::PlanDecision plan = dsl::plan_variant(
-          config.device, stage.spec, source.size(), config.block,
-          config.pattern, config.variant == codegen::Variant::kIspWarp);
-      variant = plan.variant;
-    }
-    codegen::CodegenOptions options;
-    options.pattern = config.pattern;
-    options.variant = variant;
-    options.border_constant = config.constant;
-    // Tiled staging is specialized to the launch block shape.
-    options.tile_block = config.block;
-    // Identical (spec, options) compiles happen once per process: every
-    // pipeline run in the repo funnels through the shared kernel cache.
-    const pipeline::KernelCache::KernelPtr kernel =
-        pipeline::KernelCache::global().get_or_compile(stage.spec, options,
-                                                       config.device.name);
-
-    std::vector<const Image<f32>*> inputs;
-    inputs.reserve(stage.input_bindings.size());
-    for (i32 binding : stage.input_bindings) {
-      ISPB_EXPECTS(binding >= 0 && binding < static_cast<i32>(images.size()));
-      inputs.push_back(&images[static_cast<std::size_t>(binding)]);
-    }
-    Image<f32> out(source.size());
-    const dsl::SimRun run =
-        dsl::launch_on_sim(config.device, *kernel, inputs, out, config.block,
-                           config.sampled);
-    result.total_time_ms += run.stats.time_ms;
-    result.stages.push_back(AppSimResult::Stage{
-        stage.spec.name, run.variant_used, kernel->regs_per_thread, run.stats});
-    images.push_back(std::move(out));
-  }
-  result.output = std::move(images.back());
-  return result;
 }
 
 }  // namespace ispb::filters

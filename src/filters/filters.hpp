@@ -2,9 +2,10 @@
 // kernels: Gaussian, Laplace, Bilateral, Sobel (3 kernels) and the Night
 // filter (5 kernels: 4 Atrous wavelet passes + tone mapping).
 //
-// Each filter exposes (a) a StencilSpec factory for benches that drive the
-// compiler directly and (b) a convenience runner executing on either
-// backend. Window sizes follow the paper: Gaussian 3x3, Laplace 5x5,
+// Each filter exposes a StencilSpec factory for benches that drive the
+// compiler directly; the apps run on the CPU reference here and on the
+// simulator or the native engine through pipeline::PipelineExecutor.
+// Window sizes follow the paper: Gaussian 3x3, Laplace 5x5,
 // Bilateral 13x13, Sobel 3x3, Night 3/5/9/17.
 #pragma once
 
@@ -73,7 +74,8 @@ struct MultiKernelApp {
                                            BorderPattern pattern,
                                            f32 constant = 0.0f);
 
-/// Configuration for running a multi-kernel app on the simulator.
+/// How a multi-kernel app runs on the simulator or the native engine
+/// (pipeline::ExecutorConfig::sim).
 struct AppSimConfig {
   sim::DeviceSpec device = sim::make_gtx680();
   BlockSize block{32, 4};
@@ -83,24 +85,5 @@ struct AppSimConfig {
   BorderPattern pattern = BorderPattern::kClamp;
   f32 constant = 0.0f;
 };
-
-/// Per-stage outcome of a simulated pipeline run.
-struct AppSimResult {
-  Image<f32> output;
-  f64 total_time_ms = 0.0;
-  struct Stage {
-    std::string kernel;
-    codegen::Variant variant_used = codegen::Variant::kNaive;
-    i32 regs_per_thread = 0;  ///< allocator estimate for the kernel run
-    sim::LaunchStats stats;
-  };
-  std::vector<Stage> stages;
-};
-
-/// Runs every stage of `app` on the simulator, chaining intermediate images
-/// and applying the model-driven variant selection per stage when requested.
-[[nodiscard]] AppSimResult run_app_simulated(const MultiKernelApp& app,
-                                             const Image<f32>& source,
-                                             const AppSimConfig& config);
 
 }  // namespace ispb::filters

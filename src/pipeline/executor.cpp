@@ -32,9 +32,9 @@ std::vector<const Image<f32>*> inputs_of(const KernelGraph::Stage& stage,
   return inputs;
 }
 
-/// Runs prepared native modules as one chain (one module: one stage), traced
-/// and counted as NativeBackend::run traces and counts a stage; returns wall
-/// milliseconds.
+/// Runs prepared native modules as one chain (one module: one stage),
+/// traced as one exec.native.run span and counted as one native launch per
+/// stage; returns wall milliseconds.
 f64 run_native_traced(std::span<const KernelGraph::Stage> stages,
                       std::span<const exec::NativeModule* const> modules,
                       Slots slots, Image<f32>& out, i64 bands) {
@@ -53,13 +53,17 @@ f64 run_native_traced(std::span<const KernelGraph::Stage> stages,
   return wall_ms;
 }
 
-/// A chain of two or more native stages (KernelGraph::chains) on its way to
-/// one run_native_chain call. While `deferred`, each stage's attempt goes
-/// through breakers, fault points and the cache exactly as a lone stage's
-/// does, but stores its resolved module here instead of running it. A stage
-/// that has to be served by the interpreter needs its input as a full
-/// image: it calls materialize() first, and the rest of the chain runs
-/// stage by stage.
+/// A native unit (KernelGraph::chains; a lone stage is a chain of one) on
+/// its way to one run_native_chain call. While `deferred`, each stage's
+/// attempt goes through breakers, fault points and the cache and stores its
+/// resolved module here instead of running it. A stage that has to be
+/// served by the interpreter needs its input as a full image: it calls
+/// materialize() first, and the rest of the chain runs stage by stage.
+///
+/// No stage of a chain is checked with dsl::validate_inputs: the run's
+/// graph.validate() checks each stage's input count, and the chain's first
+/// stage reads only the source and planned buffers, all of the source's
+/// size (a chain's interior outputs have one reader, the next stage).
 struct ChainLaunch {
   std::span<const KernelGraph::Stage> stages;
   Slots slots;
@@ -87,17 +91,16 @@ struct ChainLaunch {
 };
 
 /// Compiles (through the cache) and launches one stage with a fixed
-/// variant on the given engine; the building block the primary path, the
-/// breaker's naive fallback and the backend fallback all share.
-/// With a deferring `chain`, a native launch resolves its module into the
-/// chain instead of running it.
+/// variant: on the native engine as part of `chain`, on the interpreted one
+/// when `chain` is null. The building block the primary path, the
+/// breaker's naive fallback and the backend fallback all share. A native
+/// stage resolves its module into a deferring chain, or runs it at once
+/// once a fallback has materialized the chain.
 ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
                                            const ExecutorConfig& config,
-                                           Slots slots,
-                                           Image<f32>& out,
+                                           Slots slots, Image<f32>& out,
                                            codegen::Variant variant,
-                                           exec::Backend backend,
-                                           ChainLaunch* chain = nullptr) {
+                                           ChainLaunch* chain) {
   const filters::AppSimConfig& sim_cfg = config.sim;
   codegen::CodegenOptions options;
   options.pattern = sim_cfg.pattern;
@@ -119,26 +122,23 @@ ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
   resilience::fault_point("device.launch", sim_cfg.device.name);
 
   exec::BackendRun run;
-  if (backend == exec::Backend::kNative && chain != nullptr &&
-      chain->deferred) {
+  if (chain != nullptr) {
     // A chain stage's inputs may be band-local: check the window against
     // the run's size, the one size every image of a run has.
-    exec::NativeBackend engine(cache);
-    exec::NativeLaunch launch =
-        engine.prepare(stage.spec, options, sim_cfg.device,
-                       slots[0]->size());
-    chain->modules.push_back(std::move(launch.module));
+    exec::NativeLaunch launch = exec::NativeBackend(cache).prepare(
+        stage.spec, options, sim_cfg.device, slots[0]->size());
     run = launch.run;
-  } else if (backend == exec::Backend::kNative) {
-    const std::vector<const Image<f32>*> inputs = inputs_of(stage, slots);
-    exec::NativeBackend engine(cache);
-    run = engine.run(stage.spec, options, sim_cfg.device, inputs, out,
-                     sim_cfg.block, sim_cfg.sampled);
+    if (chain->deferred) {
+      chain->modules.push_back(std::move(launch.module));
+    } else {
+      const exec::NativeModule* const module = launch.module.get();
+      run.stats.time_ms = run_native_traced({&stage, 1}, {&module, 1}, slots,
+                                            out, chain->bands);
+    }
   } else {
-    const std::vector<const Image<f32>*> inputs = inputs_of(stage, slots);
-    exec::InterpretedBackend engine(cache);
-    run = engine.run(stage.spec, options, sim_cfg.device, inputs, out,
-                     sim_cfg.block, sim_cfg.sampled);
+    run = exec::run_interpreted(stage.spec, options, sim_cfg.device,
+                                inputs_of(stage, slots), out, sim_cfg.block,
+                                sim_cfg.sampled, cache);
   }
 
   ExecutorResult::Stage s;
@@ -150,134 +150,124 @@ ExecutorResult::Stage launch_stage_variant(const KernelGraph::Stage& stage,
   return s;
 }
 
-/// One interpreted attempt at a stage: breaker gating, variant planning,
-/// compile, launch, and — when the specialized path fails under an active
-/// breaker — the transparent naive fallback (the runtime isp+m).
-ExecutorResult::Stage run_stage_interp_once(
-    const KernelGraph::Stage& stage, const ExecutorConfig& config,
-    Slots slots, Image<f32>& out) {
-  const filters::AppSimConfig& sim_cfg = config.sim;
+/// One breaker-guarded attempt: `primary` when `breaker` admits it (or
+/// there is none), else `fallback`. The executor.stage fault point fires
+/// after allow(), once per admitted attempt. Every admitted attempt ends in
+/// a verdict or a release: a failing primary records a failure and serves
+/// `fallback`; a ContractError (bad geometry fails on every path), a cut
+/// (DeadlineExceeded) or a throw from the fault point records nothing,
+/// releases the breaker (a half-open probe frees its slot) and propagates.
+/// Without a breaker every failure propagates.
+template <typename Primary, typename Fallback>
+ExecutorResult::Stage guarded_attempt(resilience::CircuitBreaker* breaker,
+                                      std::string_view kernel,
+                                      Primary&& primary, Fallback&& fallback) {
+  if (breaker != nullptr && !breaker->allow()) return fallback();
+  // Releases the admission on every exit that records no verdict.
+  struct Admission {
+    resilience::CircuitBreaker* breaker;
+    ~Admission() {
+      if (breaker != nullptr) breaker->release();
+    }
+  } admission{breaker};
+  resilience::fault_point("executor.stage", kernel);
+  try {
+    ExecutorResult::Stage s = primary();
+    if (breaker != nullptr) breaker->record_success();
+    admission.breaker = nullptr;
+    return s;
+  } catch (const ContractError&) {
+    throw;
+  } catch (const DeadlineExceeded&) {
+    throw;
+  } catch (...) {
+    if (breaker == nullptr) throw;
+    breaker->record_failure();
+    admission.breaker = nullptr;
+  }
+  return fallback();
+}
 
+/// One interpreted attempt at a stage: variant planning, compile and
+/// launch under the stage's variant breaker, which — when the specialized
+/// path fails or has tripped it — serves the naive variant instead (the
+/// runtime isp+m). A naive run has no breaker.
+ExecutorResult::Stage run_interpreted_once(const KernelGraph::Stage& stage,
+                                           const ExecutorConfig& config,
+                                           Slots slots, Image<f32>& out) {
+  const filters::AppSimConfig& sim_cfg = config.sim;
   resilience::CircuitBreaker* breaker = nullptr;
   if (config.breakers != nullptr &&
       sim_cfg.variant != codegen::Variant::kNaive) {
     breaker = &config.breakers->get(stage.spec.name);
-    if (!breaker->allow()) {
-      // Open breaker: serve the naive variant without planning or touching
-      // the (still failing) specialized path at all.
-      ExecutorResult::Stage s =
-          launch_stage_variant(stage, config, slots, out,
-                               codegen::Variant::kNaive,
-                               exec::Backend::kInterpreted);
-      s.served_by_fallback = true;
-      return s;
-    }
   }
-
-  resilience::fault_point("executor.stage", stage.spec.name);
-  try {
-    codegen::Variant variant = sim_cfg.variant;
-    if (sim_cfg.use_model) {
-      const dsl::PlanDecision plan = dsl::plan_variant(
-          sim_cfg.device, stage.spec, out.size(), sim_cfg.block,
-          sim_cfg.pattern, sim_cfg.variant == codegen::Variant::kIspWarp);
-      variant = plan.variant;
-    }
-    ExecutorResult::Stage s = launch_stage_variant(
-        stage, config, slots, out, variant, exec::Backend::kInterpreted);
-    if (breaker != nullptr) breaker->record_success();
-    return s;
-  } catch (const ContractError&) {
-    throw;  // geometry/contract violations: the naive kernel cannot help
-  } catch (const DeadlineExceeded&) {
-    if (breaker != nullptr) breaker->release();  // a cut is no verdict
-    throw;
-  } catch (...) {
-    if (breaker == nullptr) throw;
-    breaker->record_failure();
-    // Abandon the specialized path for this request and serve naive; the
-    // caller still sees kOk, with the degradation visible in variant_used.
-    ExecutorResult::Stage s =
-        launch_stage_variant(stage, config, slots, out,
-                             codegen::Variant::kNaive,
-                             exec::Backend::kInterpreted);
-    s.served_by_fallback = true;
-    return s;
-  }
+  return guarded_attempt(
+      breaker, stage.spec.name,
+      [&] {
+        codegen::Variant variant = sim_cfg.variant;
+        if (sim_cfg.use_model) {
+          variant = dsl::plan_variant(sim_cfg.device, stage.spec, out.size(),
+                                      sim_cfg.block, sim_cfg.pattern,
+                                      sim_cfg.variant ==
+                                          codegen::Variant::kIspWarp)
+                        .variant;
+        }
+        return launch_stage_variant(stage, config, slots, out, variant,
+                                    nullptr);
+      },
+      [&] {
+        // The caller still sees kOk, with the degradation visible in
+        // variant_used.
+        ExecutorResult::Stage s = launch_stage_variant(
+            stage, config, slots, out, codegen::Variant::kNaive, nullptr);
+        s.served_by_fallback = true;
+        return s;
+      });
 }
 
-/// One attempt at a stage on the selected engine. The native path has its
-/// own breaker (keyed "<kernel>#native", distinct from the variant
-/// breaker): when the native toolchain keeps failing — or the breaker is
-/// already open — the stage is served by the full interpreted path
-/// instead, bit-identically, with the degradation visible in
-/// backend_used/backend_fallback. ContractErrors pass through untouched:
-/// bad geometry fails on every engine. Neither does a cut (DeadlineExceeded):
-/// it records nothing on a breaker and triggers no fallback.
+/// One attempt at a stage: interpreted when `chain` is null, else native
+/// under the stage's own native breaker (keyed "<kernel>#native", distinct
+/// from the variant breaker). When the native path fails — or that breaker
+/// is open — the stage is served by the full interpreted attempt instead,
+/// bit-identically, with the degradation visible in
+/// backend_used/backend_fallback.
 ExecutorResult::Stage run_stage_once(const KernelGraph::Stage& stage,
-                                     const ExecutorConfig& config,
-                                     Slots slots,
-                                     Image<f32>& out, exec::Backend backend,
-                                     ChainLaunch* chain) {
-  if (backend != exec::Backend::kNative) {
-    return run_stage_interp_once(stage, config, slots, out);
-  }
-  // The interpreter reads full images: a deferring chain runs what it has
-  // resolved so far first.
-  const auto materialize = [chain] {
-    if (chain != nullptr && chain->deferred) chain->materialize();
-  };
-
+                                     const ExecutorConfig& config, Slots slots,
+                                     Image<f32>& out, ChainLaunch* chain) {
+  if (chain == nullptr) return run_interpreted_once(stage, config, slots, out);
   resilience::CircuitBreaker* breaker = nullptr;
   if (config.breakers != nullptr) {
     breaker = &config.breakers->get(stage.spec.name + "#native");
-    if (!breaker->allow()) {
-      materialize();
-      ExecutorResult::Stage s =
-          run_stage_interp_once(stage, config, slots, out);
-      s.backend_fallback = true;
-      return s;
-    }
   }
-
-  resilience::fault_point("executor.stage", stage.spec.name);
-  try {
-    ExecutorResult::Stage s = launch_stage_variant(
-        stage, config, slots, out, config.sim.variant,
-        exec::Backend::kNative, chain);
-    if (breaker != nullptr) breaker->record_success();
-    return s;
-  } catch (const ContractError&) {
-    throw;
-  } catch (const DeadlineExceeded&) {
-    if (breaker != nullptr) breaker->release();
-    throw;
-  } catch (...) {
-    if (breaker == nullptr) throw;
-    breaker->record_failure();
-    materialize();
-    ExecutorResult::Stage s = run_stage_interp_once(stage, config, slots, out);
-    s.backend_fallback = true;
-    return s;
-  }
+  return guarded_attempt(
+      breaker, stage.spec.name,
+      [&] {
+        return launch_stage_variant(stage, config, slots, out,
+                                    config.sim.variant, chain);
+      },
+      [&] {
+        // The interpreter reads full images: a deferring chain runs what it
+        // has resolved so far first.
+        if (chain->deferred) chain->materialize();
+        ExecutorResult::Stage s =
+            run_interpreted_once(stage, config, slots, out);
+        s.backend_fallback = true;
+        return s;
+      });
 }
 
 /// Runs one stage under the retry policy and publishes resilience metrics.
 /// A request whose stop passed is cut here, before the stage starts.
 ExecutorResult::Stage run_stage(const KernelGraph::Stage& stage,
-                                const ExecutorConfig& config,
-                                Slots slots,
-                                Image<f32>& out, exec::Backend backend,
-                                ChainLaunch* chain = nullptr) {
+                                const ExecutorConfig& config, Slots slots,
+                                Image<f32>& out, ChainLaunch* chain) {
   check_stop();
   resilience::RetryOutcome outcome;
   ExecutorResult::Stage s;
   try {
     s = resilience::retry_call(
         config.retry, config.clock,
-        [&] {
-          return run_stage_once(stage, config, slots, out, backend, chain);
-        },
+        [&] { return run_stage_once(stage, config, slots, out, chain); },
         &outcome);
   } catch (...) {
     if (obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
@@ -307,26 +297,26 @@ ExecutorResult::Stage run_stage(const KernelGraph::Stage& stage,
   return s;
 }
 
-/// Runs one chain: a lone stage as run_stage does; two or more native
-/// stages prepared one by one (retries, breakers, fault points and fallback
-/// per stage), then run band by band in one run_native_chain call, whose
-/// wall time the last stage reports. `interiors` holds the outputs of all
-/// stages but the last, `results` the chain's entries of the result.
+/// Runs one unit. The interpreted engine runs a lone stage as run_stage
+/// does. The native engine prepares the chain's stages one by one
+/// (retries, breakers, fault points and fallback per stage), then runs
+/// them band by band in one run_native_chain call, whose wall time the
+/// last stage reports. `interiors` holds the outputs of all stages but the
+/// last, `results` the chain's entries of the result.
 void run_chain(std::span<const KernelGraph::Stage> stages,
                const ExecutorConfig& config, Slots slots,
                std::span<Image<f32>> interiors, Image<f32>& out,
                exec::Backend backend, i64 bands,
                std::span<ExecutorResult::Stage> results) {
-  if (stages.size() == 1) {
-    results[0] = run_stage(stages[0], config, slots, out, backend);
+  if (backend != exec::Backend::kNative) {
+    results[0] = run_stage(stages[0], config, slots, out, nullptr);
     return;
   }
   ChainLaunch chain{stages, slots, interiors, results, bands, {}, true};
   chain.modules.reserve(stages.size());
   for (std::size_t j = 0; j < stages.size(); ++j) {
     Image<f32>& stage_out = j + 1 < stages.size() ? interiors[j] : out;
-    results[j] =
-        run_stage(stages[j], config, slots, stage_out, backend, &chain);
+    results[j] = run_stage(stages[j], config, slots, stage_out, &chain);
   }
   if (!chain.deferred) return;
   std::vector<const exec::NativeModule*> modules;

@@ -33,7 +33,7 @@ namespace ispb::pipeline {
 
 /// How the executor runs one graph.
 struct ExecutorConfig {
-  /// Device/block/variant/pattern knobs, as for filters::run_app_simulated.
+  /// Device/block/variant/pattern knobs shared by every stage.
   filters::AppSimConfig sim;
   /// Max stages in flight: 1 = inline (no pool), 0 = one worker per
   /// independent root, capped at 8.
@@ -62,7 +62,7 @@ struct ExecutorConfig {
   resilience::Clock* clock = nullptr;
 };
 
-/// Per-stage and aggregate outcome; mirrors filters::AppSimResult.
+/// Per-stage and aggregate outcome of one run.
 struct ExecutorResult {
   Image<f32> output;
   f64 total_time_ms = 0.0;  ///< summed modeled stage time

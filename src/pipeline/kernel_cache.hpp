@@ -136,8 +136,9 @@ class KernelCache {
   void set_retry(resilience::RetryPolicy policy,
                  resilience::Clock* clock = nullptr);
 
-  /// Process-wide cache shared by filters::run_app_simulated and the bench
-  /// harness, so identical (app, variant) compiles happen once per process.
+  /// Process-wide cache: the executor's default (ExecutorConfig::cache
+  /// unset) and the bench harness's, so identical (app, variant) compiles
+  /// happen once per process.
   [[nodiscard]] static KernelCache& global();
 
  private:

@@ -8,7 +8,8 @@
 // native-module lifecycle (single-flight, refcounted eviction, artifact
 // GC, variant canonicalization), the row-band rule with a multi-band run on
 // the pool, night's stencil chain band by band (runner and executor, with a
-// mid-chain fallback), and the request breakdown of a traced native server.
+// mid-chain fallback, and lone stages as chains of one), and the request
+// breakdown of a traced native server.
 #include <gtest/gtest.h>
 #include <unistd.h>
 #ifdef __GLIBC__
@@ -39,12 +40,14 @@
 #include "exec/jit.hpp"
 #include "filters/filters.hpp"
 #include "image/generators.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/kernel_cache.hpp"
 #include "pipeline/kernel_graph.hpp"
 #include "pipeline/server.hpp"
 #include "resilience/circuit_breaker.hpp"
+#include "resilience/clock.hpp"
 #include "resilience/fault_injector.hpp"
 
 namespace ispb {
@@ -1341,6 +1344,44 @@ TEST(ExecutorChain, FailingStageMidChainFallsBackBitIdentically) {
   for (const auto& c : injector.counters()) evaluated[c.point] = c.evaluated;
   EXPECT_EQ(evaluated["executor.stage"], 5u);
   EXPECT_EQ(evaluated["device.launch"], 5u);
+
+  // A lone native stage (gaussian; sobel fused to one kernel) is a chain of
+  // one: healthy, it runs in one exec.native.run span and counts one native
+  // launch; under an open "#native" breaker the interpreter serves it,
+  // bit-identical to the reference.
+  resilience::VirtualClock clock;
+  resilience::BreakerRegistry open_breakers({1, 1000, 1}, &clock);
+  for (const filters::MultiKernelApp& app :
+       {filters::make_gaussian_app(), filters::make_sobel_app()}) {
+    const Image<f32> reference =
+        filters::run_app_reference(app, source, BorderPattern::kMirror);
+    cfg.breakers = &breakers;
+    obs::MetricsRegistry registry;
+    std::string kernel;
+    {
+      const obs::MetricsRegistry::ScopedInstall metrics(registry);
+      const auto [lone, lone_runs] = run_traced(cfg, app, source);
+      EXPECT_TRUE(bit_identical(lone.output, reference)) << app.name;
+      ASSERT_EQ(lone.stages.size(), 1u) << app.name;
+      kernel = lone.stages[0].kernel;
+      EXPECT_EQ(lone.stages[0].backend_used, exec::Backend::kNative);
+      EXPECT_FALSE(lone.stages[0].backend_fallback) << app.name;
+      EXPECT_EQ(lone_runs, 1) << app.name;
+    }
+    EXPECT_EQ(registry.value("exec.launches",
+                             {{"backend", "native"}, {"kernel", kernel}}),
+              1.0)
+        << app.name;
+
+    open_breakers.get(kernel + "#native").record_failure();
+    cfg.breakers = &open_breakers;
+    const auto [served, served_runs] = run_traced(cfg, app, source);
+    EXPECT_TRUE(bit_identical(served.output, reference)) << app.name;
+    ASSERT_EQ(served.stages.size(), 1u) << app.name;
+    EXPECT_TRUE(served.stages[0].backend_fallback) << app.name;
+    EXPECT_EQ(served.stages[0].backend_used, exec::Backend::kInterpreted);
+    EXPECT_EQ(served_runs, 0) << app.name;
+  }
 }
 
 // The request breakdown sees the native engine: a cold request's JIT is

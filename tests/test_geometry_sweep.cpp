@@ -9,6 +9,7 @@
 #include "filters/filters.hpp"
 #include "image/compare.hpp"
 #include "image/generators.hpp"
+#include "pipeline/executor.hpp"
 
 namespace ispb {
 namespace {
@@ -76,6 +77,19 @@ INSTANTIATE_TEST_SUITE_P(AllPatterns, GeometrySweep,
                            return std::string(to_string(inf.param));
                          });
 
+/// Runs `app` on the interpreted engine one stage at a time, as ispb_run's
+/// profile and simulate do.
+pipeline::ExecutorResult run_simulated(const filters::MultiKernelApp& app,
+                                       const Image<f32>& source,
+                                       const filters::AppSimConfig& sim) {
+  pipeline::ExecutorConfig cfg;
+  cfg.sim = sim;
+  cfg.concurrency = 1;
+  cfg.backend = exec::Backend::kInterpreted;
+  return pipeline::PipelineExecutor(cfg).run(pipeline::build_graph(app),
+                                             source);
+}
+
 TEST(AppSimulated, PipelineApiMatchesReference) {
   const auto app = filters::make_sobel_app();
   const Size2 size{64, 48};
@@ -85,8 +99,7 @@ TEST(AppSimulated, PipelineApiMatchesReference) {
 
   filters::AppSimConfig cfg;
   cfg.variant = codegen::Variant::kIsp;
-  const filters::AppSimResult result =
-      filters::run_app_simulated(app, src, cfg);
+  const pipeline::ExecutorResult result = run_simulated(app, src, cfg);
   EXPECT_EQ(compare(result.output, expect).max_abs, 0.0);
   EXPECT_EQ(result.stages.size(), 3u);
   EXPECT_GT(result.total_time_ms, 0.0);
@@ -97,8 +110,7 @@ TEST(AppSimulated, ModelSelectionKeepsPointOpsNaive) {
   const auto src = make_gradient_image({128, 128});
   filters::AppSimConfig cfg;
   cfg.use_model = true;
-  const filters::AppSimResult result =
-      filters::run_app_simulated(app, src, cfg);
+  const pipeline::ExecutorResult result = run_simulated(app, src, cfg);
   ASSERT_EQ(result.stages.size(), 3u);
   EXPECT_EQ(result.stages[2].kernel, "sobel_magnitude");
   EXPECT_EQ(result.stages[2].variant_used, codegen::Variant::kNaive);

@@ -652,28 +652,31 @@ TEST(PipelineExecutor, BranchFailurePropagatesWithoutDeadlock) {
   EXPECT_ANY_THROW((void)exec.run(g, src));
 }
 
-// ---- run_app_simulated migration -------------------------------------------
-
-// Satellite: filters::run_app_simulated compiles through the process-wide
-// KernelCache — a second identical run compiles nothing, observable purely
-// via cache-counter deltas.
-TEST(RunAppSimulated, ReusesGlobalKernelCache) {
+// An interpreted run with no cache configured compiles through the
+// process-wide KernelCache — a second identical run compiles nothing,
+// observable purely via cache-counter deltas.
+TEST(PipelineExecutor, InterpretedRunsReuseGlobalKernelCache) {
   const auto app = filters::make_sobel_app();
   const auto src = make_gradient_image({32, 32});
-  filters::AppSimConfig cfg;
-  cfg.sampled = true;
+  pipeline::ExecutorConfig cfg;
+  cfg.sim.sampled = true;
   // A constant nobody else uses keys these compiles uniquely, isolating the
   // deltas from other tests sharing the global cache.
-  cfg.pattern = BorderPattern::kConstant;
-  cfg.constant = 123.5f;
+  cfg.sim.pattern = BorderPattern::kConstant;
+  cfg.sim.constant = 123.5f;
+  cfg.concurrency = 1;
+  cfg.backend = exec::Backend::kInterpreted;
+  ASSERT_EQ(cfg.cache, nullptr);
+  const pipeline::PipelineExecutor exec(cfg);
+  const pipeline::KernelGraph graph = pipeline::build_graph(app);
 
   pipeline::KernelCache& cache = pipeline::KernelCache::global();
   const auto before = cache.stats();
-  (void)filters::run_app_simulated(app, src, cfg);
+  (void)exec.run(graph, src);
   const auto after_first = cache.stats();
   EXPECT_EQ(after_first.misses - before.misses, 3u);  // dx, dy, magnitude
 
-  (void)filters::run_app_simulated(app, src, cfg);
+  (void)exec.run(graph, src);
   const auto after_second = cache.stats();
   EXPECT_EQ(after_second.misses, after_first.misses) << "second run recompiled";
   EXPECT_EQ(after_second.hits - after_first.hits, 3u);

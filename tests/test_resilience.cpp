@@ -1,7 +1,8 @@
 // Resilience layer: injectable clocks, retry/backoff determinism, circuit
 // breaker state machine, deterministic fault injection, cache corrupt-and-
 // detect healing, deadline cuts, and the end-to-end breaker fallback (serve
-// naive while ISP fails, restore ISP via half-open probe).
+// naive while ISP fails, restore ISP via half-open probe, also when a probe
+// ends without a verdict).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -31,6 +32,7 @@ namespace ispb {
 namespace {
 
 using resilience::BreakerState;
+using resilience::CircuitBreaker;
 using resilience::FaultKind;
 using resilience::FaultPlan;
 using resilience::FaultRule;
@@ -718,6 +720,114 @@ TEST(ServerResilience, CutIsBreakerNeutral) {
   EXPECT_FALSE(next.backend_fallback);
   EXPECT_EQ(compare(next.output, expect).max_abs, 0.0);
   server.shutdown();
+}
+
+/// Trips a kernel breaker (threshold 1, 100 ms cooldown on a VirtualClock)
+/// with one failed attempt at the first stage, lets an executor.stage
+/// throw land on that breaker's half-open probe after the cooldown, and
+/// returns what the next run after a further cooldown reads. Interpreted,
+/// the breaker is sobel_dx's variant breaker and the run's stages share the
+/// executor's pool (sobel_dx and sobel_dy run at once); native, it is
+/// gaussian3's "#native" breaker.
+struct ProbeOutcome {
+  pipeline::ExecutorResult result;
+  resilience::BreakerSnapshot breaker;
+  Image<f32> expect;
+};
+
+ProbeOutcome stage_fault_on_half_open_probe(exec::Backend backend) {
+  const bool native = backend == exec::Backend::kNative;
+  const filters::MultiKernelApp app =
+      native ? filters::make_gaussian_app() : filters::make_sobel_app();
+  const pipeline::KernelGraph graph = pipeline::build_graph(app);
+  const std::string kernel = graph.stages[0].spec.name;
+  const Image<f32> src = make_gradient_image({64, 64});
+
+  resilience::VirtualClock clock;
+  resilience::BreakerRegistry breakers({/*failure_threshold=*/1,
+                                        /*open_cooldown_ms=*/100,
+                                        /*half_open_probes=*/1},
+                                       &clock);
+  // A JIT directory of its own, removed on exit; -O0 keeps the compile
+  // short and does not change the emitted float sequence.
+  const std::filesystem::path jit_dir =
+      std::filesystem::temp_directory_path() /
+      ("ispb-test-probe-" + std::to_string(::getpid()));
+  struct RemoveDir {
+    std::filesystem::path path;
+    ~RemoveDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } remove_dir{jit_dir};
+  pipeline::KernelCache cache(8);
+  cache.set_jit({jit_dir.string(), "", "-O0", true});
+  pipeline::ExecutorConfig cfg;
+  cfg.concurrency = 0;
+  cfg.cache = &cache;
+  cfg.backend = backend;
+  cfg.breakers = &breakers;
+  cfg.clock = &clock;
+  const pipeline::PipelineExecutor executor(cfg);
+  CircuitBreaker& breaker = breakers.get(native ? kernel + "#native" : kernel);
+
+  {
+    // The first stage's attempt fails: its breaker trips and the fallback
+    // serves.
+    FaultPlan plan;
+    if (native) {
+      plan.rules.push_back({"device.launch", FaultKind::kThrow, "", 1.0,
+                            /*max_fires=*/1, 0});
+    } else {
+      plan.rules.push_back({"compile.lower", FaultKind::kThrow,
+                            kernel + "/isp", 1.0, /*max_fires=*/1, 0});
+    }
+    resilience::FaultInjector injector(plan, &clock);
+    resilience::FaultInjector::ScopedInstall install(injector);
+    (void)executor.run(graph, src);
+  }
+  EXPECT_EQ(breaker.snapshot().state, BreakerState::kOpen);
+  clock.advance(150);
+  {
+    // The half-open probe is admitted, then its executor.stage throws.
+    FaultPlan plan;
+    plan.rules.push_back({"executor.stage", FaultKind::kThrow, kernel, 1.0,
+                          /*max_fires=*/1, 0});
+    resilience::FaultInjector injector(plan, &clock);
+    resilience::FaultInjector::ScopedInstall install(injector);
+    EXPECT_THROW((void)executor.run(graph, src), resilience::InjectedFault);
+  }
+  clock.advance(150);
+  ProbeOutcome outcome;
+  outcome.result = executor.run(graph, src);
+  outcome.breaker = breaker.snapshot();
+  outcome.expect =
+      filters::run_app_reference(app, src, BorderPattern::kClamp);
+  return outcome;
+}
+
+// A throw from the executor.stage fault point after allow() admitted the
+// half-open probe must free the probe's slot: the next probe restores ISP
+// and closes the breaker instead of short-circuiting to naive for good.
+TEST(BreakerProbe, StageFaultOnVariantProbeReleasesIt) {
+  const ProbeOutcome out =
+      stage_fault_on_half_open_probe(exec::Backend::kInterpreted);
+  ASSERT_EQ(out.result.stages.size(), 3u);
+  EXPECT_EQ(out.result.stages[0].variant_used, codegen::Variant::kIsp);
+  EXPECT_FALSE(out.result.stages[0].served_by_fallback);
+  EXPECT_EQ(out.breaker.state, BreakerState::kClosed);
+  EXPECT_EQ(compare(out.result.output, out.expect).max_abs, 0.0);
+}
+
+TEST(BreakerProbe, StageFaultOnNativeProbeReleasesIt) {
+  const ProbeOutcome out =
+      stage_fault_on_half_open_probe(exec::Backend::kNative);
+  ASSERT_EQ(out.result.stages.size(), 1u);
+  EXPECT_EQ(out.result.stages[0].variant_used, codegen::Variant::kIsp);
+  EXPECT_EQ(out.result.stages[0].backend_used, exec::Backend::kNative);
+  EXPECT_FALSE(out.result.stages[0].backend_fallback);
+  EXPECT_EQ(out.breaker.state, BreakerState::kClosed);
+  EXPECT_EQ(compare(out.result.output, out.expect).max_abs, 0.0);
 }
 
 TEST(ServerResilience, RetriesRecoverTransientStageFaults) {

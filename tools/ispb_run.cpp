@@ -126,6 +126,7 @@
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
+#include "pipeline/executor.hpp"
 #include "pipeline/server.hpp"
 #include "resilience/fault_injector.hpp"
 
@@ -436,7 +437,7 @@ int run_analyze_cost(const Cli& cli) {
 
         // Stage chain: addresses never depend on image data, so a zero
         // source drives the launches; intermediates chain like the real
-        // pipeline so pitches match run_app_simulated.
+        // pipeline so pitches match the executor's stage images.
         std::vector<Image<f32>> chain;
         chain.reserve(app.stages.size() + 1);
         chain.emplace_back(image);
@@ -805,6 +806,20 @@ int run_analyze(int argc, char** argv) {
   return ok ? 0 : 1;
 }
 
+/// Runs `app` on the interpreted engine, one stage at a time on this
+/// thread, through the process-wide kernel cache: the modeled per-stage
+/// counters profile and simulate report.
+pipeline::ExecutorResult run_simulated(const filters::MultiKernelApp& app,
+                                       const Image<f32>& source,
+                                       const filters::AppSimConfig& sim) {
+  pipeline::ExecutorConfig config;
+  config.sim = sim;
+  config.concurrency = 1;
+  config.backend = exec::Backend::kInterpreted;
+  return pipeline::PipelineExecutor(config).run(pipeline::build_graph(app),
+                                                source);
+}
+
 int run_profile(int argc, char** argv) {
   Cli cli(argc, argv);
   declare_pipeline_options(cli)
@@ -827,14 +842,14 @@ int run_profile(int argc, char** argv) {
   // assembled, so report generation never observes itself.
   obs::MetricsRegistry registry;
   std::vector<obs::TraceEvent> events;
-  filters::AppSimResult result;
+  pipeline::ExecutorResult result;
   {
     obs::MetricsRegistry::ScopedInstall install(registry);
     obs::TraceSession::start();
     // Profiling is pinned to the interpreted engine: per-region counters,
     // occupancy and modeled time only exist there (the native backend
     // reports wall time alone).
-    result = filters::run_app_simulated(app, source, cfg);
+    result = run_simulated(app, source, cfg);
     events = obs::TraceSession::stop();
   }
 
@@ -2510,8 +2525,7 @@ int run_simulate(int argc, char** argv) {
             << ", " << to_string(cfg.pattern) << ", variant "
             << cli.get_string("variant", "isp+m") << "\n\n";
 
-  const filters::AppSimResult result =
-      filters::run_app_simulated(app, source, cfg);
+  const pipeline::ExecutorResult result = run_simulated(app, source, cfg);
 
   AsciiTable table("per-stage results");
   table.set_header({"stage", "variant", "time ms", "occupancy",
