@@ -16,6 +16,13 @@
 // until the rep ends as the ladder holds them, with minor page faults
 // (getrusage ru_minflt, whole process) per call. Their difference is the
 // server rung's self time without the ladder's other rungs around it.
+//
+// A third table times a 128² request's fixed cost (native, mirror, ISP,
+// gaussian and fused sobel, serve_128's apps): the kernel rung
+// (exec::run_native_module on the fused stage's module), an unprepared
+// PipelineExecutor::run and a run of a pipeline::PreparedRun, interleaved
+// rep by rep. The executor rungs minus the kernel rung are the executor's
+// per-request cost with and without the preparation.
 #include <sys/resource.h>
 
 #include <array>
@@ -23,6 +30,7 @@
 #include <cmath>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/cli.hpp"
@@ -167,6 +175,109 @@ bool run_rungs(i32 reps, BenchJson& json) {
   return identical;
 }
 
+/// The kernel, unprepared-executor and prepared-run rungs for gaussian and
+/// fused sobel at 128² (native, mirror, ISP), `reps` reps interleaved
+/// rung by rung after one untimed rep. Returns false if any rung's output
+/// differs from the reference.
+bool run_prepared_rungs(i32 reps, BenchJson& json) {
+  using Clock = std::chrono::steady_clock;
+  constexpr i32 kSize = 128;
+  constexpr BorderPattern kPattern = BorderPattern::kMirror;
+  const Image<f32> source = make_noise_image({kSize, kSize}, 1);
+  const Image<f32>* const inputs[] = {&source};
+
+  pipeline::KernelCache cache;
+  pipeline::ExecutorConfig exec_cfg;
+  exec_cfg.sim.pattern = kPattern;
+  exec_cfg.sim.variant = codegen::Variant::kIsp;
+  exec_cfg.concurrency = 1;
+  exec_cfg.cache = &cache;
+  exec_cfg.backend = exec::Backend::kNative;
+  const pipeline::PipelineExecutor executor(exec_cfg);
+
+  AsciiTable table("128x128, native, mirror, ISP: per-request rungs "
+                   "interleaved (" + std::to_string(reps) + " reps, JIT " +
+                   std::string(exec::jit_isa_level()) + ", " +
+                   std::to_string(std::thread::hardware_concurrency()) +
+                   " hardware threads)");
+  table.set_header({"app", "rung", "p25 us", "median us", "p75 us",
+                    "over kernel us"});
+  bool identical = true;
+  for (const filters::MultiKernelApp& app :
+       {filters::make_gaussian_app(), filters::make_sobel_app()}) {
+    const pipeline::KernelGraph graph = pipeline::build_graph(app);
+    const Image<f32> reference =
+        filters::run_app_reference(app, source, kPattern);
+    // The fused graph's one stage is the kernel the executor runs.
+    (void)executor.run(graph, source);  // JIT
+    const pipeline::PreparedRun prepared =
+        executor.prepare(graph, source.size());
+    const pipeline::KernelGraph::Stage& stage = prepared.graph().stages.at(0);
+    codegen::CodegenOptions options;
+    options.pattern = kPattern;
+    options.variant = codegen::Variant::kIsp;
+    const exec::NativeModulePtr module =
+        cache.get_or_compile_native(stage.spec, options,
+                                    exec_cfg.sim.device.name);
+    Image<f32> kernel_out(source.size());
+
+    enum Rung { kKernel, kExecutor, kPrepared, kRungs };
+    std::array<std::vector<f64>, kRungs> us;
+    for (auto& v : us) v.reserve(static_cast<std::size_t>(reps));
+    for (i32 k = -1; k < reps; ++k) {
+      const Clock::time_point t0 = Clock::now();
+      (void)exec::run_native_module(*module, inputs, kernel_out);
+      const Clock::time_point t1 = Clock::now();
+      const pipeline::ExecutorResult unprepared = executor.run(graph, source);
+      const Clock::time_point t2 = Clock::now();
+      const pipeline::ExecutorResult reused = executor.run(prepared, source);
+      const Clock::time_point t3 = Clock::now();
+      if (k < 0) {
+        identical = identical &&
+                    compare(kernel_out, reference).max_abs == 0.0 &&
+                    compare(unprepared.output, reference).max_abs == 0.0 &&
+                    compare(reused.output, reference).max_abs == 0.0;
+        continue;
+      }
+      us[kKernel].push_back(
+          std::chrono::duration<f64, std::micro>(t1 - t0).count());
+      us[kExecutor].push_back(
+          std::chrono::duration<f64, std::micro>(t2 - t1).count());
+      us[kPrepared].push_back(
+          std::chrono::duration<f64, std::micro>(t3 - t2).count());
+    }
+
+    BenchJson::Row row;
+    row.app = app.name;
+    row.pattern = "mirror";
+    row.variant = "isp";
+    row.backend = "native";
+    row.isa_level = std::string(exec::jit_isa_level());
+    row.size = kSize;
+    const auto add = [&](std::string metric, f64 value) {
+      row.metric = std::move(metric);
+      row.value = value;
+      json.add(row);
+    };
+    const char* names[kRungs] = {"kernel", "executor", "prepared"};
+    const f64 kernel_us = median(us[kKernel]);
+    for (i32 r = 0; r < kRungs; ++r) {
+      const f64 med = median(us[r]);
+      table.add_row({app.name, names[r],
+                     AsciiTable::num(percentile(us[r], 25.0), 2),
+                     AsciiTable::num(med, 2),
+                     AsciiTable::num(percentile(us[r], 75.0), 2),
+                     r == kKernel ? "" : AsciiTable::num(med - kernel_us, 2)});
+      add(std::string("rung_us_p50.") + names[r], med);
+      add(std::string("rung_us_p25.") + names[r], percentile(us[r], 25.0));
+      add(std::string("rung_us_p75.") + names[r], percentile(us[r], 75.0));
+    }
+    add("prepared_saving_us", median(us[kExecutor]) - median(us[kPrepared]));
+  }
+  table.print(std::cout);
+  return identical;
+}
+
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
   cli.option("app", "run a single application by name");
@@ -306,12 +417,20 @@ int run(int argc, char** argv) {
   if (only_app.empty() || only_app == "night") {
     identical = run_rungs(cli.get_flag("quick") ? 31 : 61, json);
   }
-  json.write(cli.get_string("json", ""));
   if (!identical) {
     std::cerr << "night: the executor and server rungs' outputs differ\n";
-    return 1;
   }
-  return 0;
+  bool prepared_identical = true;
+  if (only_app.empty() || only_app == "gaussian" || only_app == "sobel") {
+    std::cout << "\n";
+    prepared_identical =
+        run_prepared_rungs(cli.get_flag("quick") ? 2001 : 20001, json);
+  }
+  json.write(cli.get_string("json", ""));
+  if (!prepared_identical) {
+    std::cerr << "128x128: a rung's output differs from the reference\n";
+  }
+  return identical && prepared_identical ? 0 : 1;
 }
 
 }  // namespace

@@ -241,16 +241,11 @@ f64 run_native_module(const NativeModule& module,
   return run_native_chain({&one, 1}, inputs, output, bands);
 }
 
-NativeLaunch NativeBackend::prepare(const codegen::StencilSpec& spec,
-                                    const codegen::CodegenOptions& options,
-                                    const sim::DeviceSpec& device, Size2 size) {
-  dsl::validate_window(spec, options.pattern, size);
+NativeLaunch native_launch(NativeModulePtr module,
+                           const codegen::StencilSpec& spec,
+                           const codegen::CodegenOptions& options, Size2 size) {
   NativeLaunch launch;
-  if (cache_ != nullptr) {
-    launch.module = cache_->get_or_compile_native(spec, options, device.name);
-  } else {
-    launch.module = jit_compile(spec, options, jit_);
-  }
+  launch.module = std::move(module);
   const Window w = spec.window();
   const bool degenerate =
       size.x < 2 * w.radius_x() || size.y < 2 * w.radius_y();
@@ -261,6 +256,17 @@ NativeLaunch NativeBackend::prepare(const codegen::StencilSpec& spec,
   run.backend = Backend::kNative;
   run.regs_per_thread = 0;  // no register model
   return launch;
+}
+
+NativeLaunch NativeBackend::prepare(const codegen::StencilSpec& spec,
+                                    const codegen::CodegenOptions& options,
+                                    const sim::DeviceSpec& device, Size2 size) {
+  dsl::validate_window(spec, options.pattern, size);
+  return native_launch(
+      cache_ != nullptr
+          ? cache_->get_or_compile_native(spec, options, device.name)
+          : jit_compile(spec, options, jit_),
+      spec, options, size);
 }
 
 BackendRun NativeBackend::run(const codegen::StencilSpec& spec,

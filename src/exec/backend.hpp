@@ -78,6 +78,15 @@ struct NativeLaunch {
   BackendRun run;  ///< stats.time_ms is 0 until the module runs
 };
 
+/// The launch of a resolved `module` for `spec` under `options` over an
+/// image of `size`: the variant it reports is kNaive where the partition
+/// degenerates (an image narrower than twice the window's radius), as the
+/// interpreted engine's is.
+[[nodiscard]] NativeLaunch native_launch(NativeModulePtr module,
+                                         const codegen::StencilSpec& spec,
+                                         const codegen::CodegenOptions& options,
+                                         Size2 size);
+
 /// JIT path: resolves a NativeModule (through `cache` when non-null, else
 /// jit_compile directly).
 class NativeBackend {

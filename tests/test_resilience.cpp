@@ -36,6 +36,7 @@ using resilience::CircuitBreaker;
 using resilience::FaultKind;
 using resilience::FaultPlan;
 using resilience::FaultRule;
+using ExecutorStage = pipeline::ExecutorResult::Stage;
 
 // ---- clock ------------------------------------------------------------------
 
@@ -828,6 +829,177 @@ TEST(BreakerProbe, StageFaultOnNativeProbeReleasesIt) {
   EXPECT_FALSE(out.result.stages[0].backend_fallback);
   EXPECT_EQ(out.breaker.state, BreakerState::kClosed);
   EXPECT_EQ(compare(out.result.output, out.expect).max_abs, 0.0);
+}
+
+// ---- prepared runs: breakers and the cache read live ------------------------
+
+/// A JIT directory of its own, removed on exit; -O0 keeps the compiles
+/// short and does not change the emitted float sequence.
+struct PreparedJitDir {
+  std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("ispb-test-prepared-" + std::to_string(::getpid()));
+  ~PreparedJitDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  [[nodiscard]] exec::JitConfig jit() const {
+    return {path.string(), "", "-O0", true};
+  }
+};
+
+// One prepared native run, reused: a "#native" breaker that trips on one
+// request sends the very next reuse to the interpreter, and once its
+// half-open probe closes it again the next reuse is native once more. The
+// prepared run stays reusable throughout; every output is bit-identical.
+TEST(PreparedRun, NativeBreakerTripAndCloseTakeEffectOnTheNextReuse) {
+  const pipeline::KernelGraph graph =
+      pipeline::build_graph(filters::make_gaussian_app());
+  const Image<f32> src = make_gradient_image({64, 64});
+  const Image<f32> expect = filters::run_app_reference(
+      filters::make_gaussian_app(), src, BorderPattern::kClamp);
+  const PreparedJitDir dir;
+  pipeline::KernelCache cache(8);
+  cache.set_jit(dir.jit());
+  resilience::VirtualClock clock;
+  resilience::BreakerRegistry breakers({/*failure_threshold=*/1,
+                                        /*open_cooldown_ms=*/100,
+                                        /*half_open_probes=*/1},
+                                       &clock);
+  pipeline::ExecutorConfig cfg;
+  cfg.concurrency = 1;
+  cfg.cache = &cache;
+  cfg.backend = exec::Backend::kNative;
+  cfg.breakers = &breakers;
+  cfg.clock = &clock;
+  const pipeline::PipelineExecutor executor(cfg);
+  (void)executor.run(graph, src);  // JIT the module
+  const pipeline::PreparedRun prepared = executor.prepare(graph, src.size());
+  ASSERT_TRUE(executor.reusable(prepared));
+  const CircuitBreaker& breaker =
+      breakers.get(graph.stages[0].spec.name + "#native");
+
+  const auto run = [&] {
+    pipeline::ExecutorResult r = executor.run(prepared, src);
+    EXPECT_EQ(compare(r.output, expect).max_abs, 0.0);
+    EXPECT_EQ(r.stages.size(), 1u);
+    return r.stages[0];
+  };
+  EXPECT_EQ(run().backend_used, exec::Backend::kNative);
+  {
+    FaultPlan plan;  // the primary's launch fails once; the fallback's runs
+    plan.rules.push_back(
+        {"device.launch", FaultKind::kThrow, "", 1.0, /*max_fires=*/1, 0});
+    resilience::FaultInjector injector(plan, &clock);
+    resilience::FaultInjector::ScopedInstall install(injector);
+    EXPECT_TRUE(run().backend_fallback);
+  }
+  EXPECT_EQ(breaker.snapshot().state, BreakerState::kOpen);
+  const ExecutorStage open = run();  // no fault left: only the breaker
+  EXPECT_TRUE(open.backend_fallback);
+  EXPECT_EQ(open.backend_used, exec::Backend::kInterpreted);
+  EXPECT_EQ(breaker.snapshot().short_circuits, 1u);
+
+  clock.advance(150);
+  const ExecutorStage probe = run();  // the half-open probe succeeds
+  EXPECT_FALSE(probe.backend_fallback);
+  EXPECT_EQ(probe.backend_used, exec::Backend::kNative);
+  EXPECT_EQ(breaker.snapshot().state, BreakerState::kClosed);
+  EXPECT_EQ(run().backend_used, exec::Backend::kNative);
+  EXPECT_TRUE(executor.reusable(prepared));
+}
+
+// The variant breaker, read live through a prepared interpreted run: an
+// ISP compile failure trips it, the next reuse is served naive without an
+// ISP attempt, and after the cooldown the probe restores ISP.
+TEST(PreparedRun, VariantBreakerTripAndCloseTakeEffectOnTheNextReuse) {
+  const pipeline::KernelGraph graph =
+      pipeline::build_graph(filters::make_gaussian_app());
+  const Image<f32> src = make_gradient_image({64, 64});
+  const Image<f32> expect = filters::run_app_reference(
+      filters::make_gaussian_app(), src, BorderPattern::kClamp);
+  pipeline::KernelCache cache(8);
+  resilience::VirtualClock clock;
+  resilience::BreakerRegistry breakers({1, 100, 1}, &clock);
+  pipeline::ExecutorConfig cfg;
+  cfg.concurrency = 1;
+  cfg.cache = &cache;
+  cfg.breakers = &breakers;
+  cfg.clock = &clock;
+  const pipeline::PipelineExecutor executor(cfg);
+  const pipeline::PreparedRun prepared = executor.prepare(graph, src.size());
+  ASSERT_TRUE(executor.reusable(prepared));
+  const CircuitBreaker& breaker = breakers.get(graph.stages[0].spec.name);
+
+  const auto run = [&] {
+    pipeline::ExecutorResult r = executor.run(prepared, src);
+    EXPECT_EQ(compare(r.output, expect).max_abs, 0.0);
+    return r.stages.at(0);
+  };
+  {
+    FaultPlan plan;
+    plan.rules.push_back({"compile.lower", FaultKind::kThrow, "/isp", 1.0,
+                          /*max_fires=*/1, 0});
+    resilience::FaultInjector injector(plan, &clock);
+    resilience::FaultInjector::ScopedInstall install(injector);
+    const ExecutorStage failed = run();
+    EXPECT_TRUE(failed.served_by_fallback);
+    EXPECT_EQ(failed.variant_used, codegen::Variant::kNaive);
+  }
+  EXPECT_EQ(breaker.snapshot().state, BreakerState::kOpen);
+  const ExecutorStage open = run();
+  EXPECT_TRUE(open.served_by_fallback);
+  EXPECT_EQ(open.variant_used, codegen::Variant::kNaive);
+  EXPECT_EQ(breaker.snapshot().short_circuits, 1u);
+
+  clock.advance(150);
+  const ExecutorStage probe = run();
+  EXPECT_FALSE(probe.served_by_fallback);
+  EXPECT_EQ(probe.variant_used, codegen::Variant::kIsp);
+  EXPECT_EQ(breaker.snapshot().state, BreakerState::kClosed);
+}
+
+// Every cache.insert poisons the stored kernel. Runs of one prepared run,
+// and requests a server serves through its memo, heal the poison on each
+// lookup and never launch a poisoned kernel (negative register demand):
+// the outputs stay bit-identical, and a heal retires the prepared run.
+TEST(PreparedRun, CorruptCacheInsertNeverReachesALaunch) {
+  FaultPlan plan;
+  plan.rules.push_back({"cache.insert", FaultKind::kCorrupt, "", 1.0, 0, 0});
+  resilience::FaultInjector injector(plan);
+  resilience::FaultInjector::ScopedInstall install(injector);
+
+  const auto graph = gaussian_graph();
+  const auto src =
+      std::make_shared<const Image<f32>>(make_gradient_image({64, 64}));
+  const Image<f32> expect = filters::run_app_reference(
+      filters::make_gaussian_app(), *src, BorderPattern::kClamp);
+  pipeline::KernelCache cache(8);
+  pipeline::ExecutorConfig cfg;
+  cfg.concurrency = 1;
+  cfg.cache = &cache;
+  const pipeline::PipelineExecutor executor(cfg);
+  const pipeline::PreparedRun prepared = executor.prepare(*graph, src->size());
+  for (int i = 0; i < 3; ++i) {
+    const pipeline::ExecutorResult r = executor.run(prepared, *src);
+    EXPECT_EQ(compare(r.output, expect).max_abs, 0.0) << "run " << i;
+    EXPECT_GT(r.stages.at(0).regs_per_thread, 0) << "run " << i;
+  }
+  EXPECT_EQ(cache.stats().poisoned, 2u);
+  EXPECT_FALSE(executor.reusable(prepared));
+
+  pipeline::ServerConfig server_cfg;
+  server_cfg.workers = 1;
+  server_cfg.executor = cfg;
+  pipeline::PipelineServer server(server_cfg);
+  for (int i = 0; i < 3; ++i) {
+    const pipeline::ServeResponse resp =
+        server.submit({graph, src, 0.0, std::nullopt}).get();
+    ASSERT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
+    EXPECT_EQ(compare(resp.output, expect).max_abs, 0.0) << "request " << i;
+  }
+  EXPECT_EQ(cache.stats().poisoned, 5u);
+  server.shutdown();
 }
 
 TEST(ServerResilience, RetriesRecoverTransientStageFaults) {
