@@ -10,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "common/stop.hpp"
-#include "core/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resilience/fault_injector.hpp"
@@ -47,6 +46,17 @@ void publish_fleet_status(FleetStatus status) {
 
 resilience::Clock* shard_clock(const FleetConfig& config) {
   return config.shard.clock != nullptr ? config.shard.clock : config.clock;
+}
+
+/// A device's modeled issue capacity at the kernels' rough occupancy: the
+/// same occupancy/cost model the planner uses, evaluated without compiling
+/// anything.
+f64 device_capacity(const sim::DeviceSpec& dev, BlockSize block) {
+  const sim::Occupancy occ =
+      sim::compute_occupancy(dev, block, /*regs_per_thread=*/32);
+  return std::max(static_cast<f64>(dev.num_sms) * dev.clock_ghz *
+                      sim::throughput_factor(dev, occ),
+                  1e-12);
 }
 
 ServeStatus serve_status(FleetStatus status) {
@@ -96,7 +106,8 @@ FleetServer::Shard::Shard(const sim::DeviceSpec& spec,
         return ec;
       }()),
       breaker("device:" + spec.name, config.device_breaker, config.clock),
-      slo(config.shard.slo) {}
+      slo(config.shard.slo),
+      capacity(device_capacity(spec, config.shard.executor.sim.block)) {}
 
 FleetServer::FleetServer(FleetConfig config)
     : config_(std::move(config)),
@@ -453,8 +464,8 @@ std::size_t FleetServer::place(const Item& item, u64 tried, bool& probe,
 
   // Probe-first: a quarantined device whose cooldown elapsed takes this
   // request as its half-open probe (breaker-bounded), so a healed device
-  // re-enters rotation; otherwise pick the lowest-loaded-per-speed closed
-  // device.
+  // re-enters rotation; otherwise pick the closed device with the lowest
+  // load per capacity.
   for (;;) {
     std::size_t best = kNoShard;
     f64 best_score = 0.0;
@@ -472,7 +483,7 @@ std::size_t FleetServer::place(const Item& item, u64 tried, bool& probe,
       const f64 score =
           static_cast<f64>(shard.running.load(std::memory_order_relaxed) +
                            1) /
-          speed_weight(i, item.request.graph);
+          shard.capacity;
       if (best == kNoShard || score < best_score) {
         best = i;
         best_score = score;
@@ -503,8 +514,9 @@ FleetServer::Attempt FleetServer::execute(Shard& shard, const Item& item) {
     obs::ScopedSpan span("pipeline.server.request", "pipeline");
     if (span.recording()) span.arg("graph", item.request.graph->name);
     resilience::fault_point("server.exec", item.request.graph->name);
-    pipeline::ExecutorResult result = shard.executor.run(
-        *prepared_run(shard, item), *item.request.source);
+    pipeline::ExecutorResult result =
+        shard.executor.run(*item.request.graph, *item.request.source,
+                           item.request.backend, item.request.variant);
     // The variant and engine that reached the caller: kNaive/kInterpreted
     // if *any* stage degraded to it (a graph has at least one stage).
     response.sim_time_ms = result.total_time_ms;
@@ -632,88 +644,6 @@ void FleetServer::device_failure(std::size_t index) {
     std::lock_guard lock(mu_);
     ++stats_.devices[index].quarantines;
   }
-}
-
-FleetServer::GraphMemo& FleetServer::memo_locked(
-    Shard& shard, const std::shared_ptr<const pipeline::KernelGraph>& graph) {
-  std::vector<GraphMemo>& memo = shard.memo;
-  // Owner equality: a live weak_ptr keeps its control block, so no other
-  // graph can share it, even at the same address.
-  const auto it = std::find_if(memo.begin(), memo.end(), [&](const auto& e) {
-    return !e.graph.owner_before(graph) && !graph.owner_before(e.graph);
-  });
-  if (it != memo.end()) {
-    std::rotate(it, it + 1, memo.end());  // most recently used last
-    return memo.back();
-  }
-  std::erase_if(memo, [](const GraphMemo& e) { return e.graph.expired(); });
-  if (memo.size() >= kMemoGraphs) memo.erase(memo.begin());
-  memo.push_back({graph, 0.0, {}});
-  return memo.back();
-}
-
-f64 FleetServer::speed_weight(
-    std::size_t index,
-    const std::shared_ptr<const pipeline::KernelGraph>& graph) {
-  Shard& shard = *shards_[index];
-  const std::lock_guard lock(shard.memo_mu);
-  GraphMemo& entry = memo_locked(shard, graph);
-  if (entry.weight > 0.0) return entry.weight;
-  // Modeled instruction load of the graph (device-independent; a nominal
-  // image size cancels across devices) against the device's issue capacity
-  // at the kernels' rough occupancy — the same occupancy/cost model the
-  // planner uses, evaluated without compiling anything. Once per (shard,
-  // graph), under the shard's memo lock only.
-  const sim::DeviceSpec& dev = shard.device;
-  const BlockSize block = config_.shard.executor.sim.block;
-  f64 instructions = 0.0;
-  for (const pipeline::KernelGraph::Stage& stage : graph->stages) {
-    const ModelInputs in = default_model_inputs(
-        Size2{256, 256}, block, stage.spec.window(),
-        config_.shard.executor.sim.pattern);
-    instructions += naive_instructions(in);
-  }
-  instructions = std::max(instructions, 1.0);
-  const sim::Occupancy occ =
-      sim::compute_occupancy(dev, block, /*regs_per_thread=*/32);
-  const f64 capacity = static_cast<f64>(dev.num_sms) * dev.clock_ghz *
-                       sim::throughput_factor(dev, occ);
-  entry.weight = std::max(capacity / instructions, 1e-12);
-  return entry.weight;
-}
-
-std::shared_ptr<const pipeline::PreparedRun> FleetServer::prepared_run(
-    Shard& shard, const Item& item) {
-  const pipeline::ServeRequest& req = item.request;
-  const exec::Backend engine =
-      req.backend.value_or(config_.shard.executor.backend);
-  const Size2 size = req.source->size();
-  const auto matches = [&](const pipeline::PreparedRun& run) {
-    return run.engine() == engine && run.variant() == req.variant &&
-           run.size() == size;
-  };
-  {
-    const std::lock_guard lock(shard.memo_mu);
-    auto& runs = memo_locked(shard, req.graph).runs;
-    const auto it = std::find_if(runs.begin(), runs.end(), [&](const auto& r) {
-      return matches(*r) && shard.executor.reusable(*r);
-    });
-    if (it != runs.end()) {
-      std::rotate(it, it + 1, runs.end());  // most recently used last
-      return runs.back();
-    }
-  }
-  // Prepared outside the lock: a cold prepare validates and fuses the
-  // graph, which other requests on this shard need not wait for.
-  auto fresh = std::make_shared<const pipeline::PreparedRun>(
-      shard.executor.prepare(*req.graph, size, req.backend, req.variant));
-  if (!shard.executor.reusable(*fresh)) return fresh;
-  const std::lock_guard lock(shard.memo_mu);
-  auto& runs = memo_locked(shard, req.graph).runs;
-  std::erase_if(runs, [&](const auto& run) { return matches(*run); });
-  if (runs.size() >= kMemoRuns) runs.erase(runs.begin());
-  runs.push_back(fresh);
-  return fresh;
 }
 
 void FleetServer::resume() {

@@ -13,17 +13,21 @@
 // otherwise a quarantined device whose cooldown elapsed takes it as the
 // half-open probe (probe-first, bounded by half_open_probes) so a healed
 // device re-enters rotation without a side channel; otherwise it goes to the
-// device with the lowest (running + 1) / speed score, where speed comes from
-// the existing per-device analytic model: modeled graph instructions
-// against the device's SM count, clock and issue-throughput factor at the
-// kernels' occupancy (sim::compute_occupancy / throughput_factor). A 46-SM
-// Turing therefore absorbs proportionally more load than an 8-SMX Kepler,
-// and the router needs no calibration run.
+// device with the lowest (running + 1) / capacity score. A device's capacity
+// comes from the existing per-device analytic model: its SM count, clock and
+// issue-throughput factor at the kernels' occupancy
+// (sim::compute_occupancy / throughput_factor), computed once per shard. A
+// 46-SM Turing therefore absorbs proportionally more load than an 8-SMX
+// Kepler, and the router needs no calibration run. The score has no graph
+// term: a graph's modeled instruction count is the same on every device,
+// so dividing each device's capacity by it scales every score alike and
+// changes no placement (DESIGN.md §18).
 //
 // Shards: a device keeps only its PipelineExecutor, that executor's
 // per-kernel resilience::BreakerRegistry (the runtime form of the paper's
 // isp+m fallback: a kernel whose ISP path keeps failing is served naive), a
-// device-level resilience::CircuitBreaker, an SloWindow and a running count.
+// device-level resilience::CircuitBreaker, an SloWindow, its capacity and a
+// running count.
 //
 // Deadlines: deadline_ms covers the whole request, submit to settle. A
 // request that expires queued is settled kDeadlineExpired by the sweeper
@@ -69,12 +73,10 @@
 // spin kept no one waiting), ends the streak. Sparse open-loop traffic
 // seldom misses kMissedSpinLimit spins in a row, so it keeps its spins.
 //
-// Memo: each shard keeps, per graph (by identity, held weakly), the
-// graph's placement weight and its pipeline::PreparedRun per (engine,
-// variant, source size), so placement builds no key string and takes no
-// fleet-wide lock, and a request whose graph was served before runs its
-// prepared form: no validate, fusion, planning, breaker or cache lookup
-// (DESIGN.md §18).
+// Plans: a shard keeps no per-graph state. Its executor memoizes each
+// graph's plan (pipeline::PipelineExecutor), so a request whose graph was
+// served before runs without validate, fusion, planning, breaker or cache
+// lookup (DESIGN.md §12).
 //
 // Tracing: with an obs::TraceSession active, an enqueued request gets a
 // request id; its queue wait, every execution and its root span
@@ -263,16 +265,6 @@ class FleetServer {
   friend class pipeline::PipelineServer;  // submits with a ServeResponse
   using Clock = std::chrono::steady_clock;
 
-  /// What a shard keeps about one graph between requests: its placement
-  /// weight and its prepared runs (one per engine, variant and source
-  /// size). Keyed by the graph's identity, held weakly, so an entry whose
-  /// graph was freed matches nothing — not even a new graph at the same
-  /// address — and is pruned. Holds no image.
-  struct GraphMemo {
-    std::weak_ptr<const pipeline::KernelGraph> graph;
-    f64 weight = 0.0;  ///< 0 until placement first scores the graph here
-    std::vector<std::shared_ptr<const pipeline::PreparedRun>> runs;
-  };
   struct Shard {
     Shard(const sim::DeviceSpec& spec, const FleetConfig& config);
     sim::DeviceSpec device;
@@ -280,15 +272,11 @@ class FleetServer {
     pipeline::PipelineExecutor executor;
     resilience::CircuitBreaker breaker;  ///< device-level quarantine
     obs::SloWindow slo;                  ///< own lock
+    /// Modeled issue capacity: SMs × clock × throughput factor at the
+    /// kernels' occupancy. Placement's speed.
+    f64 capacity = 0.0;
     std::atomic<u64> running{0};
-    std::mutex memo_mu;  ///< guards memo
-    std::vector<GraphMemo> memo;  ///< at most kMemoGraphs entries
   };
-  /// Graphs a shard's memo holds, and prepared runs per graph; beyond
-  /// them the least recently used entry goes (each list keeps its most
-  /// recently used entry last).
-  static constexpr std::size_t kMemoGraphs = 16;
-  static constexpr std::size_t kMemoRuns = 8;
   /// One admitted request. Driven by one thread at a time: the submitter,
   /// then the worker or sweeper that takes it off the queue.
   struct Item {
@@ -353,19 +341,6 @@ class FleetServer {
               std::size_t index, std::string error);
   /// Breaker failure + quarantine accounting for a device-level error.
   void device_failure(std::size_t index);
-  /// Memoized per-(device, graph) speed estimate for placement scoring.
-  [[nodiscard]] f64 speed_weight(
-      std::size_t index,
-      const std::shared_ptr<const pipeline::KernelGraph>& graph);
-  /// The shard's memo entry for `graph`, moved to the back as the most
-  /// recently used, or made there (after pruning expired entries, and the
-  /// least recently used at the cap) if there is none. Under memo_mu.
-  static GraphMemo& memo_locked(
-      Shard& shard, const std::shared_ptr<const pipeline::KernelGraph>& graph);
-  /// The request's prepared run on `shard`: the memoized one while the
-  /// executor finds it reusable, else a fresh one, memoized if reusable.
-  [[nodiscard]] std::shared_ptr<const pipeline::PreparedRun> prepared_run(
-      Shard& shard, const Item& item);
 
   FleetConfig config_;
   AdmissionController admission_;

@@ -1,6 +1,7 @@
 #include "pipeline/executor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -21,7 +22,47 @@ namespace {
 /// Image slots of one run: [0] the caller's source, [i + 1] stage i's output.
 using Slots = std::span<const Image<f32>* const>;
 
-using PreparedStage = PreparedRun::Stage;
+/// Plans a run's executor memoizes; beyond them the least recently used
+/// plan goes.
+constexpr std::size_t kPlans = 32;
+
+/// One stage's entry of a plan.
+struct PreparedStage {
+  /// Native engine: the stage's "<kernel>#native" breaker; interpreted: its
+  /// variant breaker (none for kNaive). Null without a registry.
+  resilience::CircuitBreaker* breaker = nullptr;
+  /// Native engine: the module and what it reports; a null module is
+  /// resolved through the cache by each run.
+  exec::NativeLaunch launch;
+};
+
+/// Whether two specs are one kernel: name, input count, output and every
+/// node, constants by bit pattern as spec_fingerprint hashes them (0.0f and
+/// -0.0f are different kernels).
+bool same_spec(const codegen::StencilSpec& a, const codegen::StencilSpec& b) {
+  const auto same_node = [](const codegen::Node& m, const codegen::Node& n) {
+    return m.kind == n.kind &&
+           std::bit_cast<u32>(m.value) == std::bit_cast<u32>(n.value) &&
+           m.input == n.input && m.dx == n.dx && m.dy == n.dy &&
+           m.lhs == n.lhs && m.rhs == n.rhs;
+  };
+  return a.name == b.name && a.num_inputs == b.num_inputs &&
+         a.output == b.output &&
+         std::equal(a.nodes.begin(), a.nodes.end(), b.nodes.begin(),
+                    b.nodes.end(), same_node);
+}
+
+/// Whether two graphs have the same content: name, and per stage the spec,
+/// input images and deps.
+bool same_graph(const KernelGraph& a, const KernelGraph& b) {
+  return a.name == b.name &&
+         std::equal(a.stages.begin(), a.stages.end(), b.stages.begin(),
+                    b.stages.end(),
+                    [](const KernelGraph::Stage& s, const KernelGraph::Stage& t) {
+                      return s.input_images == t.input_images &&
+                             s.deps == t.deps && same_spec(s.spec, t.spec);
+                    });
+}
 
 /// The inputs `stage` binds, from the run's slots.
 std::vector<const Image<f32>*> inputs_of(const KernelGraph::Stage& stage,
@@ -367,68 +408,99 @@ void run_chain(std::span<const KernelGraph::Stage> stages,
 
 }  // namespace
 
-PipelineExecutor::PipelineExecutor(ExecutorConfig config)
-    : config_(std::move(config)) {
-  ISPB_EXPECTS(config_.concurrency >= 0);
-}
+/// Everything a run settles before its first stage: built once per keys
+/// and graph, never changed afterwards, so one plan serves concurrent runs.
+/// It points into the executor's breaker registry and holds the executor's
+/// config only under a variant override.
+struct PipelineExecutor::Plan {
+  /// Validates `caller` (throws ContractError), fuses it on the native
+  /// engine, plans chains and buffers, fetches the breakers and, on the
+  /// native engine, looks up each stage's module in the cache (find_native:
+  /// a hit pins it, a miss or a window that does not fit the image leaves
+  /// it to the run). Fires no fault point and compiles nothing.
+  Plan(const ExecutorConfig& base, const KernelGraph& caller, Size2 run_size,
+       exec::Backend run_engine, std::optional<codegen::Variant> run_variant);
 
-PreparedRun PipelineExecutor::prepare(
-    const KernelGraph& graph, Size2 size, std::optional<exec::Backend> backend,
-    std::optional<codegen::Variant> variant) const {
-  graph.validate();
-  PreparedRun p;
-  p.owner_ = this;
-  p.engine_ = backend.value_or(config_.backend);
-  p.variant_ = variant;
-  p.size_ = size;
-  // A per-run variant override pins every stage (model selection off);
-  // config_ is copied only on that cold path.
-  if (variant.has_value()) {
-    p.pinned_ = config_;
-    p.pinned_->sim.variant = *variant;
-    p.pinned_->sim.use_model = false;
+  /// Whether a run may use this plan instead of a fresh one: the cache is
+  /// enabled, its generation has not moved since the lookups, and every
+  /// module resolved. A capacity eviction leaves it reusable: its modules
+  /// stay loaded while it holds them.
+  [[nodiscard]] bool reusable(const KernelCache* cache) const {
+    return cache != nullptr && resolved && generation == cache->generation();
   }
-  const ExecutorConfig& config = p.pinned_.has_value() ? *p.pinned_ : config_;
+
+  KernelGraph key;  ///< the caller's graph; set when memoized
+  exec::Backend engine;
+  std::optional<codegen::Variant> variant;
+  Size2 size;
+  /// The executor's config with the variant pinned, under an override.
+  std::optional<ExecutorConfig> pinned;
+  KernelGraph graph;  ///< what runs: graph.fused() on the native engine
+  std::vector<KernelGraph::Chain> chains;
+  KernelGraph::BufferPlan buffers;
+  i64 bands = 1;
+  i32 concurrency = 1;
+  std::vector<PreparedStage> stages;
+  u64 generation = 0;  ///< KernelCache::generation() before the lookups
+  /// Every native stage holds its module: a run looks nothing up in the
+  /// cache unless a breaker or a failure sends a stage to the interpreter.
+  bool resolved = true;
+};
+
+PipelineExecutor::Plan::Plan(const ExecutorConfig& base,
+                             const KernelGraph& caller, Size2 run_size,
+                             exec::Backend run_engine,
+                             std::optional<codegen::Variant> run_variant)
+    : engine(run_engine), variant(run_variant), size(run_size) {
+  caller.validate();
+  // A per-run variant override pins every stage (model selection off);
+  // the config is copied only on that cold path.
+  if (variant.has_value()) {
+    pinned = base;
+    pinned->sim.variant = *variant;
+    pinned->sim.use_model = false;
+  }
+  const ExecutorConfig& config = pinned.has_value() ? *pinned : base;
   KernelCache* const cache = cache_of(config);
   // Read before the lookups: a clear() or set_jit() after them moves it,
-  // and reusable() then turns the prepared run down.
-  if (cache != nullptr) p.generation_ = cache->generation();
-  const bool native = p.engine_ == exec::Backend::kNative;
+  // and reusable() then turns the plan down.
+  if (cache != nullptr) generation = cache->generation();
+  const bool native = engine == exec::Backend::kNative;
   // The native engine runs pointwise consumers as their producers'
   // epilogues: one kernel, one memory pass and one dispatch fewer per
   // fusion. The interpreted engine keeps one simulated launch per kernel,
   // the paper's GPU model, so its stages and modeled counters stay
   // per-kernel.
-  p.graph_ = native ? graph.fused() : graph;
-  const std::size_t n = p.graph_.stages.size();
+  graph = native ? caller.fused() : caller;
+  const std::size_t n = graph.stages.size();
   // The native engine runs each chain (KernelGraph::chains) as one unit,
   // band by band, with the chain's intermediates in band-local scratch; the
   // interpreted engine runs every stage alone. The band count decides
   // whether repeat may chain, so the chain runner is handed the same one.
   if (native) {
-    p.bands_ =
+    bands =
         exec::row_bands(size, static_cast<i64>(ThreadPool::global().size()));
-    p.chains_ = p.graph_.chains(config.sim.pattern, p.bands_);
+    chains = graph.chains(config.sim.pattern, bands);
   } else {
-    p.chains_.reserve(n);
+    chains.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      p.chains_.push_back({static_cast<i32>(i), static_cast<i32>(i)});
+      chains.push_back({static_cast<i32>(i), static_cast<i32>(i)});
     }
   }
-  p.plan_ = p.graph_.buffer_plan(p.chains_);
-  p.concurrency_ = config.concurrency;
-  if (p.concurrency_ == 0) {
-    p.concurrency_ = std::min<i32>(
-        {static_cast<i32>(p.graph_.roots().size()), 8,
+  buffers = graph.buffer_plan(chains);
+  concurrency = config.concurrency;
+  if (concurrency == 0) {
+    concurrency = std::min<i32>(
+        {static_cast<i32>(graph.roots().size()), 8,
          std::max(1, static_cast<i32>(std::thread::hardware_concurrency()))});
   }
 
   const codegen::CodegenOptions options =
       codegen_options(config.sim, config.sim.variant);
-  p.stages_.resize(n);
+  stages.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const KernelGraph::Stage& stage = p.graph_.stages[i];
-    PreparedStage& ps = p.stages_[i];
+    const KernelGraph::Stage& stage = graph.stages[i];
+    PreparedStage& ps = stages[i];
     if (!native) {
       ps.breaker = variant_breaker(stage, config);
       continue;
@@ -437,45 +509,70 @@ PreparedRun PipelineExecutor::prepare(
       ps.breaker = &config.breakers->get(stage.spec.name + "#native");
     }
     // A window that does not fit the image stays unresolved: the run's
-    // attempt throws its ContractError where an unprepared run did.
+    // attempt throws its ContractError where it always did.
     exec::NativeModulePtr module;
     if (cache != nullptr && window_fits(stage.spec, config.sim.pattern, size)) {
       module = cache->find_native(stage.spec, options, config.sim.device.name);
     }
     if (module == nullptr) {
-      p.resolved_ = false;
+      resolved = false;
       continue;
     }
     ps.launch = exec::native_launch(std::move(module), stage.spec, options,
                                     size);
   }
-  return p;
 }
 
-bool PipelineExecutor::reusable(const PreparedRun& prepared) const {
+PipelineExecutor::PipelineExecutor(ExecutorConfig config)
+    : config_(std::move(config)) {
+  ISPB_EXPECTS(config_.concurrency >= 0);
+}
+
+std::shared_ptr<const PipelineExecutor::Plan> PipelineExecutor::plan(
+    const KernelGraph& graph, Size2 size, exec::Backend engine,
+    std::optional<codegen::Variant> variant) const {
   // A variant override's pinned config keeps the cache fields of config_.
   const KernelCache* const cache = cache_of(config_);
-  return cache != nullptr && prepared.owner_ == this && prepared.resolved_ &&
-         prepared.generation_ == cache->generation();
+  const auto same_keys = [&](const std::shared_ptr<const Plan>& p) {
+    return p->engine == engine && p->variant == variant && p->size == size &&
+           same_graph(p->key, graph);
+  };
+  if (cache != nullptr) {
+    const std::lock_guard lock(mu_);
+    const auto it = std::find_if(plans_.begin(), plans_.end(), same_keys);
+    if (it != plans_.end()) {
+      if ((*it)->reusable(cache)) {
+        std::rotate(it, it + 1, plans_.end());  // most recently used last
+        return plans_.back();
+      }
+      plans_.erase(it);  // stale: retired
+    }
+  }
+  // Built outside the lock: a cold plan validates and fuses the graph,
+  // which runs of other graphs need not wait for.
+  auto fresh = std::make_shared<Plan>(config_, graph, size, engine, variant);
+  if (!fresh->reusable(cache)) return fresh;
+  fresh->key = graph;
+  const std::lock_guard lock(mu_);
+  std::erase_if(plans_, same_keys);  // a concurrent run's copy
+  if (plans_.size() >= kPlans) plans_.erase(plans_.begin());
+  plans_.push_back(fresh);
+  return fresh;
 }
 
 ExecutorResult PipelineExecutor::run(
     const KernelGraph& graph, const Image<f32>& source,
     std::optional<exec::Backend> backend,
     std::optional<codegen::Variant> variant) const {
-  return run(prepare(graph, source.size(), backend, variant), source);
-}
-
-ExecutorResult PipelineExecutor::run(const PreparedRun& prepared,
-                                     const Image<f32>& source) const {
-  ISPB_EXPECTS(prepared.owner_ == this && source.size() == prepared.size_);
+  const std::shared_ptr<const Plan> prepared =
+      plan(graph, source.size(), backend.value_or(config_.backend), variant);
   const ExecutorConfig& config =
-      prepared.pinned_.has_value() ? *prepared.pinned_ : config_;
-  const exec::Backend engine = prepared.engine_;
-  const KernelGraph& run_graph = prepared.graph_;
-  const std::vector<KernelGraph::Chain>& chains = prepared.chains_;
-  const KernelGraph::BufferPlan& plan = prepared.plan_;
-  const i64 bands = prepared.bands_;
+      prepared->pinned.has_value() ? *prepared->pinned : config_;
+  const exec::Backend engine = prepared->engine;
+  const KernelGraph& run_graph = prepared->graph;
+  const std::vector<KernelGraph::Chain>& chains = prepared->chains;
+  const KernelGraph::BufferPlan& buffer_plan = prepared->buffers;
+  const i64 bands = prepared->bands;
   obs::ScopedSpan span("pipeline.execute", "pipeline");
   if (span.recording()) {  // the arguments cost copies even when unused
     span.arg("graph", run_graph.name);
@@ -486,7 +583,7 @@ ExecutorResult PipelineExecutor::run(const PreparedRun& prepared,
   const std::size_t n = run_graph.stages.size();
   const std::size_t units = chains.size();
   std::span<const KernelGraph::Stage> all_stages(run_graph.stages);
-  std::span<const PreparedStage> all_prepared(prepared.stages_);
+  std::span<const PreparedStage> all_prepared(prepared->stages);
 
   // slots[0] = the caller's source, read in place: run() is synchronous, so
   // the caller's reference outlives every stage, and no stage writes it.
@@ -500,13 +597,13 @@ ExecutorResult PipelineExecutor::run(const PreparedRun& prepared,
   // order is needed, and no output ever aliases an input, which the native
   // kernels' __restrict__ relies on.
   std::vector<Image<f32>> buffers;
-  buffers.reserve(static_cast<std::size_t>(plan.buffers));
-  for (i32 b = 0; b < plan.buffers; ++b) {
+  buffers.reserve(static_cast<std::size_t>(buffer_plan.buffers));
+  for (i32 b = 0; b < buffer_plan.buffers; ++b) {
     buffers.emplace_back(source.size(), Uninitialized{});
   }
   std::vector<Image<f32>> interiors(n);
   const auto output_of = [&](std::size_t stage) -> Image<f32>& {
-    const i32 b = plan.stage_buffer[stage];
+    const i32 b = buffer_plan.stage_buffer[stage];
     return b >= 0 ? buffers[static_cast<std::size_t>(b)] : interiors[stage];
   };
   std::vector<const Image<f32>*> slots;
@@ -527,7 +624,7 @@ ExecutorResult PipelineExecutor::run(const PreparedRun& prepared,
                   .subspan(first, count));
   };
 
-  const i32 concurrency = prepared.concurrency_;
+  const i32 concurrency = prepared->concurrency;
   if (concurrency <= 1 || units == 1) {
     // Inline: chain order is already topological.
     for (std::size_t u = 0; u < units; ++u) run_unit(u);

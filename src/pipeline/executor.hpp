@@ -21,6 +21,8 @@
 // from concurrent requests instead.
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -87,105 +89,39 @@ struct ExecutorResult {
   std::vector<Stage> stages;
 };
 
-class PipelineExecutor;
-
-/// What one run of a graph needs that depends only on the graph and its
-/// keys — engine, variant override and source size — and not on the
-/// pixels: the graph that runs (graph.fused() on the native engine),
-/// validated; its chains, buffer plan, band count and concurrency; the
-/// codegen options; each stage's breaker; and, on the native engine, each
-/// stage's module, pinned. PipelineExecutor::prepare builds it; nothing
-/// changes it afterwards, so one prepared run may serve concurrent runs of
-/// the executor that built it (it points into that executor's breaker
-/// registry and holds its config only under a variant override). A run
-/// asks each breaker afresh: a breaker that trips or closes again takes
-/// effect on the next run. DESIGN.md §12.
-class PreparedRun {
- public:
-  [[nodiscard]] exec::Backend engine() const { return engine_; }
-  [[nodiscard]] std::optional<codegen::Variant> variant() const {
-    return variant_;
-  }
-  [[nodiscard]] Size2 size() const { return size_; }
-  /// The stages that run: graph.fused()'s on the native engine, the
-  /// graph's own on the interpreted one.
-  [[nodiscard]] const KernelGraph& graph() const { return graph_; }
-
-  /// One stage's entry.
-  struct Stage {
-    /// Native engine: the stage's "<kernel>#native" breaker; interpreted:
-    /// its variant breaker (none for kNaive). Null without a registry.
-    resilience::CircuitBreaker* breaker = nullptr;
-    /// Native engine: the module and what it reports; a null module is
-    /// resolved through the cache by each run, as an unprepared run does.
-    exec::NativeLaunch launch;
-  };
-
- private:
-  friend class PipelineExecutor;
-
-  const PipelineExecutor* owner_ = nullptr;
-  exec::Backend engine_ = exec::Backend::kInterpreted;
-  std::optional<codegen::Variant> variant_;
-  Size2 size_;
-  /// The executor's config with the variant pinned, under an override.
-  std::optional<ExecutorConfig> pinned_;
-  KernelGraph graph_;
-  std::vector<KernelGraph::Chain> chains_;
-  KernelGraph::BufferPlan plan_;
-  i64 bands_ = 1;
-  i32 concurrency_ = 1;
-  std::vector<Stage> stages_;
-  u64 generation_ = 0;  ///< KernelCache::generation() before the lookups
-  /// Every native stage holds its module: a run looks nothing up in the
-  /// cache unless a breaker or a failure sends a stage to the interpreter.
-  bool resolved_ = true;
-};
-
+/// Runs KernelGraphs. A run's plan — what depends only on the graph and
+/// its keys (engine, variant override, source size), not on the pixels:
+/// the graph that runs (graph.fused() on the native engine), validated; its
+/// chains, buffer plan, band count and concurrency; each stage's breaker;
+/// and, on the native engine, each stage's module, pinned — is built once
+/// and memoized inside the executor (at most 32 plans, least recently used
+/// dropped first), so a repeated run pays only for its kernels. The memo's
+/// key is the graph's content (its name and every stage's spec, constants
+/// by bit pattern, input images and deps) plus those keys, never its
+/// address. A plan is reused while the cache is enabled, its generation has
+/// not moved since the plan's lookups (no clear, set_jit or poison heal)
+/// and every module resolved; breakers are read afresh by every run.
+/// DESIGN.md §12.
 class PipelineExecutor {
  public:
   explicit PipelineExecutor(ExecutorConfig config = {});
 
-  /// Everything run(graph, source, backend, variant) settles before its
-  /// first stage, for a source of `size`: validates the graph (throws
-  /// ContractError), fuses it on the native engine, plans chains and
-  /// buffers, fetches the breakers and, on the native engine, looks up
-  /// each stage's module in the cache (find_native: a hit pins it, a
-  /// miss or a window that does not fit the image leaves it to the run).
-  /// Fires no fault point and compiles nothing.
-  [[nodiscard]] PreparedRun prepare(
-      const KernelGraph& graph, Size2 size,
-      std::optional<exec::Backend> backend = std::nullopt,
-      std::optional<codegen::Variant> variant = std::nullopt) const;
-
-  /// Whether a run of `prepared` may stand in for a fresh prepare(): the
-  /// cache is enabled, its generation has not moved since the lookups (no
-  /// clear, set_jit or poison heal), and every module resolved. A capacity
-  /// eviction leaves it reusable: its modules stay loaded while it holds
-  /// them. Without the cache, or once this is false, prepare again.
-  [[nodiscard]] bool reusable(const PreparedRun& prepared) const;
-
-  /// Runs `prepared` over `source`, whose size must be prepared.size():
-  /// run()'s per-request work — stop checks, retries, breakers, fault
-  /// points, fallbacks, buffers and the launches — without its
-  /// preparation. `prepared` must come from this executor's prepare().
-  [[nodiscard]] ExecutorResult run(const PreparedRun& prepared,
-                                   const Image<f32>& source) const;
-
   /// Runs every stage of `graph` over `source`, honoring the dependency
-  /// structure. Rethrows the first stage failure after in-flight stages
-  /// drain. `source` is read in place, never copied: stages reading image 0
-  /// read the caller's buffer (any pitch). Stage outputs live in the
-  /// graph's buffer_plan(): one uninitialized image per planned buffer,
-  /// each pixel written once by the stage that owns it, and a buffer whose
-  /// output is dead is reused within the run (night's five stages share
-  /// two). On the native engine the stages are graph.fused()'s: sobel
-  /// runs as one kernel and night as four, and ExecutorResult::stages
-  /// lists the fused stages; the interpreted engine runs graph's own
-  /// stages. The native engine also runs each of the fused graph's chains
-  /// (KernelGraph::chains) band by band in one exec::run_native_chain call,
-  /// so only a chain's last stage gets a buffer (night's four stages need
-  /// one) and reports the chain's wall time; its other stages read 0. The run is synchronous, so the caller's reference outlives it.
+  /// structure. Throws ContractError for an invalid graph and rethrows the
+  /// first stage failure after in-flight stages drain. `source` is read in
+  /// place, never copied: stages reading image 0 read the caller's buffer
+  /// (any pitch); the run is synchronous, so the caller's reference
+  /// outlives it. Stage outputs live in the graph's buffer_plan(): one
+  /// uninitialized image per planned buffer, each pixel written once by
+  /// the stage that owns it, and a buffer whose output is dead is reused
+  /// within the run (night's five stages share two). On the native engine
+  /// the stages are graph.fused()'s: sobel runs as one kernel and night as
+  /// four, and ExecutorResult::stages lists the fused stages; the
+  /// interpreted engine runs graph's own stages. The native engine also
+  /// runs each of the fused graph's chains (KernelGraph::chains) band by
+  /// band in one exec::run_native_chain call, so only a chain's last stage
+  /// gets a buffer (night's four stages need one) and reports the chain's
+  /// wall time; its other stages read 0.
   /// `backend` overrides ExecutorConfig::backend for this run
   /// (per-request selection in the server); `variant` pins every stage to
   /// one variant with model selection disabled (fleet brownout serves
@@ -194,15 +130,25 @@ class PipelineExecutor {
   /// native strip or full-launch block, and after the last stage, and
   /// throws DeadlineExceeded at the first check past the stop: a cut that
   /// is not retried, charges no breaker and takes no fallback.
-  /// It runs as run(prepare(graph, source.size(), backend, variant),
-  /// source).
+  /// Safe to call from several threads at once; they share the plans.
   [[nodiscard]] ExecutorResult run(
       const KernelGraph& graph, const Image<f32>& source,
       std::optional<exec::Backend> backend = std::nullopt,
       std::optional<codegen::Variant> variant = std::nullopt) const;
 
  private:
+  struct Plan;  ///< a prepared run (executor.cpp)
+
+  /// The memoized plan for these keys while it stays reusable, else a
+  /// fresh one, memoized if it may be reused.
+  [[nodiscard]] std::shared_ptr<const Plan> plan(
+      const KernelGraph& graph, Size2 size, exec::Backend engine,
+      std::optional<codegen::Variant> variant) const;
+
   ExecutorConfig config_;
+  mutable std::mutex mu_;  ///< guards plans_
+  /// Memoized plans, least recently used first.
+  mutable std::vector<std::shared_ptr<const Plan>> plans_;
 };
 
 }  // namespace ispb::pipeline

@@ -33,7 +33,7 @@
 // Generation: a counter bumped when what the cache serves may change under
 // someone who resolved it earlier — clear(), set_jit() (which drops the
 // ready native modules: they were built under the old JIT config) and a
-// poison heal. A holder of resolved modules (pipeline::PreparedRun)
+// poison heal. A holder of resolved modules (a PipelineExecutor's plan)
 // records it before its lookups and rebuilds once it moved. A capacity
 // eviction does not move it: an evicted module stays dlopened, and valid,
 // while a holder keeps it, and holders bound their own number.

@@ -366,6 +366,66 @@ TEST(FleetServer, IdleWorkerNeverWaitsBehindABusyShard) {
   server.shutdown();
 }
 
+TEST(FleetServer, CheapAndCostlyGraphsArePlacedAlike) {
+  // Placement scores a device by its load over its capacity: a graph's
+  // modeled instruction count is the same on every device, so it would
+  // scale every score alike. A 3x3 gaussian and a 13x13 bilateral therefore
+  // follow the same device sequence. One worker per device, launches on the
+  // RTX2080 delayed as above, and each request sent once the previous one
+  // is placed, so every placement sees the same load.
+  const auto src = make_source(32);
+  const auto gaussian = make_graph(filters::make_gaussian_app());
+  const auto bilateral = make_graph(filters::make_bilateral_app());
+  fleet::FleetConfig cfg = two_device_config();
+  cfg.shard.workers = 1;
+  fleet::FleetServer server(cfg);
+  for (const auto& graph : {gaussian, bilateral}) {
+    for (const char* device : {"GTX680", "RTX2080"}) {
+      fleet::FleetRequest warm = make_request(graph, src);
+      warm.pin_device = device;
+      ASSERT_EQ(server.submit(warm).get().status, fleet::FleetStatus::kOk);
+    }
+  }
+
+  resilience::FaultPlan plan;
+  plan.rules.push_back({"device.launch", resilience::FaultKind::kDelay,
+                        "RTX2080", 1.0, 0, /*delay_ms=*/100});
+  resilience::FaultInjector injector(plan);  // SystemClock: real sleep
+  resilience::FaultInjector::ScopedInstall install(injector);
+  // Placements so far: running now, or settled (counted after running).
+  const auto placed = [&] {
+    u64 n = 0;
+    for (const fleet::FleetDeviceStats& d : server.stats().devices) {
+      n += d.inflight + d.routed;
+    }
+    return n;
+  };
+  const auto sequence = [&](const auto& graph) {
+    const u64 before = placed();
+    std::vector<std::future<fleet::FleetResponse>> futures;
+    for (u64 i = 1; i <= 4; ++i) {
+      futures.push_back(server.submit(make_request(graph, src)));
+      const auto give_up = std::chrono::steady_clock::now() +
+                           std::chrono::seconds(10);
+      while (placed() < before + i &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+    std::vector<std::string> devices;
+    for (auto& f : futures) {
+      const fleet::FleetResponse resp = f.get();
+      EXPECT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+      devices.push_back(resp.device);
+    }
+    return devices;
+  };
+  const std::vector<std::string> cheap = sequence(gaussian);
+  EXPECT_EQ(cheap, sequence(bilateral));
+  EXPECT_EQ(cheap.front(), "RTX2080");
+  server.shutdown();
+}
+
 TEST(FleetServer, ShutdownSettlesFailoversInFlight) {
   // The RTX2080 is dead and the fleet is paused with requests queued; the
   // shutdown drain runs them, and each one that lands on the dead device

@@ -955,11 +955,11 @@ exec::JitConfig test_jit() {
   return {dir.path.string(), "", "-O0", true};
 }
 
-// A server reuses a graph's prepared run: once the module is in the cache,
-// requests look nothing up. KernelCache::clear() and set_jit() each retire
-// the prepared run and drop the module, so the next request resolves again
-// and recompiles (native_misses rises). Every output is bit-identical to
-// the reference.
+// A server's executor reuses a graph's plan: once the module is in the
+// cache, requests after the second look nothing up. KernelCache::clear()
+// and set_jit() each retire the plan and drop the module, so the next
+// request resolves again and recompiles (native_misses rises). Every output
+// is bit-identical to the reference.
 TEST(PreparedRun, ServerResolvesAgainAfterClearOrSetJit) {
   const auto app = filters::make_sobel_app();
   const auto graph = std::make_shared<const pipeline::KernelGraph>(
@@ -984,7 +984,7 @@ TEST(PreparedRun, ServerResolvesAgainAfterClearOrSetJit) {
     EXPECT_EQ(compare(resp.output, expect).max_abs, 0.0);
   };
 
-  // 1: compiles the fused kernel. 2: prepares with a hit. 3..5: reuse.
+  // 1: compiles the fused kernel. 2: plans with a hit. 3..5: reuse.
   for (int i = 0; i < 5; ++i) serve();
   EXPECT_EQ(cache.stats().native_misses, 1u);
   EXPECT_EQ(cache.stats().native_hits, 1u);
@@ -1006,9 +1006,9 @@ TEST(PreparedRun, ServerResolvesAgainAfterClearOrSetJit) {
   server.shutdown();
 }
 
-// A capacity eviction does not retire prepared runs: a hot graph served
-// from the memo keeps its module while other graphs' compiles evict it
-// from a one-entry cache, and its requests compile nothing.
+// A capacity eviction does not retire plans: a hot graph served from the
+// memo keeps its module while other graphs' compiles evict it from a
+// one-entry cache, and its requests compile nothing.
 TEST(PreparedRun, HotGraphKeepsItsModuleThroughEvictions) {
   const auto src =
       std::make_shared<const Image<f32>>(make_gradient_image({48, 40}));
@@ -1037,7 +1037,7 @@ TEST(PreparedRun, HotGraphKeepsItsModuleThroughEvictions) {
     return resp;
   };
   serve(hot);  // compiles
-  serve(hot);  // prepares with a hit: memoized
+  serve(hot);  // plans with a hit: memoized
   for (const filters::MultiKernelApp& app :
        {filters::make_laplace_app(), filters::make_sobel_app()}) {
     serve(graph_of(app));  // compiles, evicting the cache's one entry
@@ -1049,40 +1049,116 @@ TEST(PreparedRun, HotGraphKeepsItsModuleThroughEvictions) {
   server.shutdown();
 }
 
-// The server's memo holds graphs weakly and matches by identity: a graph
-// that is freed and replaced by another — here allocated apart from its
-// control block, so the new graph may well land at the old one's address
-// — never gets the old graph's prepared run.
+/// Whether two images hold the same bits in every pixel (compare() reads
+/// 0.0f and -0.0f as equal).
+bool same_bits(const Image<f32>& a, const Image<f32>& b) {
+  if (a.size() != b.size()) return false;
+  for (i32 y = 0; y < a.height(); ++y) {
+    for (i32 x = 0; x < a.width(); ++x) {
+      if (std::bit_cast<u32>(a(x, y)) != std::bit_cast<u32>(b(x, y))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// A native executor over `cache`, JITting at -O0.
+pipeline::PipelineExecutor native_executor(pipeline::KernelCache& cache) {
+  cache.set_jit(test_jit());
+  pipeline::ExecutorConfig cfg;
+  cfg.concurrency = 1;
+  cfg.cache = &cache;
+  cfg.backend = exec::Backend::kNative;
+  return pipeline::PipelineExecutor(cfg);
+}
+
+// The executor's memo matches graphs by content, never by address: a graph
+// that is freed and replaced by another — each allocated on its own, so the
+// new graph may well land at the old one's address — never gets the old
+// graph's plan, and a graph with the same content shares its plan.
 TEST(PreparedRun, FreedGraphNeverMatchesANewGraph) {
-  const auto src =
-      std::make_shared<const Image<f32>>(make_gradient_image({32, 32}));
-  pipeline::ServerConfig cfg;
-  cfg.workers = 1;
-  pipeline::PipelineServer server(cfg);
-  const auto make_graph = [](const filters::MultiKernelApp& app) {
-    return std::shared_ptr<const pipeline::KernelGraph>(
-        new pipeline::KernelGraph(pipeline::build_graph(app)));
-  };
+  const Image<f32> src = make_gradient_image({32, 32});
+  pipeline::KernelCache cache(8);
+  const pipeline::PipelineExecutor executor = native_executor(cache);
   const std::vector<filters::MultiKernelApp> apps = {
       filters::make_gaussian_app(), filters::make_laplace_app(),
       filters::make_gaussian_app(), filters::make_sobel_app()};
   for (const filters::MultiKernelApp& app : apps) {
-    std::shared_ptr<const pipeline::KernelGraph> graph = make_graph(app);
+    auto graph =
+        std::make_unique<pipeline::KernelGraph>(pipeline::build_graph(app));
     const Image<f32> expect =
-        filters::run_app_reference(app, *src, BorderPattern::kClamp);
+        filters::run_app_reference(app, src, BorderPattern::kClamp);
     for (int i = 0; i < 2; ++i) {
-      const pipeline::ServeResponse resp =
-          server.submit(make_request(graph, src)).get();
-      ASSERT_EQ(resp.status, pipeline::ServeStatus::kOk) << resp.error;
-      EXPECT_EQ(compare(resp.output, expect).max_abs, 0.0) << app.name;
+      EXPECT_TRUE(same_bits(executor.run(*graph, src).output, expect))
+          << app.name;
     }
-    graph.reset();  // frees the graph while the memo still holds its entry
+    graph.reset();  // frees the graph while the memo still holds its plan
   }
-  server.shutdown();
+  EXPECT_EQ(cache.stats().native_misses, 3u);  // gaussian, laplace, sobel
 }
 
-// One prepared run serves concurrent runs, and a source of another size
-// is a contract violation, not a silent mismatch.
+// A graph reassigned in place — the same object and address, another app —
+// is planned afresh.
+TEST(PreparedRun, GraphReassignedInPlaceIsPlannedAgain) {
+  const Image<f32> src = make_gradient_image({40, 32});
+  pipeline::KernelCache cache(8);
+  const pipeline::PipelineExecutor executor = native_executor(cache);
+  pipeline::KernelGraph graph;
+  for (const filters::MultiKernelApp& app :
+       {filters::make_gaussian_app(), filters::make_laplace_app(),
+        filters::make_gaussian_app()}) {
+    graph = pipeline::build_graph(app);
+    const Image<f32> expect =
+        filters::run_app_reference(app, src, BorderPattern::kClamp);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(same_bits(executor.run(graph, src).output, expect))
+          << app.name << " run " << i;
+    }
+  }
+}
+
+// Two graphs that differ only in a 0.0f / -0.0f constant are two kernels:
+// each gets its own plan and module, and each output is bit-identical to
+// its own reference (x * 0.0f and x * -0.0f differ in the sign bit).
+TEST(PreparedRun, SignedZeroConstantsGetTheirOwnPlans) {
+  const auto app_with = [](f32 zero) {
+    codegen::SpecBuilder b("scale");
+    const i32 x = b.read(0, 0, 0);
+    const i32 y = b.read(0, 1, 0);
+    const i32 sum = b.binary(codegen::NodeKind::kAdd, x, y);
+    filters::MultiKernelApp app;
+    app.name = "scale";
+    app.stages.push_back(
+        {b.finish(b.binary(codegen::NodeKind::kMul, sum, b.constant(zero))),
+         {0}});
+    return app;
+  };
+  const Image<f32> src = make_gradient_image({48, 40});
+  pipeline::KernelCache cache(8);
+  const pipeline::PipelineExecutor executor = native_executor(cache);
+  const filters::MultiKernelApp plus = app_with(0.0f);
+  const filters::MultiKernelApp minus = app_with(-0.0f);
+  const pipeline::KernelGraph plus_graph = pipeline::build_graph(plus);
+  const pipeline::KernelGraph minus_graph = pipeline::build_graph(minus);
+  const Image<f32> plus_expect =
+      filters::run_app_reference(plus, src, BorderPattern::kClamp);
+  const Image<f32> minus_expect =
+      filters::run_app_reference(minus, src, BorderPattern::kClamp);
+  ASSERT_FALSE(same_bits(plus_expect, minus_expect));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(same_bits(executor.run(plus_graph, src).output, plus_expect))
+        << "run " << i;
+    EXPECT_TRUE(same_bits(executor.run(minus_graph, src).output,
+                          minus_expect))
+        << "run " << i;
+  }
+  EXPECT_EQ(cache.stats().native_misses, 2u);
+  EXPECT_EQ(cache.stats().native_hits, 2u);  // each graph's second plan
+}
+
+// Concurrent runs share one plan: after a graph's second run no run looks
+// anything up in the cache, and every output is bit-identical.
 TEST(PreparedRun, ConcurrentRunsShareOnePreparedRun) {
   const auto app = filters::make_night_app();
   const pipeline::KernelGraph graph = pipeline::build_graph(app);
@@ -1090,33 +1166,25 @@ TEST(PreparedRun, ConcurrentRunsShareOnePreparedRun) {
   const Image<f32> expect =
       filters::run_app_reference(app, src, BorderPattern::kClamp);
   pipeline::KernelCache cache(8);
-  cache.set_jit(test_jit());
-  pipeline::ExecutorConfig cfg;
-  cfg.concurrency = 1;
-  cfg.cache = &cache;
-  cfg.backend = exec::Backend::kNative;
-  const pipeline::PipelineExecutor executor(cfg);
+  const pipeline::PipelineExecutor executor = native_executor(cache);
   (void)executor.run(graph, src);  // JIT the modules
-  const pipeline::PreparedRun prepared = executor.prepare(graph, src.size());
-  ASSERT_TRUE(executor.reusable(prepared));
-  EXPECT_EQ(prepared.graph().stages.size(), 4u);  // night, fused
+  const pipeline::ExecutorResult planned = executor.run(graph, src);
+  EXPECT_EQ(planned.stages.size(), 4u);  // night, fused
+  const pipeline::KernelCacheStats before = cache.stats();
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 5; ++i) {
-        if (compare(executor.run(prepared, src).output, expect).max_abs !=
-            0.0) {
-          ++mismatches;
-        }
+        if (!same_bits(executor.run(graph, src).output, expect)) ++mismatches;
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_THROW((void)executor.run(prepared, make_gradient_image({96, 81})),
-               ContractError);
+  EXPECT_EQ(cache.stats().native_hits, before.native_hits);
+  EXPECT_EQ(cache.stats().native_misses, before.native_misses);
 }
 
 }  // namespace

@@ -831,7 +831,7 @@ TEST(BreakerProbe, StageFaultOnNativeProbeReleasesIt) {
   EXPECT_EQ(compare(out.result.output, out.expect).max_abs, 0.0);
 }
 
-// ---- prepared runs: breakers and the cache read live ------------------------
+// ---- plans: breakers and the cache read live --------------------------------
 
 /// A JIT directory of its own, removed on exit; -O0 keeps the compiles
 /// short and does not change the emitted float sequence.
@@ -848,10 +848,11 @@ struct PreparedJitDir {
   }
 };
 
-// One prepared native run, reused: a "#native" breaker that trips on one
-// request sends the very next reuse to the interpreter, and once its
-// half-open probe closes it again the next reuse is native once more. The
-// prepared run stays reusable throughout; every output is bit-identical.
+// One memoized native plan, reused: a "#native" breaker that trips on one
+// run sends the very next run to the interpreter, and once its half-open
+// probe closes it again the next run is native once more. The plan stays
+// memoized throughout (no run looks the module up again); every output is
+// bit-identical.
 TEST(PreparedRun, NativeBreakerTripAndCloseTakeEffectOnTheNextReuse) {
   const pipeline::KernelGraph graph =
       pipeline::build_graph(filters::make_gaussian_app());
@@ -874,13 +875,13 @@ TEST(PreparedRun, NativeBreakerTripAndCloseTakeEffectOnTheNextReuse) {
   cfg.clock = &clock;
   const pipeline::PipelineExecutor executor(cfg);
   (void)executor.run(graph, src);  // JIT the module
-  const pipeline::PreparedRun prepared = executor.prepare(graph, src.size());
-  ASSERT_TRUE(executor.reusable(prepared));
+  (void)executor.run(graph, src);  // plans with a hit: memoized
+  const u64 native_hits = cache.stats().native_hits;
   const CircuitBreaker& breaker =
       breakers.get(graph.stages[0].spec.name + "#native");
 
   const auto run = [&] {
-    pipeline::ExecutorResult r = executor.run(prepared, src);
+    pipeline::ExecutorResult r = executor.run(graph, src);
     EXPECT_EQ(compare(r.output, expect).max_abs, 0.0);
     EXPECT_EQ(r.stages.size(), 1u);
     return r.stages[0];
@@ -906,11 +907,12 @@ TEST(PreparedRun, NativeBreakerTripAndCloseTakeEffectOnTheNextReuse) {
   EXPECT_EQ(probe.backend_used, exec::Backend::kNative);
   EXPECT_EQ(breaker.snapshot().state, BreakerState::kClosed);
   EXPECT_EQ(run().backend_used, exec::Backend::kNative);
-  EXPECT_TRUE(executor.reusable(prepared));
+  EXPECT_EQ(cache.stats().native_hits, native_hits);
+  EXPECT_EQ(cache.stats().native_misses, 1u);
 }
 
-// The variant breaker, read live through a prepared interpreted run: an
-// ISP compile failure trips it, the next reuse is served naive without an
+// The variant breaker, read live through a memoized interpreted plan: an
+// ISP compile failure trips it, the next run is served naive without an
 // ISP attempt, and after the cooldown the probe restores ISP.
 TEST(PreparedRun, VariantBreakerTripAndCloseTakeEffectOnTheNextReuse) {
   const pipeline::KernelGraph graph =
@@ -927,12 +929,10 @@ TEST(PreparedRun, VariantBreakerTripAndCloseTakeEffectOnTheNextReuse) {
   cfg.breakers = &breakers;
   cfg.clock = &clock;
   const pipeline::PipelineExecutor executor(cfg);
-  const pipeline::PreparedRun prepared = executor.prepare(graph, src.size());
-  ASSERT_TRUE(executor.reusable(prepared));
   const CircuitBreaker& breaker = breakers.get(graph.stages[0].spec.name);
 
   const auto run = [&] {
-    pipeline::ExecutorResult r = executor.run(prepared, src);
+    pipeline::ExecutorResult r = executor.run(graph, src);
     EXPECT_EQ(compare(r.output, expect).max_abs, 0.0);
     return r.stages.at(0);
   };
@@ -959,10 +959,10 @@ TEST(PreparedRun, VariantBreakerTripAndCloseTakeEffectOnTheNextReuse) {
   EXPECT_EQ(breaker.snapshot().state, BreakerState::kClosed);
 }
 
-// Every cache.insert poisons the stored kernel. Runs of one prepared run,
-// and requests a server serves through its memo, heal the poison on each
-// lookup and never launch a poisoned kernel (negative register demand):
-// the outputs stay bit-identical, and a heal retires the prepared run.
+// Every cache.insert poisons the stored kernel. Runs of one executor, and
+// requests a server serves through its executor's memo, heal the poison on
+// each lookup and never launch a poisoned kernel (negative register
+// demand): the outputs stay bit-identical, and a heal retires the plan.
 TEST(PreparedRun, CorruptCacheInsertNeverReachesALaunch) {
   FaultPlan plan;
   plan.rules.push_back({"cache.insert", FaultKind::kCorrupt, "", 1.0, 0, 0});
@@ -979,14 +979,12 @@ TEST(PreparedRun, CorruptCacheInsertNeverReachesALaunch) {
   cfg.concurrency = 1;
   cfg.cache = &cache;
   const pipeline::PipelineExecutor executor(cfg);
-  const pipeline::PreparedRun prepared = executor.prepare(*graph, src->size());
   for (int i = 0; i < 3; ++i) {
-    const pipeline::ExecutorResult r = executor.run(prepared, *src);
+    const pipeline::ExecutorResult r = executor.run(*graph, *src);
     EXPECT_EQ(compare(r.output, expect).max_abs, 0.0) << "run " << i;
     EXPECT_GT(r.stages.at(0).regs_per_thread, 0) << "run " << i;
   }
   EXPECT_EQ(cache.stats().poisoned, 2u);
-  EXPECT_FALSE(executor.reusable(prepared));
 
   pipeline::ServerConfig server_cfg;
   server_cfg.workers = 1;
