@@ -24,6 +24,15 @@
 // a run of an executor that memoized the plan, interleaved rep by rep. The
 // executor rungs minus the kernel rung are the executor's per-request cost
 // with and without the plan.
+//
+// A fourth table times the same two apps served at 128² on a 1-shard fleet
+// (GTX680, 2 workers), submit until the caller holds the response, in two
+// interleaved rungs: `poll` calls get() on the handle submit() returns,
+// which polls for its budget before it parks, and `park` calls wait() and
+// then get(), so the caller always parks. Each rung splits into queue
+// (submit -> dequeue), exec (dequeue -> settle) and return (the caller's
+// time minus the fleet's submit -> settle: the settle's wake-up, or the
+// poll's last check, plus submit()'s own allocations).
 #include <sys/resource.h>
 
 #include <array>
@@ -38,6 +47,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "exec/backend.hpp"
+#include "fleet/fleet_server.hpp"
 #include "harness.hpp"
 #include "image/compare.hpp"
 #include "image/generators.hpp"
@@ -60,7 +70,7 @@ ServingRun run_serving(const std::shared_ptr<const pipeline::KernelGraph>& graph
   const Clock::time_point t0 = Clock::now();
   {
     pipeline::PipelineServer server(config);
-    std::vector<std::future<pipeline::ServeResponse>> futures;
+    std::vector<fleet::Pending<pipeline::ServeResponse>> futures;
     futures.reserve(static_cast<std::size_t>(requests));
     for (i32 i = 0; i < requests; ++i) {
       futures.push_back(
@@ -280,6 +290,122 @@ bool run_plan_rungs(i32 reps, BenchJson& json) {
   return identical;
 }
 
+/// The poll and park rungs for gaussian and fused sobel served at 128²
+/// (native, mirror, ISP) on a 1-shard fleet, `reps` reps interleaved rung
+/// by rung after one untimed rep. Returns false if any response is not kOk
+/// or its output differs from the reference.
+bool run_served_rungs(i32 reps, BenchJson& json) {
+  using Clock = std::chrono::steady_clock;
+  constexpr i32 kSize = 128;
+  constexpr BorderPattern kPattern = BorderPattern::kMirror;
+  const auto source = std::make_shared<const Image<f32>>(
+      make_noise_image({kSize, kSize}, 1));
+
+  pipeline::KernelCache cache;
+  fleet::FleetConfig config;
+  config.devices = {sim::make_gtx680()};
+  config.shard.workers = 2;
+  config.shard.executor.sim.pattern = kPattern;
+  config.shard.executor.sim.variant = codegen::Variant::kIsp;
+  config.shard.executor.cache = &cache;
+  config.shard.executor.backend = exec::Backend::kNative;
+  fleet::FleetServer server(config);
+
+  AsciiTable table("128x128 served on a 1-shard fleet (GTX680, 2 workers), "
+                   "native, mirror, ISP: caller poll vs parked caller "
+                   "interleaved (" + std::to_string(reps) + " reps)");
+  table.set_header({"app", "rung", "p25 us", "median us", "p75 us",
+                    "queue us", "exec us", "return us", "polled"});
+  bool identical = true;
+  for (const filters::MultiKernelApp& app :
+       {filters::make_gaussian_app(), filters::make_sobel_app()}) {
+    const auto graph = std::make_shared<const pipeline::KernelGraph>(
+        pipeline::build_graph(app));
+    const Image<f32> reference =
+        filters::run_app_reference(app, *source, kPattern);
+    fleet::FleetRequest request;
+    request.graph = graph;
+    request.source = source;
+    // Compiles, then enough short runs that the fleet's average of recent
+    // executions forgets the compile.
+    for (int i = 0; i < 200; ++i) (void)server.submit(request).get();
+
+    enum Rung { kPoll, kPark, kRungs };
+    struct Split {
+      std::vector<f64> total, queue, exec, ret;
+      u64 polled = 0;
+    };
+    std::array<Split, kRungs> split;
+    for (Split& sp : split) {
+      for (auto* v : {&sp.total, &sp.queue, &sp.exec, &sp.ret}) {
+        v->reserve(static_cast<std::size_t>(reps));
+      }
+    }
+    for (i32 k = -1; k < reps; ++k) {
+      for (i32 r = 0; r < kRungs; ++r) {
+        const Clock::time_point t0 = Clock::now();
+        fleet::Pending<fleet::FleetResponse> pending = server.submit(request);
+        if (r == kPark) pending.wait();
+        const bool polled = pending.poll_budget().count() > 0;
+        const fleet::FleetResponse resp = pending.get();
+        const f64 total_us =
+            std::chrono::duration<f64, std::micro>(Clock::now() - t0).count();
+        if (resp.status != fleet::FleetStatus::kOk ||
+            (k < 0 && compare(resp.serve.output, reference).max_abs != 0.0)) {
+          identical = false;
+        }
+        if (k < 0) continue;
+        Split& sp = split[static_cast<std::size_t>(r)];
+        sp.total.push_back(total_us);
+        sp.queue.push_back(resp.serve.queue_ms * 1e3);
+        sp.exec.push_back(resp.serve.exec_ms * 1e3);
+        sp.ret.push_back(total_us - resp.total_ms * 1e3);
+        sp.polled += polled ? 1 : 0;
+      }
+    }
+
+    BenchJson::Row row;
+    row.app = app.name;
+    row.pattern = "mirror";
+    row.variant = "isp";
+    row.backend = "native";
+    row.isa_level = std::string(exec::jit_isa_level());
+    row.size = kSize;
+    const auto add = [&](std::string metric, f64 value) {
+      row.metric = std::move(metric);
+      row.value = value;
+      json.add(row);
+    };
+    const char* names[kRungs] = {"poll", "park"};
+    for (i32 r = 0; r < kRungs; ++r) {
+      const Split& sp = split[static_cast<std::size_t>(r)];
+      const f64 polled_share =
+          static_cast<f64>(sp.polled) / static_cast<f64>(reps);
+      table.add_row({app.name, names[r],
+                     AsciiTable::num(percentile(sp.total, 25.0), 2),
+                     AsciiTable::num(median(sp.total), 2),
+                     AsciiTable::num(percentile(sp.total, 75.0), 2),
+                     AsciiTable::num(median(sp.queue), 2),
+                     AsciiTable::num(median(sp.exec), 2),
+                     AsciiTable::num(median(sp.ret), 2),
+                     AsciiTable::num(polled_share, 2)});
+      const std::string rung = names[r];
+      add("served_us_p50." + rung, median(sp.total));
+      add("served_us_p25." + rung, percentile(sp.total, 25.0));
+      add("served_us_p75." + rung, percentile(sp.total, 75.0));
+      add("queue_us_p50." + rung, median(sp.queue));
+      add("exec_us_p50." + rung, median(sp.exec));
+      add("return_us_p50." + rung, median(sp.ret));
+      add("poll_granted_share." + rung, polled_share);
+    }
+    add("poll_saving_us",
+        median(split[kPark].total) - median(split[kPoll].total));
+  }
+  server.shutdown();
+  table.print(std::cout);
+  return identical;
+}
+
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
   cli.option("app", "run a single application by name");
@@ -428,11 +554,21 @@ int run(int argc, char** argv) {
     plan_identical =
         run_plan_rungs(cli.get_flag("quick") ? 2001 : 20001, json);
   }
+  bool served_identical = true;
+  if (only_app.empty() || only_app == "gaussian" || only_app == "sobel") {
+    std::cout << "\n";
+    served_identical =
+        run_served_rungs(cli.get_flag("quick") ? 2001 : 20001, json);
+  }
   json.write(cli.get_string("json", ""));
   if (!plan_identical) {
     std::cerr << "128x128: a rung's output differs from the reference\n";
   }
-  return identical && plan_identical ? 0 : 1;
+  if (!served_identical) {
+    std::cerr << "128x128 served: a response failed or differs from the "
+                 "reference\n";
+  }
+  return identical && plan_identical && served_identical ? 0 : 1;
 }
 
 }  // namespace

@@ -26,17 +26,6 @@ f64 ms_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<f64, std::milli>(b - a).count();
 }
 
-/// One step of a spin-wait: a pause instruction on x86 (the core yields to
-/// its sibling hyperthread and the loop exits without a memory-order
-/// flush), a yield elsewhere.
-void spin_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-  _mm_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
 void publish_fleet_status(FleetStatus status) {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
   if (reg == nullptr) return;
@@ -75,6 +64,14 @@ ServeStatus serve_status(FleetStatus status) {
 }
 
 }  // namespace
+
+void spin_pause() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
 
 std::string_view to_string(FleetStatus s) {
   switch (s) {
@@ -135,26 +132,28 @@ FleetServer::FleetServer(FleetConfig config)
 
 FleetServer::~FleetServer() { shutdown(); }
 
-std::future<FleetResponse> FleetServer::submit(FleetRequest request) {
-  auto item = std::make_unique<Item>();
-  item->request = std::move(request);
-  std::future<FleetResponse> future =
-      std::get<std::promise<FleetResponse>>(item->promise).get_future();
-  admit(std::move(item));
-  return future;
+template <typename Response>
+Pending<Response> FleetServer::enqueue(ItemPtr item) {
+  std::future<Response> future =
+      item->promise.template emplace<std::promise<Response>>().get_future();
+  const std::chrono::nanoseconds budget = admit(std::move(item));
+  return {std::move(future), budget};
 }
 
-std::future<ServeResponse> FleetServer::submit_serve(
+Pending<FleetResponse> FleetServer::submit(FleetRequest request) {
+  auto item = std::make_unique<Item>();
+  item->request = std::move(request);
+  return enqueue<FleetResponse>(std::move(item));
+}
+
+Pending<ServeResponse> FleetServer::submit_serve(
     pipeline::ServeRequest request) {
   auto item = std::make_unique<Item>();
   static_cast<pipeline::ServeRequest&>(item->request) = std::move(request);
-  std::future<ServeResponse> future =
-      item->promise.emplace<std::promise<ServeResponse>>().get_future();
-  admit(std::move(item));
-  return future;
+  return enqueue<ServeResponse>(std::move(item));
 }
 
-void FleetServer::admit(ItemPtr item) {
+std::chrono::nanoseconds FleetServer::admit(ItemPtr item) {
   ISPB_EXPECTS(item->request.graph != nullptr &&
                item->request.source != nullptr);
   item->tier = std::min(item->request.tier, config_.admission.tiers - 1);
@@ -162,6 +161,7 @@ void FleetServer::admit(ItemPtr item) {
   FleetStatus refused = FleetStatus::kOk;  // kOk: enqueued
   std::string why;
   bool wake = false;
+  bool straight = false;
   // Read before the queue takes the item: a worker may settle it at once.
   const bool has_deadline = item->has_deadline();
   {
@@ -200,7 +200,12 @@ void FleetServer::admit(ItemPtr item) {
             item->root_span_id = obs::TraceSession::next_span_id();
             item->submitted_ns = obs::TraceSession::now_ns();
           }
-          inflight_.fetch_add(1, std::memory_order_relaxed);
+          // Straight to a worker: nothing queued ahead of it, and fewer
+          // requests in flight than workers, so one of them is free.
+          straight =
+              inflight_.fetch_add(1, std::memory_order_relaxed) <
+                  workers_.size() &&
+              queue_.empty() && !paused_;
           if (cold_spin_end_.has_value()) {
             // The first request after an unanswered spin judges it: one
             // that came within a window of the spin's end most likely
@@ -223,11 +228,16 @@ void FleetServer::admit(ItemPtr item) {
   }
   if (refused != FleetStatus::kOk) {
     settle(*item, refused, {}, kNoShard, std::move(why));
-    return;
+    return std::chrono::nanoseconds::zero();
   }
   if (wake) work_cv_.notify_one();
   // The sweeper may need to wake earlier than it planned to.
   if (has_deadline) sweeper_cv_.notify_one();
+  const bool short_runs =
+      recent_exec_ms_.load(std::memory_order_relaxed) <=
+      std::chrono::duration<f64, std::milli>(kSpinWindow).count();
+  return straight && short_runs ? kSpinWindow
+                                : std::chrono::nanoseconds::zero();
 }
 
 void FleetServer::worker_loop() {
@@ -573,6 +583,12 @@ void FleetServer::settle(Item& item, FleetStatus status, ServeResponse serve,
     inflight_.fetch_sub(1, std::memory_order_relaxed);
   }
 
+  if (status == FleetStatus::kOk) {
+    const f64 recent = recent_exec_ms_.load(std::memory_order_relaxed);
+    recent_exec_ms_.store(
+        recent + (resp.serve.exec_ms - recent) * kRecentExecWeight,
+        std::memory_order_relaxed);
+  }
   {
     std::lock_guard lock(mu_);
     FleetTierStats& tier = stats_.tiers[item.tier];

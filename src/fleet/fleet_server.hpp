@@ -73,6 +73,16 @@
 // spin kept no one waiting), ends the streak. Sparse open-loop traffic
 // seldom misses kMissedSpinLimit spins in a row, so it keeps its spins.
 //
+// Caller poll: submit() returns a Pending handle (pending.hpp) whose get()
+// polls for up to kSpinWindow before it parks, so a short request settles
+// to a caller that is still awake, without a futex wake. The budget is
+// fixed at submit: kSpinWindow when the request went straight to a free
+// worker (no request queued ahead of it, fleet not paused) and a moving
+// average of recent kOk exec_ms (one atomic, updated in settle()) is at
+// most kSpinWindow; 0 otherwise, so long executions (a 2048² frame) and
+// callers at overload park at once. A caller that calls get() on a settled
+// request pays nothing, so open-loop generators are not throttled.
+//
 // Plans: a shard keeps no per-graph state. Its executor memoizes each
 // graph's plan (pipeline::PipelineExecutor), so a request whose graph was
 // served before runs without validate, fusion, planning, breaker or cache
@@ -82,9 +92,9 @@
 // request id; its queue wait, every execution and its root span
 // (pipeline.server.{queue_wait,request,request.root}) form one tree.
 //
-// Every request resolves its future exactly once. shutdown() stops
+// Every request resolves its handle exactly once. shutdown() stops
 // accepting and drains the queue: each request runs (failing over as
-// needed) or expires on the worker or sweeper that holds it, so no future
+// needed) or expires on the worker or sweeper that holds it, so no handle
 // is left unsettled.
 #pragma once
 
@@ -103,6 +113,7 @@
 #include <vector>
 
 #include "fleet/admission.hpp"
+#include "fleet/pending.hpp"
 #include "gpusim/device.hpp"
 #include "pipeline/server.hpp"
 
@@ -209,9 +220,9 @@ struct FleetStats {
 class FleetServer {
  public:
   /// How long a worker that settled a request and found the queue empty
-  /// spins for the next one before it parks. Measured by a sweep of 10, 30
-  /// and 100 µs on serve_128 (DESIGN.md §18, EXPERIMENTS.md "Warm
-  /// hand-off").
+  /// spins for the next one before it parks, and a granted caller's poll
+  /// budget. Measured by a sweep of 10, 30 and 100 µs on serve_128
+  /// (DESIGN.md §18, EXPERIMENTS.md "Warm hand-off").
   static constexpr std::chrono::microseconds kSpinWindow{30};
   /// Missed spins in a row (see "Back-off" above) after which only every
   /// kMissedSpinLimit-th settle spins, as a probe. While the host lends
@@ -228,8 +239,9 @@ class FleetServer {
   FleetServer& operator=(const FleetServer&) = delete;
 
   /// Admits (or sheds/rejects) and enqueues one request. Never blocks; the
-  /// future settles exactly once.
-  [[nodiscard]] std::future<FleetResponse> submit(FleetRequest request);
+  /// handle settles exactly once, and its get() polls for the budget fixed
+  /// here (see "Caller poll" above) before it parks.
+  [[nodiscard]] Pending<FleetResponse> submit(FleetRequest request);
 
   /// Starts the workers of a fleet constructed shard.start_paused, or
   /// paused by pause(). Idempotent.
@@ -281,8 +293,9 @@ class FleetServer {
   /// then the worker or sweeper that takes it off the queue.
   struct Item {
     FleetRequest request;
-    /// The submitter's promise; PipelineServer's submits emplace the second.
-    std::variant<std::promise<FleetResponse>,
+    /// The submitter's promise, emplaced by enqueue(): a FleetResponse,
+    /// or a ServeResponse for PipelineServer's submits.
+    std::variant<std::monostate, std::promise<FleetResponse>,
                  std::promise<pipeline::ServeResponse>>
         promise;
     Clock::time_point submitted_at;
@@ -313,12 +326,18 @@ class FleetServer {
   };
   static constexpr std::size_t kNoShard = ~std::size_t{0};
 
+  /// Weight of the newest kOk exec_ms in recent_exec_ms_: 1/8.
+  static constexpr f64 kRecentExecWeight = 1.0 / 8.0;
+
   /// PipelineServer's submit(): the same path, answered as a ServeResponse.
-  [[nodiscard]] std::future<pipeline::ServeResponse> submit_serve(
+  [[nodiscard]] Pending<pipeline::ServeResponse> submit_serve(
       pipeline::ServeRequest request);
+  /// Both submits: the item's promise of a `Response`, admitted.
+  template <typename Response>
+  [[nodiscard]] Pending<Response> enqueue(ItemPtr item);
   /// Shared tail of the submits: counts, admission ladder, enqueue or
-  /// settle the refusal.
-  void admit(ItemPtr item);
+  /// settle the refusal. Returns the caller's poll budget.
+  [[nodiscard]] std::chrono::nanoseconds admit(ItemPtr item);
   void worker_loop();
   /// After a settle: unless the queue already holds work or another worker
   /// spins, claims the spin and waits up to kSpinWindow for queued_ to turn
@@ -346,6 +365,10 @@ class FleetServer {
   AdmissionController admission_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<u64> inflight_{0};  ///< admitted, not yet settled
+  /// Moving average of kOk exec_ms; a caller polls only while it is at
+  /// most kSpinWindow. Updated in settle() without a lock: a lost update
+  /// only delays the average by one sample.
+  std::atomic<f64> recent_exec_ms_{0.0};
 
   mutable std::mutex mu_;  ///< queue_, the flags and stats_
   std::condition_variable work_cv_;

@@ -48,7 +48,7 @@ PipelineServer::PipelineServer(ServerConfig config)
 
 PipelineServer::~PipelineServer() = default;
 
-std::future<ServeResponse> PipelineServer::submit(ServeRequest request) {
+fleet::Pending<ServeResponse> PipelineServer::submit(ServeRequest request) {
   return fleet_->submit_serve(std::move(request));
 }
 

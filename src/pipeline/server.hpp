@@ -7,19 +7,20 @@
 // serving core and is documented there: the bounded queue drained by
 // `workers` threads (submit() never blocks), deadlines (the sweeper for
 // queued requests, stop checks for running ones), the per-kernel breakers
-// with their naive fallback and the executor's retries, the warm hand-off,
-// latency histograms and an SloWindow, and request-scoped tracing.
+// with their naive fallback and the executor's retries, the warm hand-off
+// and the caller poll (submit() returns a fleet::Pending handle), latency
+// histograms and an SloWindow, and request-scoped tracing.
 //
 // Workers execute stages inline (executor concurrency 1) by default:
 // throughput comes from request-level parallelism, and the simulator's
 // block loop still parallelizes each launch over the global pool.
 #pragma once
 
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
 
+#include "fleet/pending.hpp"
 #include "obs/histogram.hpp"
 #include "obs/slo.hpp"
 #include "pipeline/executor.hpp"
@@ -140,8 +141,9 @@ class PipelineServer {
   PipelineServer& operator=(const PipelineServer&) = delete;
 
   /// Enqueues a request. Never blocks: on overflow (or after shutdown) the
-  /// returned future is already satisfied with kRejected.
-  [[nodiscard]] std::future<ServeResponse> submit(ServeRequest request);
+  /// returned handle is already settled with kRejected. Its get() polls
+  /// briefly before it parks (fleet/pending.hpp).
+  [[nodiscard]] fleet::Pending<ServeResponse> submit(ServeRequest request);
 
   /// Starts processing when constructed with start_paused. Idempotent.
   void resume();

@@ -2,13 +2,15 @@
 // bit-identity, failover off a killed device, half-open probe recovery
 // after a flap, shed/brownout/reject degradation, placement at dequeue,
 // failover during the shutdown drain, the warm hand-off to a spinning
-// worker, pinned routing, and deadline cuts (breaker-neutral, bounded).
+// worker, pinned routing, deadline cuts (breaker-neutral, bounded), and
+// the caller poll of the handle submit() returns.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -106,7 +108,7 @@ TEST(FleetServer, ServesBitIdenticalAcrossHeterogeneousDevices) {
 
   fleet::FleetServer server(two_device_config());
   constexpr int kRequests = 8;
-  std::vector<std::future<fleet::FleetResponse>> futures;
+  std::vector<fleet::Pending<fleet::FleetResponse>> futures;
   for (int i = 0; i < kRequests; ++i) {
     futures.push_back(server.submit(make_request(graph, src)));
   }
@@ -155,7 +157,7 @@ TEST(FleetServer, FailsOverWhenOneDeviceIsKilled) {
   fleet::FleetServer server(cfg);
 
   constexpr int kRequests = 6;
-  std::vector<std::future<fleet::FleetResponse>> futures;
+  std::vector<fleet::Pending<fleet::FleetResponse>> futures;
   for (int i = 0; i < kRequests; ++i) {
     futures.push_back(server.submit(make_request(graph, src)));
   }
@@ -270,7 +272,7 @@ TEST(FleetServer, ShedsBrownsOutAndRejectsUnderLoad) {
   cfg.admission.reject_start = 0.70;    // reject at 14
   fleet::FleetServer server(cfg);
 
-  std::vector<std::future<fleet::FleetResponse>> admitted;
+  std::vector<fleet::Pending<fleet::FleetResponse>> admitted;
   for (int i = 0; i < 6; ++i) {
     admitted.push_back(server.submit(make_request(graph, src, 0)));
   }
@@ -288,7 +290,7 @@ TEST(FleetServer, ShedsBrownsOutAndRejectsUnderLoad) {
   EXPECT_EQ(shed1.get().status, fleet::FleetStatus::kShed);
 
   // Tier 0 never sheds — it browns out to kNaive instead.
-  std::vector<std::future<fleet::FleetResponse>> browned;
+  std::vector<fleet::Pending<fleet::FleetResponse>> browned;
   for (int i = 0; i < 4; ++i) {
     browned.push_back(server.submit(make_request(graph, src, 0)));
   }
@@ -402,7 +404,7 @@ TEST(FleetServer, CheapAndCostlyGraphsArePlacedAlike) {
   };
   const auto sequence = [&](const auto& graph) {
     const u64 before = placed();
-    std::vector<std::future<fleet::FleetResponse>> futures;
+    std::vector<fleet::Pending<fleet::FleetResponse>> futures;
     for (u64 i = 1; i <= 4; ++i) {
       futures.push_back(server.submit(make_request(graph, src)));
       const auto give_up = std::chrono::steady_clock::now() +
@@ -451,7 +453,7 @@ TEST(FleetServer, ShutdownSettlesFailoversInFlight) {
   fleet::FleetServer server(cfg);
 
   constexpr int kRequests = 8;
-  std::vector<std::future<fleet::FleetResponse>> futures;
+  std::vector<fleet::Pending<fleet::FleetResponse>> futures;
   for (int i = 0; i < kRequests; ++i) {
     futures.push_back(server.submit(make_request(graph, src)));
   }
@@ -489,7 +491,7 @@ f64 ms_since(SteadyClock::time_point t0) {
 /// Polls `f` until it is ready and returns its response. The caller stays
 /// awake, so its next submit follows a settle by its own work, not by the
 /// host's latency in waking a parked thread.
-fleet::FleetResponse await_awake(std::future<fleet::FleetResponse>& f) {
+fleet::FleetResponse await_awake(fleet::Pending<fleet::FleetResponse>& f) {
   while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
   }
   return f.get();
@@ -539,7 +541,7 @@ u64 closed_loop_until_warm(fleet::FleetServer& server,
   u64 sent = 0;
   do {
     for (int i = 0; i < 100; ++i, ++sent) {
-      std::future<fleet::FleetResponse> f = server.submit(request);
+      fleet::Pending<fleet::FleetResponse> f = server.submit(request);
       const fleet::FleetResponse resp = await_awake(f);
       EXPECT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
     }
@@ -578,7 +580,7 @@ TEST(FleetHandOff, OneDelayedRequestPerWorkerAllRunAtOnce) {
 
   for (int round = 0; round < 5; ++round) {
     const SteadyClock::time_point t0 = SteadyClock::now();
-    std::vector<std::future<fleet::FleetResponse>> futures;
+    std::vector<fleet::Pending<fleet::FleetResponse>> futures;
     for (std::size_t i = 0; i < workers; ++i) {
       futures.push_back(server.submit(make_request(graph, src)));
     }
@@ -631,7 +633,7 @@ TEST(FleetHandOff, ShutdownRightAfterASettleReturnsPromptly) {
     fleet::FleetServer server(two_device_config());
     ASSERT_EQ(server.submit(make_request(graph, src)).get().status,
               fleet::FleetStatus::kOk);
-    std::vector<std::future<fleet::FleetResponse>> futures;
+    std::vector<fleet::Pending<fleet::FleetResponse>> futures;
     for (int i = 0; i < queued; ++i) {
       futures.push_back(server.submit(make_request(graph, src)));
     }
@@ -739,7 +741,7 @@ bool drive_into_back_off(fleet::FleetServer& server,
   const SteadyClock::time_point t0 = SteadyClock::now();
   spins = server.stats().spins;
   while (ms_since(t0) < 2'000.0) {
-    std::future<fleet::FleetResponse> f = server.submit(request);
+    fleet::Pending<fleet::FleetResponse> f = server.submit(request);
     const fleet::FleetResponse resp = await_awake(f);
     EXPECT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
     const SteadyClock::time_point settled = SteadyClock::now();
@@ -962,6 +964,300 @@ TEST(FleetServer, NativeCutSettlesBeforeTheUncutTime) {
   EXPECT_EQ(cut.status, fleet::FleetStatus::kDeadlineExpired) << cut.error;
   EXPECT_LT(cut.total_ms, uncut_ms)
       << "cut after " << cut.total_ms << " ms; uncut " << uncut_ms << " ms";
+  server.shutdown();
+}
+
+// ---- caller poll -------------------------------------------------------------
+//
+// submit() returns a Pending handle whose get() polls for a budget fixed at
+// submit before it parks: kSpinWindow for a request that went straight to
+// a free worker while recent executions were short, 0 otherwise. Whether
+// the settle lands inside the poll, after it or at submit, get() returns
+// the response the worker settled.
+
+/// Whether two images hold the same bits in every pixel (compare() reads
+/// 0.0f and -0.0f as equal).
+bool same_bits(const Image<f32>& a, const Image<f32>& b) {
+  if (a.size() != b.size()) return false;
+  for (i32 y = 0; y < a.height(); ++y) {
+    for (i32 x = 0; x < a.width(); ++x) {
+      if (std::bit_cast<u32>(a(x, y)) != std::bit_cast<u32>(b(x, y))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// A served response with every field a one-device kOk settle gives.
+void expect_served(const fleet::FleetResponse& resp, const Image<f32>& expect,
+                   const std::string& device) {
+  ASSERT_EQ(resp.status, fleet::FleetStatus::kOk) << resp.error;
+  EXPECT_EQ(resp.serve.status, pipeline::ServeStatus::kOk);
+  EXPECT_TRUE(resp.error.empty()) << resp.error;
+  EXPECT_EQ(resp.device, device);
+  EXPECT_EQ(resp.dispatches, 1u);
+  EXPECT_FALSE(resp.browned_out);
+  EXPECT_GE(resp.total_ms, resp.serve.exec_ms);
+  EXPECT_TRUE(same_bits(resp.serve.output, expect));
+}
+
+fleet::FleetConfig one_worker_config() {
+  fleet::FleetConfig cfg = two_device_config();
+  cfg.devices = {sim::make_gtx680()};
+  cfg.shard.workers = 1;
+  return cfg;
+}
+
+constexpr std::chrono::nanoseconds kPoll = fleet::FleetServer::kSpinWindow;
+
+TEST(FleetHandOff, PendingPollSeesASettleWithinItsBudget) {
+  // The handle alone: a budget far longer than the settle's delay, so the
+  // settle lands inside the poll, and the value is the one set.
+  for (int round = 0; round < 20; ++round) {
+    std::promise<fleet::FleetResponse> promise;
+    fleet::Pending<fleet::FleetResponse> pending(promise.get_future(),
+                                                 std::chrono::seconds(10));
+    ASSERT_TRUE(pending.valid());
+    ASSERT_EQ(pending.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+    std::thread settler([&promise, round] {
+      std::this_thread::sleep_for(std::chrono::microseconds(100 * round));
+      fleet::FleetResponse resp;
+      resp.device = "GTX680";
+      resp.dispatches = static_cast<u32>(round);
+      resp.serve.output = make_gradient_image({4, 4});
+      promise.set_value(std::move(resp));
+    });
+    const SteadyClock::time_point t0 = SteadyClock::now();
+    const fleet::FleetResponse got = pending.get();
+    EXPECT_LT(ms_since(t0), 5'000.0) << "the poll ran out before the settle";
+    settler.join();
+    EXPECT_FALSE(pending.valid());
+    EXPECT_EQ(got.device, "GTX680");
+    EXPECT_EQ(got.dispatches, static_cast<u32>(round));
+    EXPECT_TRUE(same_bits(got.serve.output, make_gradient_image({4, 4})));
+  }
+}
+
+TEST(FleetHandOff, GetReturnsTheResponseSettledInsideThePoll) {
+  // Native 16x16 gaussian, one worker: once the first requests (the JIT
+  // compile among them) have left the average of recent executions, each
+  // request is granted the poll and its settle usually lands inside it —
+  // get() was called before the settle and returned within the budget.
+  const auto app = filters::make_gaussian_app();
+  const auto graph = make_graph(app);
+  const auto src = make_source(16);
+  const Image<f32> expect =
+      filters::run_app_reference(app, *src, BorderPattern::kClamp);
+  pipeline::KernelCache cache(16);
+  cache.set_jit(test_jit());
+  fleet::FleetConfig cfg = native_config(cache);
+  cfg.devices = {sim::make_gtx680()};
+  cfg.shard.workers = 1;
+  fleet::FleetServer server(cfg);
+
+  const f64 poll_ms = std::chrono::duration<f64, std::milli>(kPoll).count();
+  const SteadyClock::time_point t0 = SteadyClock::now();
+  u64 granted = 0;
+  u64 fit = 0;  // granted, and settled within the budget of its submit
+  u64 inside = 0;
+  while (inside < 3 && ms_since(t0) < 2'000.0) {
+    fleet::Pending<fleet::FleetResponse> f =
+        server.submit(make_request(graph, src));
+    const bool polls = f.poll_budget() == kPoll;
+    const bool unsettled =
+        f.wait_for(std::chrono::seconds(0)) == std::future_status::timeout;
+    const SteadyClock::time_point called = SteadyClock::now();
+    const fleet::FleetResponse resp = f.get();
+    const auto waited = SteadyClock::now() - called;
+    ASSERT_NO_FATAL_FAILURE(expect_served(resp, expect, "GTX680"));
+    if (!polls) continue;
+    ++granted;
+    if (resp.total_ms < poll_ms) ++fit;
+    if (unsettled && waited < kPoll) ++inside;
+  }
+  server.shutdown();
+  EXPECT_EQ(server.stats().completed, server.stats().submitted);
+  if (inside == 0) {
+    // The poll catches only a settle that comes within the window of the
+    // submit: not on a build whose requests take longer (a sanitizer
+    // build, say), nor on a host that runs one thread at a time, where
+    // the worker settles only while the caller is off the CPU.
+    if (fit == 0) {
+      GTEST_SKIP() << "none of " << granted
+                   << " granted requests settled within the poll window";
+    }
+    if (!threads_run_side_by_side()) {
+      GTEST_SKIP() << "the host ran one thread at a time throughout";
+    }
+  }
+  EXPECT_GE(inside, 1u) << fit << " of " << granted
+                        << " granted requests settled within the window";
+}
+
+TEST(FleetHandOff, GetReturnsTheResponseSettledAfterThePoll) {
+  // A fresh fleet has no long execution on record, so its first request is
+  // granted the poll; a 50 ms launch delay makes the settle land long
+  // after it, and get() parks until then.
+  const auto app = filters::make_gaussian_app();
+  const auto graph = make_graph(app);
+  const auto src = make_source(16);
+  const Image<f32> expect =
+      filters::run_app_reference(app, *src, BorderPattern::kClamp);
+  fleet::FleetServer server(one_worker_config());
+  resilience::FaultPlan plan;
+  plan.rules.push_back({"device.launch", resilience::FaultKind::kDelay, "",
+                        1.0, /*max_fires=*/1, /*delay_ms=*/50});
+  resilience::FaultInjector injector(plan);  // SystemClock: real sleep
+  resilience::FaultInjector::ScopedInstall install(injector);
+
+  fleet::Pending<fleet::FleetResponse> f =
+      server.submit(make_request(graph, src));
+  EXPECT_EQ(f.poll_budget(), kPoll);
+  const SteadyClock::time_point called = SteadyClock::now();
+  const fleet::FleetResponse resp = f.get();
+  EXPECT_GE(ms_since(called), 40.0) << "get() returned before the settle";
+  ASSERT_NO_FATAL_FAILURE(expect_served(resp, expect, "GTX680"));
+  EXPECT_GE(resp.serve.exec_ms, 50.0);
+  server.shutdown();
+}
+
+TEST(FleetHandOff, GetReturnsSettlesDecidedAtSubmit) {
+  // Shed, rejected for a full queue, rejected after shutdown: each settles
+  // inside submit(), needs no poll, and reads what admission decided.
+  const auto graph = make_graph(filters::make_gaussian_app());
+  const auto src = make_source(16);
+  fleet::FleetConfig cfg = one_worker_config();
+  cfg.shard.queue_capacity = 2;
+  cfg.shard.start_paused = true;  // requests pile up deterministically
+  // 3 slots (2 queued + 1 worker): tier 2 sheds at 1 in flight.
+  cfg.admission.shed_start = 0.30;
+  cfg.admission.brownout_start = 2.0;
+  cfg.admission.reject_start = 2.0;
+  fleet::FleetServer server(cfg);
+
+  const auto expect_refused = [](fleet::Pending<fleet::FleetResponse> f,
+                                 fleet::FleetStatus status,
+                                 const std::string& why) {
+    EXPECT_EQ(f.poll_budget(), std::chrono::nanoseconds::zero());
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    const fleet::FleetResponse resp = f.get();
+    EXPECT_EQ(resp.status, status) << resp.error;
+    EXPECT_EQ(resp.serve.status, pipeline::ServeStatus::kRejected);
+    EXPECT_NE(resp.error.find(why), std::string::npos) << resp.error;
+    EXPECT_EQ(resp.serve.error, resp.error);
+    EXPECT_EQ(resp.dispatches, 0u);
+    EXPECT_TRUE(resp.device.empty());
+    EXPECT_EQ(resp.serve.output.size(), Size2{});
+    EXPECT_EQ(resp.serve.queue_ms, 0.0);
+    EXPECT_EQ(resp.serve.exec_ms, 0.0);
+  };
+
+  std::vector<fleet::Pending<fleet::FleetResponse>> queued;
+  queued.push_back(server.submit(make_request(graph, src, 0)));
+  expect_refused(server.submit(make_request(graph, src, 2)),
+                 fleet::FleetStatus::kShed, "shed tier 2");
+  queued.push_back(server.submit(make_request(graph, src, 0)));
+  expect_refused(server.submit(make_request(graph, src, 0)),
+                 fleet::FleetStatus::kRejected, "queue full");
+  server.shutdown();  // never resumed: the drain runs both
+  expect_refused(server.submit(make_request(graph, src, 0)),
+                 fleet::FleetStatus::kRejected, "fleet shut down");
+  for (auto& f : queued) {
+    EXPECT_EQ(f.get().status, fleet::FleetStatus::kOk);
+  }
+  const fleet::FleetStats stats = server.stats();
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.rejected, 2u);
+}
+
+TEST(FleetHandOff, NoPollAfterLongExecutions) {
+  // One 50 ms execution puts the average of recent executions far above
+  // the window: the next request goes straight to the idle worker, yet
+  // its caller parks at once.
+  const auto app = filters::make_gaussian_app();
+  const auto graph = make_graph(app);
+  const auto src = make_source(16);
+  const Image<f32> expect =
+      filters::run_app_reference(app, *src, BorderPattern::kClamp);
+  fleet::FleetServer server(one_worker_config());
+  {
+    resilience::FaultPlan plan;
+    plan.rules.push_back({"device.launch", resilience::FaultKind::kDelay, "",
+                          1.0, /*max_fires=*/1, /*delay_ms=*/50});
+    resilience::FaultInjector injector(plan);
+    resilience::FaultInjector::ScopedInstall install(injector);
+    ASSERT_NO_FATAL_FAILURE(expect_served(
+        server.submit(make_request(graph, src)).get(), expect, "GTX680"));
+  }
+  for (int i = 0; i < 3; ++i) {
+    fleet::Pending<fleet::FleetResponse> f =
+        server.submit(make_request(graph, src));
+    EXPECT_EQ(f.poll_budget(), std::chrono::nanoseconds::zero())
+        << "request " << i;
+    ASSERT_NO_FATAL_FAILURE(expect_served(f.get(), expect, "GTX680"));
+  }
+  server.shutdown();
+}
+
+TEST(FleetHandOff, NoPollBehindAQueuedRequest) {
+  // One worker, every launch delayed 50 ms: the first request of a fresh
+  // fleet is granted the poll; those submitted while it runs wait behind
+  // it (and behind each other) and are not. A paused fleet grants none.
+  const auto app = filters::make_gaussian_app();
+  const auto graph = make_graph(app);
+  const auto src = make_source(16);
+  const Image<f32> expect =
+      filters::run_app_reference(app, *src, BorderPattern::kClamp);
+  {
+    fleet::FleetServer server(one_worker_config());
+    resilience::FaultPlan plan;
+    plan.rules.push_back({"device.launch", resilience::FaultKind::kDelay, "",
+                          1.0, /*max_fires=*/0, /*delay_ms=*/50});
+    resilience::FaultInjector injector(plan);
+    resilience::FaultInjector::ScopedInstall install(injector);
+    std::vector<fleet::Pending<fleet::FleetResponse>> futures;
+    for (int i = 0; i < 3; ++i) {
+      futures.push_back(server.submit(make_request(graph, src)));
+    }
+    EXPECT_EQ(futures[0].poll_budget(), kPoll);
+    EXPECT_EQ(futures[1].poll_budget(), std::chrono::nanoseconds::zero());
+    EXPECT_EQ(futures[2].poll_budget(), std::chrono::nanoseconds::zero());
+    for (auto& f : futures) {
+      ASSERT_NO_FATAL_FAILURE(expect_served(f.get(), expect, "GTX680"));
+    }
+    server.shutdown();
+  }
+  fleet::FleetConfig cfg = one_worker_config();
+  cfg.shard.start_paused = true;
+  fleet::FleetServer paused(cfg);
+  fleet::Pending<fleet::FleetResponse> f =
+      paused.submit(make_request(graph, src));
+  EXPECT_EQ(f.poll_budget(), std::chrono::nanoseconds::zero());
+  paused.resume();
+  ASSERT_NO_FATAL_FAILURE(expect_served(f.get(), expect, "GTX680"));
+  paused.shutdown();
+}
+
+TEST(FleetHandOff, WaitForZeroOnAnUnsettledHandleTimesOut) {
+  const auto graph = make_graph(filters::make_gaussian_app());
+  const auto src = make_source(16);
+  fleet::FleetConfig cfg = one_worker_config();
+  cfg.shard.start_paused = true;
+  fleet::FleetServer server(cfg);
+  fleet::Pending<fleet::FleetResponse> f =
+      server.submit(make_request(graph, src));
+  ASSERT_TRUE(f.valid());
+  EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+  EXPECT_EQ(f.wait_for(std::chrono::milliseconds(5)),
+            std::future_status::timeout);
+  server.resume();
+  f.wait();
+  EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  ASSERT_TRUE(f.valid());
+  EXPECT_EQ(f.get().status, fleet::FleetStatus::kOk);
+  EXPECT_FALSE(f.valid());
   server.shutdown();
 }
 

@@ -729,7 +729,7 @@ TEST(PipelineServer, RejectsOnOverflowDeterministically) {
   cfg.executor.sim.sampled = true;
   pipeline::PipelineServer server(cfg);
 
-  std::vector<std::future<pipeline::ServeResponse>> futures;
+  std::vector<fleet::Pending<pipeline::ServeResponse>> futures;
   for (int i = 0; i < 10; ++i) {
     futures.push_back(server.submit(make_request(graph, src)));
   }
@@ -831,7 +831,7 @@ TEST(PipelineServer, ShutdownDrainsEveryQueuedRequest) {
   cfg.workers = 2;
   cfg.executor.sim.sampled = true;
   pipeline::PipelineServer server(cfg);
-  std::vector<std::future<pipeline::ServeResponse>> futures;
+  std::vector<fleet::Pending<pipeline::ServeResponse>> futures;
   for (int i = 0; i < 8; ++i) {
     futures.push_back(server.submit(make_request(graph, src)));
   }
@@ -859,7 +859,7 @@ TEST(PipelineServer, LatencyMemoryBoundedInRequestCount) {
     cfg.workers = 2;
     cfg.executor.sim.sampled = true;
     pipeline::PipelineServer server(cfg);
-    std::vector<std::future<pipeline::ServeResponse>> futures;
+    std::vector<fleet::Pending<pipeline::ServeResponse>> futures;
     for (int i = 0; i < requests; ++i) {
       futures.push_back(server.submit(make_request(graph, src)));
     }
@@ -898,7 +898,7 @@ TEST(PipelineServer, TracePropagationAcrossWorkers) {
     cfg.executor.sim.sampled = true;
     cfg.executor.concurrency = 2;  // stages hop to the shared thread pool
     pipeline::PipelineServer server(cfg);
-    std::vector<std::future<pipeline::ServeResponse>> futures;
+    std::vector<fleet::Pending<pipeline::ServeResponse>> futures;
     for (int i = 0; i < kRequests; ++i) {
       futures.push_back(server.submit(make_request(graph, src)));
     }

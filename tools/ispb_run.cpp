@@ -1025,7 +1025,7 @@ int serve_fleet(const Cli& cli, const filters::MultiKernelApp& app,
   const Clock::time_point t0 = Clock::now();
   {
     fleet::FleetServer server(fleet_cfg);
-    std::vector<std::future<fleet::FleetResponse>> futures;
+    std::vector<fleet::Pending<fleet::FleetResponse>> futures;
     futures.reserve(static_cast<std::size_t>(requests));
     for (i32 i = 0; i < requests; ++i) {
       fleet::FleetRequest req;
@@ -1205,7 +1205,7 @@ int run_serve(int argc, char** argv) {
   const Clock::time_point t0 = Clock::now();
   {
     pipeline::PipelineServer server(server_cfg);
-    std::vector<std::future<pipeline::ServeResponse>> futures;
+    std::vector<fleet::Pending<pipeline::ServeResponse>> futures;
     futures.reserve(static_cast<std::size_t>(requests));
     for (i32 i = 0; i < requests; ++i) {
       futures.push_back(
@@ -1383,7 +1383,7 @@ f64 calibrate_capacity_rps(const LoadSetup& setup, const LoadSlice& slice,
   fleet::FleetServer server(loadtest_fleet_config(setup, slice));
   const std::size_t outstanding_target =
       static_cast<std::size_t>(setup.workers) * setup.devices.size() * 2;
-  std::deque<std::future<fleet::FleetResponse>> inflight;
+  std::deque<fleet::Pending<fleet::FleetResponse>> inflight;
   u64 ok = 0;
   std::size_t combo = 0;
   const Clock::time_point t0 = Clock::now();
@@ -1527,7 +1527,7 @@ TierResult run_tier(const LoadSetup& setup, f64 multiplier, f64 duration_ms,
       if (at >= end) break;
       std::this_thread::sleep_until(at);
       const LoadCombo& c = setup.combos[combo++ % setup.combos.size()];
-      // Open loop: the future is dropped — the fleet settles every promise
+      // Open loop: the handle is dropped — the fleet settles every promise
       // and its stats count every outcome; the generator never blocks.
       (void)server.submit(
           load_request(setup, c, tier_rr++ % setup.shed_tiers));
@@ -1738,7 +1738,7 @@ int run_loadtest(int argc, char** argv) {
   // compile inside the measurement window.
   for (const LoadSlice& slice : setup.slices) {
     fleet::FleetServer warm(loadtest_fleet_config(setup, slice));
-    std::vector<std::future<fleet::FleetResponse>> futures;
+    std::vector<fleet::Pending<fleet::FleetResponse>> futures;
     for (const LoadCombo& c : setup.combos) {
       for (const sim::DeviceSpec& dev : setup.devices) {
         for (const std::optional<codegen::Variant> variant :
@@ -2056,7 +2056,7 @@ int run_chaos_fleet(const Cli& cli, i32 schedules, u64 seed_base,
       fleet_cfg.clock = &vclock;
 
       fleet::FleetServer server(fleet_cfg);
-      std::vector<std::future<fleet::FleetResponse>> futures;
+      std::vector<fleet::Pending<fleet::FleetResponse>> futures;
       futures.reserve(static_cast<std::size_t>(requests));
       for (i32 i = 0; i < requests; ++i) {
         fleet::FleetRequest req;
@@ -2372,7 +2372,7 @@ int run_chaos(int argc, char** argv) {
       server_cfg.clock = &vclock;
 
       pipeline::PipelineServer server(server_cfg);
-      std::vector<std::future<pipeline::ServeResponse>> futures;
+      std::vector<fleet::Pending<pipeline::ServeResponse>> futures;
       futures.reserve(static_cast<std::size_t>(requests));
       for (i32 i = 0; i < requests; ++i) {
         futures.push_back(server.submit(
