@@ -7,8 +7,6 @@
 
 namespace ispb::pipeline {
 
-namespace {
-
 fleet::FleetConfig one_device_fleet(ServerConfig config) {
   fleet::FleetConfig fleet;
   fleet.devices = {config.executor.sim.device};
@@ -25,8 +23,6 @@ fleet::FleetConfig one_device_fleet(ServerConfig config) {
   fleet.device_breaker.failure_threshold = std::numeric_limits<u32>::max();
   return fleet;
 }
-
-}  // namespace
 
 std::string_view to_string(ServeStatus s) {
   switch (s) {

@@ -28,6 +28,7 @@
 
 namespace ispb::fleet {
 class FleetServer;
+struct FleetConfig;
 }  // namespace ispb::fleet
 
 namespace ispb::pipeline {
@@ -130,6 +131,12 @@ struct ServerConfig {
   /// at a stop check. Not owned; must outlive the server.
   obs::FlightRecorder* flight_recorder = nullptr;
 };
+
+/// The fleet a PipelineServer runs: one device (config.executor.sim.device)
+/// with `config` as its shard, one admission tier that never browns out or
+/// rejects, and a device breaker that never quarantines. Callers that want
+/// fleet responses from the same server build a fleet::FleetServer on it.
+[[nodiscard]] fleet::FleetConfig one_device_fleet(ServerConfig config);
 
 class PipelineServer {
  public:

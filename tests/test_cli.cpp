@@ -112,13 +112,39 @@ TEST(IspbRunCli, ChaosUnrecoverableFaultExitsOneNamingThePoint) {
 }
 
 TEST(IspbRunCli, ChaosEmitsJsonReport) {
-  const CmdResult r = run_cmd("chaos --schedules=1 --requests=1 --json");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  for (const char* field :
-       {"fault_fires", "violations", "ok_verdict", "fallbacks_served"}) {
-    EXPECT_NE(r.output.find(field), std::string::npos)
-        << field << "\n" << r.output;
+  // One harness, both device counts: the report carries every total.
+  for (const char* cmd :
+       {"chaos --schedules=1 --requests=1 --json",
+        "chaos --devices=gtx680,rtx2080 --device-fault=kill --schedules=1 "
+        "--requests=1 --json"}) {
+    const CmdResult r = run_cmd(cmd);
+    EXPECT_EQ(r.exit_code, 0) << cmd << "\n" << r.output;
+    for (const char* field :
+         {"fault_fires", "violations", "ok_verdict", "fallbacks_served",
+          "failovers", "\"mode\"", "\"devices\""}) {
+      EXPECT_NE(r.output.find(field), std::string::npos)
+          << cmd << ": " << field << "\n" << r.output;
+    }
   }
+}
+
+TEST(IspbRunCli, FleetChaosTakesVariantAndHoldsInvariants) {
+  const CmdResult r = run_cmd(
+      "chaos --devices=gtx680,rtx2080 --device-fault=kill --variant=isp-tiled "
+      "--schedules=1 --requests=2 --json");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("\"variant\": \"isp-tiled\""), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("\"violations\": []"), std::string::npos)
+      << r.output;
+}
+
+TEST(IspbRunCli, DeviceChaosOnOneDeviceFailsNamingTheRule) {
+  // device_chaos spares one device, so on one device it afflicts nothing.
+  const CmdResult r = run_cmd(
+      "chaos --devices=gtx680 --device-fault=kill --schedules=1");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find(">= 2 entries"), std::string::npos) << r.output;
 }
 
 TEST(IspbRunCli, LoadtestQuickWritesSchemaValidArtifact) {
@@ -146,15 +172,23 @@ TEST(IspbRunCli, LoadtestQuickWritesSchemaValidArtifact) {
   }
 }
 
+// The keys every serve report carries, with or without --devices.
+constexpr const char* kServeReportKeys[] = {
+    "throughput_rps", "p99_ms",         "hit_rate",      "completed",
+    "warm_pickups",   "native_misses",  "\"devices\"", "\"admission\""};
+
 TEST(IspbRunCli, ServeEmitsJsonReport) {
-  const CmdResult r = run_cmd(
-      "serve --requests=4 --concurrency=2 --size=32 --sampled --json");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  for (const char* field :
-       {"throughput_rps", "p99_ms", "hit_rate", "completed",
-        "warm_pickups"}) {
-    EXPECT_NE(r.output.find(field), std::string::npos)
-        << field << "\n" << r.output;
+  for (const char* devices : {"", " --devices=gtx680,rtx2080"}) {
+    const std::string cmd =
+        std::string("serve --requests=4 --concurrency=2 --size=32 --sampled "
+                    "--json") +
+        devices;
+    const CmdResult r = run_cmd(cmd);
+    EXPECT_EQ(r.exit_code, 0) << cmd << "\n" << r.output;
+    for (const char* field : kServeReportKeys) {
+      EXPECT_NE(r.output.find(field), std::string::npos)
+          << cmd << ": " << field << "\n" << r.output;
+    }
   }
 }
 
@@ -189,15 +223,25 @@ TEST(IspbRunCli, ShedTiersOutOfRangeFails) {
 }
 
 TEST(IspbRunCli, FleetServeReportsPerDevicePlacement) {
-  const CmdResult r = run_cmd(
-      "serve --devices=gtx680,rtx2080 --requests=8 --concurrency=2 "
-      "--size=32 --sampled --json");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  for (const char* field :
-       {"\"devices\"", "GTX680", "RTX2080", "\"admission\"", "\"routed\"",
-        "\"failovers\"", "\"warm_pickups\""}) {
-    EXPECT_NE(r.output.find(field), std::string::npos)
-        << field << "\n" << r.output;
+  for (const bool fleet : {true, false}) {
+    const std::string cmd =
+        std::string("serve --requests=8 --concurrency=2 --size=32 --sampled "
+                    "--json") +
+        (fleet ? " --devices=gtx680,rtx2080" : "");
+    const CmdResult r = run_cmd(cmd);
+    EXPECT_EQ(r.exit_code, 0) << cmd << "\n" << r.output;
+    for (const char* field : kServeReportKeys) {
+      EXPECT_NE(r.output.find(field), std::string::npos)
+          << cmd << ": " << field << "\n" << r.output;
+    }
+    for (const char* field :
+         {"GTX680", "\"routed\"", "\"failovers\"", "\"warm_pickups\""}) {
+      EXPECT_NE(r.output.find(field), std::string::npos)
+          << cmd << ": " << field << "\n" << r.output;
+    }
+    // Only the two-device fleet places requests on the RTX2080.
+    EXPECT_EQ(r.output.find("RTX2080") != std::string::npos, fleet)
+        << cmd << "\n" << r.output;
   }
 }
 
