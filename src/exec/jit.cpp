@@ -176,6 +176,14 @@ NativeModulePtr load_module(const fs::path& so_path, const std::string& symbol,
   return module;
 }
 
+/// The directory `config` resolves to (creating nothing).
+std::string resolved_cache_dir(const JitConfig& config) {
+  if (!config.cache_dir.empty()) return config.cache_dir;
+  const char* env = std::getenv("ISPB_JIT_DIR");
+  if (env != nullptr && *env != '\0') return env;
+  return (fs::temp_directory_path() / "ispb-jit-cache").string();
+}
+
 /// Shared naming between jit_compile and artifact_stem: the stem is a pure
 /// function of the emitted source, the compiler driver, its version and the
 /// flag set.
@@ -212,13 +220,6 @@ std::string artifact_stem(const codegen::StencilSpec& spec,
 std::string resolved_compiler(const JitConfig& config) {
   if (!config.compiler.empty()) return config.compiler;
   return env_or("ISPB_NATIVE_CXX", env_or("CXX", "c++"));
-}
-
-std::string resolved_cache_dir(const JitConfig& config) {
-  if (!config.cache_dir.empty()) return config.cache_dir;
-  const char* env = std::getenv("ISPB_JIT_DIR");
-  if (env != nullptr && *env != '\0') return env;
-  return (fs::temp_directory_path() / "ispb-jit-cache").string();
 }
 
 NativeModule::NativeModule(void* handle, KernelFn entry, std::string artifact,
@@ -263,7 +264,7 @@ NativeModulePtr jit_compile(const codegen::StencilSpec& spec,
 
   obs::MetricsRegistry* reg = obs::MetricsRegistry::installed();
   std::error_code ec;
-  if (config.reuse_artifacts && fs::exists(so_path, ec)) {
+  if (fs::exists(so_path, ec)) {
     if (reg != nullptr) {
       reg->add("exec.native.disk_hits", 1.0, {{"kernel", spec.name}});
     }

@@ -35,6 +35,8 @@ namespace ispb::exec {
 /// Where and how jit_compile builds.
 struct JitConfig {
   /// Artifact directory; "" = $ISPB_JIT_DIR or <system tmp>/ispb-jit-cache.
+  /// An artifact already there is reused; tests that must observe real
+  /// compiles point this at a fresh directory.
   std::string cache_dir;
   /// Compiler driver; "" = $ISPB_NATIVE_CXX, else $CXX, else "c++".
   std::string compiler;
@@ -46,10 +48,6 @@ struct JitConfig {
   /// production passes nothing. Part of the artifact stem. Anything added
   /// here must keep value bits: never -ffast-math or -ffp-contract=fast.
   std::string extra_flags;
-  /// Reuse an existing on-disk .so for the same source hash instead of
-  /// recompiling. Tests that must observe real compiles point cache_dir at
-  /// a fresh directory instead of disabling this.
-  bool reuse_artifacts = true;
 };
 
 /// The x86-64 level the JIT targets, chosen once per process from cpuid:
@@ -60,9 +58,6 @@ struct JitConfig {
 /// built for x86-64: the JIT then adds no -march.
 [[nodiscard]] std::string_view jit_isa_level();
 
-/// The directory `config` resolves to (creating nothing).
-[[nodiscard]] std::string resolved_cache_dir(const JitConfig& config);
-
 /// The compiler driver `config` resolves to (see JitConfig::compiler).
 [[nodiscard]] std::string resolved_compiler(const JitConfig& config);
 
@@ -70,8 +65,7 @@ struct JitConfig {
 /// jit_compile would use for (spec, options, config) — computed without
 /// compiling or touching the disk. The hash covers the emitted source, the
 /// compiler driver, the first line of its `--version` (run once per driver
-/// path per process) and the flag set. KernelCache pins in-flight fills'
-/// expected artifacts against GC with this (see gc_native_artifacts).
+/// path per process) and the flag set.
 [[nodiscard]] std::string artifact_stem(const codegen::StencilSpec& spec,
                                         const codegen::CodegenOptions& options,
                                         const JitConfig& config = {});

@@ -33,10 +33,6 @@ void publish_fleet_status(FleetStatus status) {
            {{"status", std::string(to_string(status))}});
 }
 
-resilience::Clock* shard_clock(const FleetConfig& config) {
-  return config.shard.clock != nullptr ? config.shard.clock : config.clock;
-}
-
 /// A device's modeled issue capacity at the kernels' rough occupancy: the
 /// same occupancy/cost model the planner uses, evaluated without compiling
 /// anything.
@@ -92,17 +88,18 @@ std::string_view to_string(FleetStatus s) {
 FleetServer::Shard::Shard(const sim::DeviceSpec& spec,
                           const FleetConfig& config)
     : device(spec),
-      breakers(config.shard.breaker, shard_clock(config)),
+      breakers(config.shard.breaker, config.shard.clock),
       executor([&] {
         pipeline::ExecutorConfig ec = config.shard.executor;
         ec.sim.device = spec;
         if (config.shard.breakers_enabled && ec.breakers == nullptr) {
           ec.breakers = &breakers;
         }
-        if (ec.clock == nullptr) ec.clock = shard_clock(config);
+        if (ec.clock == nullptr) ec.clock = config.shard.clock;
         return ec;
       }()),
-      breaker("device:" + spec.name, config.device_breaker, config.clock),
+      breaker("device:" + spec.name, config.device_breaker,
+              config.shard.clock),
       slo(config.shard.slo),
       capacity(device_capacity(spec, config.shard.executor.sim.block)) {}
 

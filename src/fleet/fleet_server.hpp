@@ -125,15 +125,13 @@ struct FleetConfig {
   /// Per-device template: workers and queue_capacity count per device (the
   /// fleet owns devices × each). executor.sim.device is overwritten per
   /// device; executor.cache (when set) is shared by all devices — cache
-  /// keys are device-scoped already. clock defaults to `clock` below.
+  /// keys are device-scoped already. shard.clock also times the device
+  /// breakers below.
   pipeline::ServerConfig shard;
   AdmissionConfig admission;
   /// Device-level quarantine breakers (failure threshold, cooldown,
   /// half-open probe budget).
   resilience::BreakerConfig device_breaker;
-  /// Clock for the device breakers (and the shards, unless shard.clock is
-  /// set); nullptr = wall clock.
-  resilience::Clock* clock = nullptr;
 };
 
 enum class FleetStatus : u8 {

@@ -1,11 +1,8 @@
 #include "pipeline/kernel_cache.hpp"
 
 #include <bit>
-#include <chrono>
-#include <filesystem>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/stop.hpp"
 #include "obs/metrics.hpp"
@@ -21,6 +18,9 @@ namespace {
 bool is_poisoned(const KernelCache::KernelPtr& k) {
   return k == nullptr || k->regs_per_thread < 0;
 }
+
+/// Native modules have no corruption fault: a ready one is always served.
+bool is_poisoned(const exec::NativeModulePtr&) { return false; }
 
 /// A coalesced waiter's get(): waits at most until its own stop. The fill
 /// leader compiles with its stop cleared, so its cut can neither reach the
@@ -146,207 +146,136 @@ std::string cache_key(const codegen::StencilSpec& spec,
 KernelCache::KernelCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
+template <typename T>
+T KernelCache::hit_locked(Table<T>& table, const std::string& key) {
+  const auto it = table.entries.find(key);
+  if (it == table.entries.end() || !it->second.ready) return nullptr;
+  // Validate before serving: a poisoned entry (cache.insert corruption) is
+  // dropped here and healed by the caller's recompile — it can never reach
+  // a launch.
+  if (is_poisoned(it->second.value)) {
+    ++stats_.poisoned;
+    generation_.fetch_add(1, std::memory_order_release);
+    table.lru.erase(it->second.lru_it);
+    table.entries.erase(it);
+    return nullptr;
+  }
+  ++table.hits;
+  table.lru.splice(table.lru.begin(), table.lru, it->second.lru_it);
+  publish_counters_locked();
+  return it->second.value;
+}
+
+template <typename T, typename Fill, typename Store>
+T KernelCache::fill_once(Table<T>& table, const std::string& key,
+                         const char* span, Fill&& fill, Store&& store) {
+  // Built on the miss path only: a hit allocates neither the promise's
+  // shared state nor a copy of the fill config.
+  std::optional<std::promise<T>> promise;
+  FillConfig config;
+  {
+    std::unique_lock lock(mu_);
+    if (T hit = hit_locked(table, key)) return hit;
+    const auto it = table.entries.find(key);
+    if (it != table.entries.end()) {  // still filling
+      ++table.coalesced;
+      publish_counters_locked();
+      std::shared_future<T> future = it->second.future;
+      lock.unlock();
+      return await_fill(future);
+    }
+    ++table.misses;
+    publish_counters_locked();
+    config = fill_;
+    table.entries[key].future = promise.emplace().get_future().share();
+  }
+
+  // Fill outside the lock: concurrent misses on *different* keys compile in
+  // parallel; concurrent requests for *this* key wait on the future. The
+  // fill's fault points sit inside the retried unit, so an injected
+  // failure is recoverable.
+  T value;
+  resilience::RetryOutcome outcome;
+  const auto count_retries_locked = [&] {
+    stats_.fill_retries += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
+  };
+  try {
+    const StopScope unstopped(kNoStop);  // see await_fill
+    std::optional<obs::ScopedSpan> scoped;
+    if (span != nullptr) {
+      scoped.emplace(span, "compile");
+      scoped->arg("key", key);
+    }
+    value = resilience::retry_call(
+        config.retry, config.retry_clock, [&] { return fill(config.jit); },
+        &outcome);
+  } catch (...) {
+    // Hand the failure to every waiter, then forget the key so a later
+    // request can retry.
+    promise->set_exception(std::current_exception());
+    std::lock_guard lock(mu_);
+    count_retries_locked();
+    table.entries.erase(key);
+    publish_counters_locked();
+    throw;
+  }
+  promise->set_value(value);
+  T stored = store(value);
+
+  std::lock_guard lock(mu_);
+  count_retries_locked();
+  const auto it = table.entries.find(key);
+  if (it != table.entries.end() && !it->second.ready) {
+    it->second.value = std::move(stored);
+    table.lru.push_front(key);
+    it->second.lru_it = table.lru.begin();
+    it->second.ready = true;
+    while (table.lru.size() > capacity_) {
+      // Dropping an entry only releases the cache's shared_ptr: a module an
+      // executor still runs stays dlopened until that reference dies.
+      table.entries.erase(table.lru.back());
+      table.lru.pop_back();
+      ++table.evictions;
+    }
+  }
+  publish_counters_locked();
+  return value;
+}
+
 KernelCache::KernelPtr KernelCache::get_or_compile(
     const codegen::StencilSpec& spec, const codegen::CodegenOptions& options,
     std::string_view device) {
   const std::string key = cache_key(spec, options, device);
-
-  std::promise<KernelPtr> promise;
-  resilience::RetryPolicy retry;
-  resilience::Clock* retry_clock = nullptr;
-  {
-    std::unique_lock lock(mu_);
-    retry = retry_;
-    retry_clock = retry_clock_;
-    auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.ready) {
-      // Validate before serving: a poisoned entry (cache.insert corruption)
-      // must be detected here and healed by recompiling — it can never
-      // reach a launch.
-      KernelPtr cached = it->second.future.get();  // ready: no blocking
-      if (is_poisoned(cached)) {
-        ++stats_.poisoned;
-        generation_.fetch_add(1, std::memory_order_release);
-        lru_.erase(it->second.lru_it);
-        entries_.erase(it);
-        it = entries_.end();  // fall through to the miss path
-      } else {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        publish_counters_locked();
-        return cached;
-      }
-    }
-    if (it != entries_.end()) {
-      ++stats_.coalesced;
-      publish_counters_locked();
-      std::shared_future<KernelPtr> future = it->second.future;
-      lock.unlock();
-      return await_fill(future);
-    }
-    ++stats_.misses;
-    publish_counters_locked();
-    Entry entry;
-    entry.future = promise.get_future().share();
-    entries_.emplace(key, std::move(entry));
-  }
-
-  // Compile outside the lock: concurrent misses on *different* keys compile
-  // in parallel; concurrent requests for *this* key wait on the future.
-  // The fill is retried per set_retry(); the cache.insert fault point sits
-  // inside the retried unit so an injected insert failure is recoverable.
-  KernelPtr kernel;
-  resilience::RetryOutcome fill;
-  try {
-    const StopScope unstopped(kNoStop);  // see await_fill
-    obs::ScopedSpan span("pipeline.cache.compile", "compile");
-    span.arg("key", key);
-    kernel = resilience::retry_call(
-        retry, retry_clock,
-        [&]() -> KernelPtr {
-          auto compiled = std::make_shared<const dsl::CompiledKernel>(
-              dsl::compile_kernel(spec, options));
-          resilience::fault_point("cache.insert", key);
-          return compiled;
-        },
-        &fill);
-  } catch (...) {
-    // Hand the failure to every waiter, then forget the key so a later
-    // request can retry.
-    promise.set_exception(std::current_exception());
-    {
-      std::lock_guard lock(mu_);
-      stats_.fill_retries += fill.attempts > 0 ? fill.attempts - 1 : 0;
-      entries_.erase(key);
-      publish_counters_locked();
-    }
-    throw;
-  }
-  promise.set_value(kernel);
-
-  // A corruption fault poisons the *stored* entry only: the filling caller
-  // (and every coalesced waiter on the promise above) still gets the good
-  // kernel; the next lookup detects the poison and heals it.
-  const bool corrupt = resilience::fault_corrupt("cache.insert", key);
-
-  {
-    std::lock_guard lock(mu_);
-    stats_.fill_retries += fill.attempts > 0 ? fill.attempts - 1 : 0;
-    const auto it = entries_.find(key);
-    if (it != entries_.end() && !it->second.ready) {
-      // clear() may have dropped the entry mid-compile; only then is the
-      // key absent and the result simply not cached.
-      if (corrupt) {
+  return fill_once(
+      kernels_, key, "pipeline.cache.compile",
+      [&](const exec::JitConfig&) -> KernelPtr {
+        auto compiled = std::make_shared<const dsl::CompiledKernel>(
+            dsl::compile_kernel(spec, options));
+        resilience::fault_point("cache.insert", key);
+        return compiled;
+      },
+      [&](const KernelPtr& kernel) -> KernelPtr {
+        // A corruption fault poisons the *stored* entry only: the filling
+        // caller and every coalesced waiter still get the good kernel; the
+        // next lookup detects the poison and heals it.
+        if (!resilience::fault_corrupt("cache.insert", key)) return kernel;
         auto bad = std::make_shared<dsl::CompiledKernel>(*kernel);
         bad->regs_per_thread = -1;
-        std::promise<KernelPtr> poisoned;
-        poisoned.set_value(KernelPtr(std::move(bad)));
-        it->second.future = poisoned.get_future().share();
-      }
-      lru_.push_front(key);
-      it->second.lru_it = lru_.begin();
-      it->second.ready = true;
-      while (lru_.size() > capacity_) {
-        entries_.erase(lru_.back());
-        lru_.pop_back();
-        ++stats_.evictions;
-      }
-    }
-    publish_counters_locked();
-  }
-  return kernel;
+        return bad;
+      });
 }
 
 exec::NativeModulePtr KernelCache::get_or_compile_native(
     const codegen::StencilSpec& spec, const codegen::CodegenOptions& options,
     std::string_view device) {
   const codegen::CodegenOptions canon = canonical_native_options(options);
-  const std::string key = native_key(spec, canon, device);
-
-  // Built on the miss path only: a hit allocates neither the promise's
-  // shared state nor a copy of the JIT config.
-  std::optional<std::promise<exec::NativeModulePtr>> promise;
-  resilience::RetryPolicy retry;
-  resilience::Clock* retry_clock = nullptr;
-  exec::JitConfig jit;
-  {
-    std::unique_lock lock(mu_);
-    if (exec::NativeModulePtr hit = native_hit_locked(key)) return hit;
-    const auto it = native_entries_.find(key);
-    if (it != native_entries_.end()) {  // still filling
-      ++stats_.native_coalesced;
-      publish_counters_locked();
-      std::shared_future<exec::NativeModulePtr> future = it->second.future;
-      lock.unlock();
-      return await_fill(future);
-    }
-    ++stats_.native_misses;
-    publish_counters_locked();
-    retry = retry_;
-    retry_clock = retry_clock_;
-    jit = jit_;
-    NativeEntry entry;
-    entry.future = promise.emplace().get_future().share();
-    native_entries_.emplace(key, std::move(entry));
-  }
-
-  // Pin the fill's expected artifact stem before touching the toolchain:
-  // jit_compile's disk-warm reuse (fs::exists -> dlopen) may pick up an
-  // artifact older than the GC grace window that no ready entry references
-  // any more (evicted while its device was quarantined) — a concurrent
-  // gc_native_artifacts must not delete it mid-fill.
-  const std::string stem = exec::artifact_stem(spec, canon, jit);
-  {
-    std::lock_guard lock(mu_);
-    ++native_inflight_stems_[stem];
-  }
-
-  // JIT outside the lock; same single-flight / retry shape as the IR path.
-  // The backend.compile fault point lives inside jit_compile, i.e. inside
-  // the retried unit.
-  exec::NativeModulePtr module;
-  resilience::RetryOutcome fill;
-  try {
-    const StopScope unstopped(kNoStop);  // see await_fill
-    module = resilience::retry_call(
-        retry, retry_clock,
-        [&]() -> exec::NativeModulePtr {
-          return exec::jit_compile(spec, canon, jit);
-        },
-        &fill);
-  } catch (...) {
-    promise->set_exception(std::current_exception());
-    {
-      std::lock_guard lock(mu_);
-      stats_.fill_retries += fill.attempts > 0 ? fill.attempts - 1 : 0;
-      native_entries_.erase(key);
-      unpin_stem_locked(stem);
-      publish_counters_locked();
-    }
-    throw;
-  }
-  promise->set_value(module);
-
-  {
-    std::lock_guard lock(mu_);
-    stats_.fill_retries += fill.attempts > 0 ? fill.attempts - 1 : 0;
-    unpin_stem_locked(stem);
-    const auto it = native_entries_.find(key);
-    if (it != native_entries_.end() && !it->second.ready) {
-      native_lru_.push_front(key);
-      it->second.lru_it = native_lru_.begin();
-      it->second.ready = true;
-      while (native_lru_.size() > capacity_) {
-        // Dropping the entry only releases the cache's shared_ptr: a module
-        // an executor still runs stays dlopened until that reference dies.
-        native_entries_.erase(native_lru_.back());
-        native_lru_.pop_back();
-        ++stats_.native_evictions;
-      }
-    }
-    publish_counters_locked();
-  }
-  return module;
+  // The backend.compile fault point lives inside jit_compile.
+  return fill_once(
+      modules_, native_key(spec, canon, device), nullptr,
+      [&](const exec::JitConfig& jit) {
+        return exec::jit_compile(spec, canon, jit);
+      },
+      [](const exec::NativeModulePtr& module) { return module; });
 }
 
 exec::NativeModulePtr KernelCache::find_native(
@@ -355,98 +284,25 @@ exec::NativeModulePtr KernelCache::find_native(
   const std::string key =
       native_key(spec, canonical_native_options(options), device);
   std::lock_guard lock(mu_);
-  return native_hit_locked(key);
-}
-
-exec::NativeModulePtr KernelCache::native_hit_locked(const std::string& key) {
-  const auto it = native_entries_.find(key);
-  if (it == native_entries_.end() || !it->second.ready) return nullptr;
-  ++stats_.native_hits;
-  native_lru_.splice(native_lru_.begin(), native_lru_, it->second.lru_it);
-  publish_counters_locked();
-  return it->second.future.get();  // ready: no blocking
+  return hit_locked(modules_, key);
 }
 
 void KernelCache::set_jit(exec::JitConfig config) {
   std::lock_guard lock(mu_);
-  jit_ = std::move(config);
+  fill_.jit = std::move(config);
   // The native key does not carry the JIT config: a ready module built
   // under the old one must not be served under the new one. An in-flight
   // fill publishes under the config it started with, as after clear().
-  for (const std::string& key : native_lru_) native_entries_.erase(key);
-  native_lru_.clear();
+  modules_.drop_ready();
   generation_.fetch_add(1, std::memory_order_release);
   publish_counters_locked();
-}
-
-exec::JitConfig KernelCache::jit_config() const {
-  std::lock_guard lock(mu_);
-  return jit_;
-}
-
-std::size_t KernelCache::gc_native_artifacts() {
-  namespace fs = std::filesystem;
-  // Collect the artifact stems of every ready module under the lock, then
-  // walk the directory without it (filesystem IO under a hot mutex is rude).
-  std::vector<std::string> live_stems;
-  std::string dir;
-  {
-    std::lock_guard lock(mu_);
-    dir = exec::resolved_cache_dir(jit_);
-    for (const auto& [key, entry] : native_entries_) {
-      if (!entry.ready) continue;
-      const exec::NativeModulePtr module = entry.future.get();
-      if (module == nullptr) continue;
-      // "<symbol>.<hash>.so" -> keep every "<symbol>.<hash>.*" sibling
-      // (the .cpp kept next to the .so is a debugging aid).
-      std::string stem = fs::path(module->artifact_path()).filename().string();
-      if (stem.size() > 3 && stem.ends_with(".so")) {
-        stem.resize(stem.size() - 3);
-      }
-      live_stems.push_back(std::move(stem));
-    }
-    // In-flight fills: their artifact may already exist on disk (disk-warm
-    // reuse) with an old mtime; it is live even though no entry is ready.
-    for (const auto& kv : native_inflight_stems_) {
-      live_stems.push_back(kv.first);
-    }
-  }
-
-  std::size_t removed = 0;
-  std::error_code ec;
-  const auto now = fs::file_time_type::clock::now();
-  constexpr auto kGrace = std::chrono::seconds(60);
-  for (const fs::directory_entry& de : fs::directory_iterator(dir, ec)) {
-    if (!de.is_regular_file(ec)) continue;
-    const std::string name = de.path().filename().string();
-    bool live = false;
-    for (const std::string& stem : live_stems) {
-      if (name.starts_with(stem)) {
-        live = true;
-        break;
-      }
-    }
-    if (live) continue;
-    // Grace window: a file another thread/process just renamed into place
-    // (or is about to dlopen) must not vanish under it.
-    const fs::file_time_type mtime = fs::last_write_time(de.path(), ec);
-    if (ec || now - mtime < kGrace) continue;
-    if (fs::remove(de.path(), ec) && !ec) ++removed;
-  }
-  return removed;
-}
-
-void KernelCache::unpin_stem_locked(const std::string& stem) {
-  const auto it = native_inflight_stems_.find(stem);
-  if (it == native_inflight_stems_.end()) return;
-  if (--it->second == 0) native_inflight_stems_.erase(it);
 }
 
 void KernelCache::set_retry(resilience::RetryPolicy policy,
                             resilience::Clock* clock) {
   std::lock_guard lock(mu_);
-  retry_ = policy;
-  retry_clock_ = clock;
+  fill_.retry = policy;
+  fill_.retry_clock = clock;
 }
 
 KernelCacheStats KernelCache::stats() const {
@@ -456,12 +312,12 @@ KernelCacheStats KernelCache::stats() const {
 
 std::size_t KernelCache::size() const {
   std::lock_guard lock(mu_);
-  return lru_.size();
+  return kernels_.lru.size();
 }
 
 std::size_t KernelCache::native_size() const {
   std::lock_guard lock(mu_);
-  return native_lru_.size();
+  return modules_.lru.size();
 }
 
 void KernelCache::clear() {
@@ -469,10 +325,8 @@ void KernelCache::clear() {
   // Drop ready entries only; an in-flight compile still owns its map slot
   // (erasing it would let a concurrent miss start a duplicate compile whose
   // publication then collides with the first one's).
-  for (const std::string& key : lru_) entries_.erase(key);
-  lru_.clear();
-  for (const std::string& key : native_lru_) native_entries_.erase(key);
-  native_lru_.clear();
+  kernels_.drop_ready();
+  modules_.drop_ready();
   stats_ = KernelCacheStats{};
   generation_.fetch_add(1, std::memory_order_release);
 }
@@ -487,7 +341,7 @@ void KernelCache::publish_counters_locked() const {
   reg->set("pipeline.cache.poisoned", static_cast<f64>(stats_.poisoned));
   reg->set("pipeline.cache.fill_retries",
            static_cast<f64>(stats_.fill_retries));
-  reg->set("pipeline.cache.size", static_cast<f64>(lru_.size()));
+  reg->set("pipeline.cache.size", static_cast<f64>(kernels_.lru.size()));
   reg->set("pipeline.cache.native_hits",
            static_cast<f64>(stats_.native_hits));
   reg->set("pipeline.cache.native_misses",
@@ -497,7 +351,7 @@ void KernelCache::publish_counters_locked() const {
   reg->set("pipeline.cache.native_evictions",
            static_cast<f64>(stats_.native_evictions));
   reg->set("pipeline.cache.native_size",
-           static_cast<f64>(native_lru_.size()));
+           static_cast<f64>(modules_.lru.size()));
 }
 
 KernelCache& KernelCache::global() {

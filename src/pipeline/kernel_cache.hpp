@@ -1,4 +1,5 @@
-// Compiled-kernel cache: memoizes dsl::compile_kernel results.
+// Compiled-kernel cache: memoizes dsl::compile_kernel results (IR kernels)
+// and exec::jit_compile results (native modules).
 //
 // Compiling a StencilSpec (trace -> IR -> pass pipeline -> regalloc) costs
 // orders of magnitude more than a sampled launch, and the serving workloads
@@ -8,6 +9,10 @@
 // variant, constant, optimization toggles, warp width) and a device label,
 // so two structurally identical specs traced independently share one entry.
 //
+// Both kinds of entry go through one fill. Each kind has its own table (map,
+// LRU and counters); the lookup, the single-flight wait, the retried fill
+// and the publication are one routine.
+//
 // Concurrency contract (single-flight): when several threads request the
 // same missing key at once, exactly one compiles while the rest block on a
 // shared future — a key is never compiled twice. A waiter blocks at most
@@ -15,20 +20,23 @@
 // thread runs with its stop cleared, so its fill always completes. Ready
 // entries are returned without blocking. Eviction is LRU over ready entries
 // only; in-flight compiles are never evicted (the map may transiently
-// exceed capacity).
+// exceed capacity). A failed fill rethrows to every waiter and forgets the
+// key, so a later request compiles again.
 //
-// Observability: each compile runs under a ScopedSpan ("pipeline.cache
-// .compile") and hit/miss/eviction counters plus a size gauge are published
+// Observability: each IR compile runs under a ScopedSpan ("pipeline.cache
+// .compile"; a native compile's span is jit_compile's "exec.native
+// .compile") and hit/miss/eviction counters plus size gauges are published
 // to the installed obs::MetricsRegistry (null fast path when none is).
 //
-// Resilience: the publication step is the `cache.insert` fault point. A
+// Resilience: the IR publication step is the `cache.insert` fault point. A
 // kThrow rule fails the fill exactly like a compiler error (waiters get the
 // exception, the key is forgotten so a later request retries); a kCorrupt
 // rule poisons the *stored* entry while the filling caller still gets the
 // good kernel — every lookup validates the entry it is about to serve and
 // heals a poisoned one by recompiling (counted in stats().poisoned), so a
-// corrupt entry can never reach a launch. Fills can be wrapped in a
-// RetryPolicy via set_retry(); ContractError/VerifyError are never retried.
+// corrupt entry can never reach a launch. A native fill's fault point is
+// jit_compile's `backend.compile`. Fills can be wrapped in a RetryPolicy via
+// set_retry(); ContractError/VerifyError are never retried.
 //
 // Generation: a counter bumped when what the cache serves may change under
 // someone who resolved it earlier — clear(), set_jit() (which drops the
@@ -133,17 +141,6 @@ class KernelCache {
   /// Drops the ready native modules, which the old config built; the
   /// counters are kept.
   void set_jit(exec::JitConfig config);
-  [[nodiscard]] exec::JitConfig jit_config() const;
-
-  /// Removes on-disk artifacts in the JIT cache directory that neither a
-  /// ready native entry nor an in-flight native fill references and that
-  /// are older than ~60 s (the grace window covers a concurrent compile's
-  /// rename->dlopen gap). In-flight fills pin their expected artifact stem
-  /// explicitly: an old artifact about to be disk-warm reused by a failover
-  /// re-compile (e.g. after the entry was evicted while its device was
-  /// quarantined) must not vanish between the fill's existence check and
-  /// its dlopen. Returns the number of files removed.
-  std::size_t gc_native_artifacts();
 
   [[nodiscard]] KernelCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;      ///< ready IR entries
@@ -165,38 +162,60 @@ class KernelCache {
   [[nodiscard]] static KernelCache& global();
 
  private:
-  struct Entry {
-    std::shared_future<KernelPtr> future;
-    std::list<std::string>::iterator lru_it;  ///< valid iff ready
-    bool ready = false;
+  /// One kind of entry: its map, its LRU and the stats_ fields it counts.
+  template <typename T>
+  struct Table {
+    struct Entry {
+      std::shared_future<T> future;  ///< settles when the fill does
+      T value;                       ///< what a hit serves; valid iff ready
+      std::list<std::string>::iterator lru_it;  ///< valid iff ready
+      bool ready = false;
+    };
+    u64& hits;
+    u64& misses;
+    u64& coalesced;
+    u64& evictions;
+    std::unordered_map<std::string, Entry> entries = {};
+    std::list<std::string> lru = {};  ///< most recently used first; ready only
+
+    /// Drops the ready entries; in-flight fills keep their map slots.
+    void drop_ready() {
+      for (const std::string& key : lru) entries.erase(key);
+      lru.clear();
+    }
   };
-  struct NativeEntry {
-    std::shared_future<exec::NativeModulePtr> future;
-    std::list<std::string>::iterator lru_it;  ///< valid iff ready
-    bool ready = false;
+  /// What a fill runs under, copied on a miss.
+  struct FillConfig {
+    resilience::RetryPolicy retry;
+    resilience::Clock* retry_clock = nullptr;  ///< nullptr = wall clock
+    exec::JitConfig jit;
   };
 
+  /// The single-flight routine behind both get_or_compile* calls (see the
+  /// header comment): a hit, a coalesced wait, or the fill. `fill(jit)` is
+  /// one attempt, run under the retry policy with the stop cleared (and
+  /// under a `span` span when one is named); `store(value)` gives what the
+  /// entry keeps, run outside the lock after the waiters got `value`.
+  template <typename T, typename Fill, typename Store>
+  T fill_once(Table<T>& table, const std::string& key, const char* span,
+              Fill&& fill, Store&& store);
+  /// The ready entry under `key`, counted as a hit and moved to the LRU
+  /// head, or nullptr when the key is absent, still filling or poisoned (a
+  /// poisoned entry is dropped here).
+  template <typename T>
+  [[nodiscard]] T hit_locked(Table<T>& table, const std::string& key);
   void publish_counters_locked() const;
-  /// The ready native module under `key`, counted as a hit and moved to
-  /// the LRU head, or nullptr when the key is absent or still filling.
-  [[nodiscard]] exec::NativeModulePtr native_hit_locked(
-      const std::string& key);
-  /// Drops one pin on an in-flight fill's expected artifact stem.
-  void unpin_stem_locked(const std::string& stem);
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
-  resilience::RetryPolicy retry_;  ///< guarded by mu_
-  resilience::Clock* retry_clock_ = nullptr;  ///< guarded by mu_
-  exec::JitConfig jit_;  ///< guarded by mu_
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  ///< most recently used first; ready keys only
-  std::unordered_map<std::string, NativeEntry> native_entries_;
-  std::list<std::string> native_lru_;
-  /// Artifact stems of in-flight native fills (stem -> fill count), pinned
-  /// against gc_native_artifacts until the fill publishes or fails.
-  std::unordered_map<std::string, u32> native_inflight_stems_;
+  // Guarded by mu_:
+  FillConfig fill_;
   KernelCacheStats stats_;
+  Table<KernelPtr> kernels_{stats_.hits, stats_.misses, stats_.coalesced,
+                            stats_.evictions};
+  Table<exec::NativeModulePtr> modules_{
+      stats_.native_hits, stats_.native_misses, stats_.native_coalesced,
+      stats_.native_evictions};
   std::atomic<u64> generation_{0};  ///< bumped under mu_
 };
 

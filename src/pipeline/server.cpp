@@ -10,7 +10,6 @@ namespace ispb::pipeline {
 fleet::FleetConfig one_device_fleet(ServerConfig config) {
   fleet::FleetConfig fleet;
   fleet.devices = {config.executor.sim.device};
-  fleet.clock = config.clock;
   fleet.shard = std::move(config);
   // No admission ladder: one tier that never browns out or rejects, so
   // only a full queue or shutdown refuses a request.
@@ -67,10 +66,6 @@ ServerStats PipelineServer::stats() const {
   s.queue_latency_ms = fleet.queue_latency_ms;
   s.exec_latency_ms = fleet.exec_latency_ms;
   return s;
-}
-
-obs::SloSnapshot PipelineServer::slo_snapshot() const {
-  return fleet_->device_slo().front().second;
 }
 
 resilience::HealthState PipelineServer::health() const {

@@ -121,10 +121,12 @@ struct ServerConfig {
   /// Disable to restore fail-fast (errors propagate, no naive fallback).
   bool breakers_enabled = true;
   resilience::BreakerConfig breaker;
-  /// Clock for breaker cooldowns and retry backoff; nullptr = wall clock.
+  /// Clock for breaker cooldowns (the kernel breakers' and, in a fleet,
+  /// the device breakers') and retry backoff; nullptr = wall clock.
   /// Latency accounting and deadlines always use steady_clock.
   resilience::Clock* clock = nullptr;
-  /// Sliding-window shape for slo_snapshot().
+  /// Sliding-window shape of the per-device SLO view
+  /// (fleet::FleetServer::device_slo()).
   obs::SloConfig slo;
   /// Optional crash-dump sink: the worker notes a "watchdog_cut" frame
   /// (graph name + latency + an SLO snapshot) every time a request is cut
@@ -160,10 +162,6 @@ class PipelineServer {
   void shutdown();
 
   [[nodiscard]] ServerStats stats() const;
-
-  /// Sliding-window SLO view: throughput, p50/p90/p99, error / rejection /
-  /// deadline-miss rates over the configured window ending now.
-  [[nodiscard]] obs::SloSnapshot slo_snapshot() const;
 
   /// Resilience snapshot: breaker states, retry/fallback counters, cuts
   /// and queue expiries.

@@ -4,9 +4,9 @@
 // full executor bit-identity matrix (5 apps x 4 patterns x 3 variants,
 // native vs run_app_reference), the fused stages the native engine runs, in-place
 // reads of a padded source, no unwritten output pixel on a poisoned heap,
-// the backend.compile fault -> interpreted fallback path, and the KernelCache
-// native-module lifecycle (single-flight, refcounted eviction, artifact
-// GC, variant canonicalization), the row-band rule with a multi-band run on
+// the backend.compile fault -> interpreted fallback path, the KernelCache
+// native-module lifecycle (single-flight, refcounted eviction, variant
+// canonicalization) and the fill's stop rule, the row-band rule with a multi-band run on
 // the pool, night's stencil chain band by band (runner and executor, with a
 // mid-chain fallback, and lone stages as chains of one), and the request
 // breakdown of a traced native server.
@@ -35,6 +35,7 @@
 
 #include "codegen/cpp_printer.hpp"
 #include "common/error.hpp"
+#include "common/stop.hpp"
 #include "common/thread_pool.hpp"
 #include "exec/backend.hpp"
 #include "exec/jit.hpp"
@@ -76,7 +77,7 @@ struct TempDir {
 /// emitted float sequence (and thus bit-exactness) is optimization-level
 /// independent because contraction is off.
 exec::JitConfig fast_jit(const TempDir& dir) {
-  return {dir.path.string(), "", "-O0", true};
+  return {dir.path.string(), "", "-O0"};
 }
 
 /// Exact bit equality — the native backend's promise, stronger than any
@@ -313,7 +314,7 @@ TEST(Jit, IsaLevelFollowsCpuidAndChangesTheStem) {
   const codegen::StencilSpec& spec = app.stages.front().spec;
   codegen::CodegenOptions opt;
   opt.variant = codegen::Variant::kIsp;
-  const exec::JitConfig production{dir.path.string(), "", "", true};
+  const exec::JitConfig production{dir.path.string(), "", ""};
   exec::JitConfig baseline = production;
   baseline.extra_flags = "-march=x86-64";
   if (v3) {
@@ -430,7 +431,7 @@ Image<f32> make_special_image(Size2 size, u64 seed) {
 // compiles.
 TEST(JitSpecialValues, BitIdenticalToReferenceAtProductionFlags) {
   const TempDir dir("special");
-  const exec::JitConfig production{dir.path.string(), "", "", true};
+  const exec::JitConfig production{dir.path.string(), "", ""};
   exec::JitConfig baseline = production;
   baseline.extra_flags = "-march=x86-64";
   const Size2 size{40, 40};
@@ -963,93 +964,64 @@ TEST(KernelCacheNative, EvictionKeepsInUseModuleLoaded) {
   EXPECT_EQ(exec::NativeModule::open_count(), base + 1);
 }
 
-// Satellite: gc_native_artifacts removes stale unreferenced artifacts,
-// keeps live ones and anything inside the 60 s grace window.
-TEST(KernelCacheNative, GcRemovesStaleKeepsLiveAndRecent) {
-  const TempDir dir("gc");
-  pipeline::KernelCache cache;
-  cache.set_jit(fast_jit(dir));
-  const filters::MultiKernelApp app = filters::make_gaussian_app();
-  codegen::CodegenOptions opt;
-  opt.variant = codegen::Variant::kIsp;
-  const exec::NativeModulePtr module =
-      cache.get_or_compile_native(app.stages.front().spec, opt);
-  const fs::path live = module->artifact_path();
-
-  // A dead artifact from a previous process, aged past the grace window.
-  const fs::path stale = dir.path / "ispb_dead_kernel.0123456789abcdef.so";
-  { std::ofstream(stale) << "stale"; }
-  fs::last_write_time(stale,
-                      fs::file_time_type::clock::now() - std::chrono::minutes(5));
-  // An unknown but fresh file (a concurrent compile in flight): kept.
-  const fs::path recent = dir.path / "ispb_inflight_kernel.ffff.so";
-  { std::ofstream(recent) << "fresh"; }
-
-  EXPECT_EQ(cache.gc_native_artifacts(), 1u);
-  EXPECT_FALSE(fs::exists(stale));
-  EXPECT_TRUE(fs::exists(live));
-  EXPECT_TRUE(fs::exists(recent));
-}
-
-// Regression: GC must not delete an artifact a concurrent fill is about to
-// disk-warm-reuse. Scenario: the module was evicted from the LRU (so the
-// live-module scan misses it) and its .so has aged past the grace window —
-// exactly the state after a fleet failover re-compiles a kernel whose
-// device sat quarantined for a while. The fill pins its expected stem
-// before touching the JIT; gc_native_artifacts running inside the fill's
-// window must keep the file.
-TEST(KernelCacheNative, GcKeepsArtifactPinnedByInFlightFill) {
-  const TempDir dir("gcpin");
+// A coalesced waiter whose stop passes while the leader fills is cut with
+// DeadlineExceeded before the fill ends; the leader, which fills with its
+// stop cleared, still publishes, so the next lookup is a hit on the one
+// miss. Both kinds: an IR kernel held open at compile.lower and a native
+// module held open at backend.compile (each a 400 ms wall-clock kDelay).
+TEST(KernelCacheFill, WaiterCutAtItsStopLeavesTheFillToPublish) {
+  const TempDir dir("cut");
   pipeline::KernelCache cache;
   cache.set_jit(fast_jit(dir));
   const filters::MultiKernelApp app = filters::make_gaussian_app();
   const codegen::StencilSpec& spec = app.stages.front().spec;
   codegen::CodegenOptions opt;
   opt.variant = codegen::Variant::kIsp;
+  const auto check = [&](const std::string& point, auto lookup,
+                         auto counts) {
+    SCOPED_TRACE(point);
+    resilience::FaultPlan plan;
+    plan.seed = 5;
+    plan.rules.push_back({point, resilience::FaultKind::kDelay, "", 1.0,
+                          /*max_fires=*/1, /*delay_ms=*/400});
+    resilience::FaultInjector injector(plan);  // SystemClock: real sleep
+    resilience::FaultInjector::ScopedInstall install(injector);
 
-  fs::path artifact;
-  {
-    const exec::NativeModulePtr first = cache.get_or_compile_native(spec, opt);
-    artifact = first->artifact_path();
-  }
-  cache.clear();  // LRU forgets the module; only the .so remains on disk
-  fs::last_write_time(
-      artifact, fs::file_time_type::clock::now() - std::chrono::minutes(2));
-  ASSERT_TRUE(fs::exists(artifact));
+    std::atomic<bool> filled{false};
+    std::thread leader([&] {
+      EXPECT_NE(lookup(), nullptr);
+      filled = true;
+    });
+    while (counts().misses == 0) std::this_thread::yield();
+    {
+      const StopScope stop(StopClock::now() + std::chrono::milliseconds(50));
+      EXPECT_THROW((void)lookup(), DeadlineExceeded);
+    }
+    EXPECT_FALSE(filled) << "the waiter must be cut while the fill runs";
+    leader.join();
 
-  // Hold the re-compiling fill open mid-flight: jit_compile's entry fault
-  // point sleeps on the wall clock while the main thread runs the GC.
-  resilience::FaultPlan plan;
-  plan.seed = 5;
-  plan.rules.push_back({"backend.compile", resilience::FaultKind::kDelay, "",
-                        1.0, /*max_fires=*/1, /*delay_ms=*/400});
-  resilience::FaultInjector injector(plan);
-  resilience::FaultInjector::ScopedInstall install(injector);
-
-  exec::NativeModulePtr refilled;
-  std::thread fill([&] { refilled = cache.get_or_compile_native(spec, opt); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  // Without the in-flight pin this would count the aged .so as dead.
-  EXPECT_EQ(cache.gc_native_artifacts(), 0u);
-  EXPECT_TRUE(fs::exists(artifact));
-  fill.join();
-
-  ASSERT_NE(refilled, nullptr);
-  EXPECT_EQ(refilled->artifact_path(), artifact.string());
-  // The fill disk-warm-reused the artifact instead of recompiling (a
-  // recompile would have rewritten it, refreshing the mtime) — proving the
-  // GC race window (exists-check -> dlopen) stayed closed.
-  EXPECT_LT(fs::last_write_time(artifact),
-            fs::file_time_type::clock::now() - std::chrono::minutes(1));
-
-  // Once the fill publishes, the pin is released: after the module and the
-  // cache entry go away, the same aged artifact is collectable again.
-  refilled.reset();
-  cache.clear();
-  fs::last_write_time(
-      artifact, fs::file_time_type::clock::now() - std::chrono::minutes(2));
-  EXPECT_EQ(cache.gc_native_artifacts(), 1u);
-  EXPECT_FALSE(fs::exists(artifact));
+    EXPECT_NE(lookup(), nullptr);
+    const auto n = counts();
+    EXPECT_EQ(n.misses, 1u);
+    EXPECT_EQ(n.coalesced, 1u);
+    EXPECT_EQ(n.hits, 1u);
+  };
+  struct Counts {
+    u64 hits, misses, coalesced;
+  };
+  check(
+      "compile.lower", [&] { return cache.get_or_compile(spec, opt); },
+      [&] {
+        const pipeline::KernelCacheStats s = cache.stats();
+        return Counts{s.hits, s.misses, s.coalesced};
+      });
+  check(
+      "backend.compile",
+      [&] { return cache.get_or_compile_native(spec, opt); },
+      [&] {
+        const pipeline::KernelCacheStats s = cache.stats();
+        return Counts{s.native_hits, s.native_misses, s.native_coalesced};
+      });
 }
 
 // Satellite: the native cache key canonicalizes variants that lower
@@ -1235,7 +1207,7 @@ TEST(NativeChain, NightMatchesReferenceAt2048) {
     options.pattern = pattern;
     options.variant = codegen::Variant::kIsp;
     const auto modules =
-        night_chain(options, {dir.path.string(), "", "", true});
+        night_chain(options, {dir.path.string(), "", ""});
     Image<f32> out(source.size(), Uninitialized{});
     (void)exec::run_native_chain(raw(modules), inputs, out);
     EXPECT_EQ(first_mismatch(out, filters::run_app_reference(night, source,

@@ -200,7 +200,7 @@ TEST(FleetServer, HalfOpenProbeRestoresFlappedDevice) {
 
   resilience::VirtualClock vclock;
   fleet::FleetConfig cfg = two_device_config();
-  cfg.clock = &vclock;
+  cfg.shard.clock = &vclock;
   cfg.device_breaker.failure_threshold = 1;
   cfg.device_breaker.open_cooldown_ms = 50;
   // Disable the shard-internal naive fallback so the injected launch fault
@@ -872,7 +872,7 @@ exec::JitConfig test_jit() {
       std::filesystem::remove_all(path, ec);
     }
   } dir;
-  return {dir.path.string(), "", "-O0", true};
+  return {dir.path.string(), "", "-O0"};
 }
 
 fleet::FleetConfig native_config(pipeline::KernelCache& cache) {

@@ -332,7 +332,7 @@ std::vector<Case> compile_cases(const std::vector<Target>& targets,
       }
     }
   }
-  const exec::JitConfig production{dir.path.string(), "", "", true};
+  const exec::JitConfig production{dir.path.string(), "", ""};
   exec::JitConfig baseline = production;
   baseline.extra_flags = "-march=x86-64";
   std::atomic<std::size_t> next{0};
@@ -622,7 +622,7 @@ std::vector<ChainCase> compile_chain_cases(
       jobs.emplace_back(c, k);
     }
   }
-  const exec::JitConfig jit{dir.path.string(), "", "-O0", true};
+  const exec::JitConfig jit{dir.path.string(), "", "-O0"};
   std::atomic<std::size_t> next{0};
   std::vector<std::thread> compilers;
   const unsigned threads =

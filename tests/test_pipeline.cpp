@@ -952,7 +952,7 @@ exec::JitConfig test_jit() {
       std::filesystem::remove_all(path, ec);
     }
   } dir;
-  return {dir.path.string(), "", "-O0", true};
+  return {dir.path.string(), "", "-O0"};
 }
 
 // A server's executor reuses a graph's plan: once the module is in the

@@ -499,20 +499,53 @@ TEST(KernelCacheResilience, FillRetriesRecoverInjectedInsertFailures) {
   EXPECT_GT(clock.elapsed_ms(), 0u) << "backoff slept on the virtual clock";
 }
 
-TEST(KernelCacheResilience, UnrecoverableFillFailureReachesEveryCaller) {
-  FaultPlan plan;
-  plan.rules.push_back({"cache.insert", FaultKind::kThrow, "", 1.0, 0, 0});
-  resilience::FaultInjector injector(plan);
-  resilience::FaultInjector::ScopedInstall install(injector);
+/// A JIT directory of its own, removed on exit; -O0 keeps the compiles
+/// short and does not change the emitted float sequence.
+struct PreparedJitDir {
+  std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("ispb-test-prepared-" + std::to_string(::getpid()));
+  ~PreparedJitDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  [[nodiscard]] exec::JitConfig jit() const {
+    return {path.string(), "", "-O0"};
+  }
+};
 
+// A fill that fails on every attempt reaches its caller and caches
+// nothing; the key is forgotten, so once the injector is gone the next
+// call compiles. Both kinds: an IR kernel failing at cache.insert and a
+// native module failing at backend.compile.
+TEST(KernelCacheResilience, UnrecoverableFillFailureReachesEveryCaller) {
+  const PreparedJitDir dir;
   pipeline::KernelCache cache(8);
+  cache.set_jit(dir.jit());
   const auto spec = filters::gaussian_spec(3);
-  codegen::CodegenOptions options;
-  EXPECT_THROW((void)cache.get_or_compile(spec, options),
-               resilience::InjectedFault);
-  // The failed key was forgotten: once the injector is gone a later request
-  // compiles cleanly.
-  EXPECT_EQ(cache.size(), 0u);
+  const codegen::CodegenOptions options;
+  const auto check = [](const char* point, auto lookup, auto size,
+                        auto misses) {
+    SCOPED_TRACE(point);
+    {
+      FaultPlan plan;
+      plan.rules.push_back({point, FaultKind::kThrow, "", 1.0, 0, 0});
+      resilience::FaultInjector injector(plan);
+      resilience::FaultInjector::ScopedInstall install(injector);
+      EXPECT_THROW((void)lookup(), resilience::InjectedFault);
+      EXPECT_EQ(size(), 0u);
+    }
+    EXPECT_NE(lookup(), nullptr);
+    EXPECT_EQ(misses(), 2u);
+  };
+  check(
+      "cache.insert", [&] { return cache.get_or_compile(spec, options); },
+      [&] { return cache.size(); }, [&] { return cache.stats().misses; });
+  check(
+      "backend.compile",
+      [&] { return cache.get_or_compile_native(spec, options); },
+      [&] { return cache.native_size(); },
+      [&] { return cache.stats().native_misses; });
 }
 
 // ---- executor + server: breaker fallback, watchdog, health ------------------
@@ -684,7 +717,7 @@ TEST(ServerResilience, CutIsBreakerNeutral) {
     }
   } remove_dir{jit_dir};
   pipeline::KernelCache cache(8);
-  cache.set_jit({jit_dir.string(), "", "-O0", true});
+  cache.set_jit({jit_dir.string(), "", "-O0"});
   pipeline::ServerConfig cfg;
   cfg.workers = 1;
   cfg.executor.cache = &cache;
@@ -762,7 +795,7 @@ ProbeOutcome stage_fault_on_half_open_probe(exec::Backend backend) {
     }
   } remove_dir{jit_dir};
   pipeline::KernelCache cache(8);
-  cache.set_jit({jit_dir.string(), "", "-O0", true});
+  cache.set_jit({jit_dir.string(), "", "-O0"});
   pipeline::ExecutorConfig cfg;
   cfg.concurrency = 0;
   cfg.cache = &cache;
@@ -832,21 +865,6 @@ TEST(BreakerProbe, StageFaultOnNativeProbeReleasesIt) {
 }
 
 // ---- plans: breakers and the cache read live --------------------------------
-
-/// A JIT directory of its own, removed on exit; -O0 keeps the compiles
-/// short and does not change the emitted float sequence.
-struct PreparedJitDir {
-  std::filesystem::path path =
-      std::filesystem::temp_directory_path() /
-      ("ispb-test-prepared-" + std::to_string(::getpid()));
-  ~PreparedJitDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  [[nodiscard]] exec::JitConfig jit() const {
-    return {path.string(), "", "-O0", true};
-  }
-};
 
 // One memoized native plan, reused: a "#native" breaker that trips on one
 // run sends the very next run to the interpreter, and once its half-open

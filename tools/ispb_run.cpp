@@ -1982,7 +1982,6 @@ int run_chaos(int argc, char** argv) {
         fleet_cfg.device_breaker.failure_threshold = 2;
         fleet_cfg.device_breaker.open_cooldown_ms = 50;
         fleet_cfg.admission.tiers = shed_tiers;
-        fleet_cfg.clock = &vclock;
       } else {
         resilience::RetryPolicy retry;
         retry.max_attempts = 3;
