@@ -112,7 +112,6 @@ bool run_rungs(i32 reps, BenchJson& json) {
   pipeline::ExecutorConfig exec_cfg;
   exec_cfg.sim.pattern = BorderPattern::kClamp;
   exec_cfg.sim.variant = codegen::Variant::kIsp;
-  exec_cfg.concurrency = 1;
   exec_cfg.cache = &cache;
   exec_cfg.backend = exec::Backend::kNative;
   const pipeline::PipelineExecutor executor(exec_cfg);
@@ -201,7 +200,6 @@ bool run_plan_rungs(i32 reps, BenchJson& json) {
   pipeline::ExecutorConfig exec_cfg;
   exec_cfg.sim.pattern = kPattern;
   exec_cfg.sim.variant = codegen::Variant::kIsp;
-  exec_cfg.concurrency = 1;
   exec_cfg.cache = &cache;
   exec_cfg.backend = exec::Backend::kNative;
   const pipeline::PipelineExecutor executor(exec_cfg);
@@ -463,7 +461,6 @@ int run(int argc, char** argv) {
     // Small blocks keep the interpreter cost of a sampled launch low: the
     // bench isolates serving + compile overhead, not simulated kernel time.
     cold_cfg.executor.sim.block = {8, 4};
-    cold_cfg.executor.concurrency = 1;
     cold_cfg.executor.use_cache = false;
     cold_cfg.executor.backend = *backend;
     const ServingRun cold = run_serving(graph, source, cold_cfg, requests);

@@ -3,10 +3,10 @@
 //
 // FleetServer::execute installs a request's deadline with a StopScope; no
 // one else sets one. Work that fans out reads stop_time() once on the
-// calling thread and carries it: executor pool tasks install it again,
-// parallel loops (native strips, simulated blocks) compare against the
-// value they captured. A check throws DeadlineExceeded once the stop has
-// passed; with no stop set it is one thread-local load and a compare.
+// calling thread and carries it: parallel loops (native strips, simulated
+// blocks) compare against the value they captured. A check throws
+// DeadlineExceeded once the stop has passed; with no stop set it is one
+// thread-local load and a compare.
 #pragma once
 
 #include <algorithm>

@@ -47,7 +47,6 @@ BackendRun run_interpreted(const codegen::StencilSpec& spec,
   BackendRun run;
   run.stats = sim_run.stats;
   run.variant_used = sim_run.variant_used;
-  run.degenerate_fallback = sim_run.degenerate_fallback;
   run.backend = Backend::kInterpreted;
   run.regs_per_thread = kernel->regs_per_thread;
   return run;
@@ -251,8 +250,6 @@ NativeLaunch native_launch(NativeModulePtr module,
       size.x < 2 * w.radius_x() || size.y < 2 * w.radius_y();
   BackendRun& run = launch.run;
   run.variant_used = degenerate ? codegen::Variant::kNaive : options.variant;
-  run.degenerate_fallback =
-      degenerate && options.variant != codegen::Variant::kNaive;
   run.backend = Backend::kNative;
   run.regs_per_thread = 0;  // no register model
   return launch;

@@ -52,7 +52,6 @@ enum class Backend : u8 {
 struct BackendRun {
   sim::LaunchStats stats;  ///< native: wall time_ms only, no counters
   codegen::Variant variant_used = codegen::Variant::kNaive;
-  bool degenerate_fallback = false;
   Backend backend = Backend::kInterpreted;
   i32 regs_per_thread = 0;  ///< 0 for native (no register model)
 };

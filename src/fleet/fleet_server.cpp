@@ -509,8 +509,8 @@ std::size_t FleetServer::place(const Item& item, u64 tried, bool& probe,
 
 FleetServer::Attempt FleetServer::execute(Shard& shard, const Item& item) {
   // The request's spans hang off its root span, and its deadline is the
-  // stop every check compares with; the executor carries both onto its
-  // pool tasks.
+  // stop every check compares with; the executor runs every stage on this
+  // thread.
   const obs::TraceContext::Scope trace_scope(
       {item.request_id, item.root_span_id});
   const StopScope stop_scope(item.has_deadline() ? item.deadline_at()
@@ -526,7 +526,6 @@ FleetServer::Attempt FleetServer::execute(Shard& shard, const Item& item) {
                            item.request.backend, item.request.variant);
     // The variant and engine that reached the caller: kNaive/kInterpreted
     // if *any* stage degraded to it (a graph has at least one stage).
-    response.sim_time_ms = result.total_time_ms;
     response.variant_used = result.stages.back().variant_used;
     response.backend_used = result.stages.back().backend_used;
     for (const pipeline::ExecutorResult::Stage& stage : result.stages) {

@@ -15,7 +15,7 @@
 // parent_span_id). A TraceContext names the request a thread is currently
 // working for and the span new child spans should hang off; ScopedSpan
 // maintains it automatically for same-thread nesting, and thread handoffs
-// (server worker -> executor pool task) carry it explicitly: snapshot
+// (submitting thread -> server worker) carry it explicitly: snapshot
 // TraceContext::current() before the hop, install it with
 // TraceContext::Scope inside. The result is one tree per request in
 // the export, regardless of which threads ran its stages, and

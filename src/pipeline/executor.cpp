@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <condition_variable>
-#include <exception>
 #include <mutex>
 #include <span>
 
@@ -439,7 +437,6 @@ struct PipelineExecutor::Plan {
   std::vector<KernelGraph::Chain> chains;
   KernelGraph::BufferPlan buffers;
   i64 bands = 1;
-  i32 concurrency = 1;
   std::vector<PreparedStage> stages;
   u64 generation = 0;  ///< KernelCache::generation() before the lookups
   /// Every native stage holds its module: a run looks nothing up in the
@@ -488,12 +485,6 @@ PipelineExecutor::Plan::Plan(const ExecutorConfig& base,
     }
   }
   buffers = graph.buffer_plan(chains);
-  concurrency = config.concurrency;
-  if (concurrency == 0) {
-    concurrency = std::min<i32>(
-        {static_cast<i32>(graph.roots().size()), 8,
-         std::max(1, static_cast<i32>(std::thread::hardware_concurrency()))});
-  }
 
   const codegen::CodegenOptions options =
       codegen_options(config.sim, config.sim.variant);
@@ -525,7 +516,7 @@ PipelineExecutor::Plan::Plan(const ExecutorConfig& base,
 
 PipelineExecutor::PipelineExecutor(ExecutorConfig config)
     : config_(std::move(config)) {
-  ISPB_EXPECTS(config_.concurrency >= 0);
+  ISPB_EXPECTS(config_.concurrency == 1);
 }
 
 std::shared_ptr<const PipelineExecutor::Plan> PipelineExecutor::plan(
@@ -581,7 +572,6 @@ ExecutorResult PipelineExecutor::run(
   }
 
   const std::size_t n = run_graph.stages.size();
-  const std::size_t units = chains.size();
   std::span<const KernelGraph::Stage> all_stages(run_graph.stages);
   std::span<const PreparedStage> all_prepared(prepared->stages);
 
@@ -590,12 +580,11 @@ ExecutorResult PipelineExecutor::run(
   // slots[i + 1] = stage i's output: the plan's buffer for the last stage
   // of a chain, else an image that stays empty unless a fallback
   // materializes the chain. The buffers are allocated uninitialized: every
-  // backend defines each output pixel. A chain writes only its own buffer
-  // and reads only slots of completed dependencies; the plan hands a buffer
-  // on only once its previous holder and all that holder's readers are
-  // ancestors of the new chain. So no synchronization beyond scheduling
-  // order is needed, and no output ever aliases an input, which the native
-  // kernels' __restrict__ relies on.
+  // backend defines each output pixel. Chains run one after another in
+  // stage order, each writing only its own buffer and reading only slots of
+  // earlier chains; the plan hands a buffer on only once its previous holder
+  // and all that holder's readers have run. So no output ever aliases an
+  // input, which the native kernels' __restrict__ relies on.
   std::vector<Image<f32>> buffers;
   buffers.reserve(static_cast<std::size_t>(buffer_plan.buffers));
   for (i32 b = 0; b < buffer_plan.buffers; ++b) {
@@ -613,106 +602,16 @@ ExecutorResult PipelineExecutor::run(
 
   ExecutorResult result;
   result.stages.resize(n);
-  const auto run_unit = [&](std::size_t u) {
-    const auto first = static_cast<std::size_t>(chains[u].first);
-    const auto count = static_cast<std::size_t>(chains[u].last) - first + 1;
+  // Chain order is a topological order.
+  for (const KernelGraph::Chain& chain : chains) {
+    const auto first = static_cast<std::size_t>(chain.first);
+    const auto count = static_cast<std::size_t>(chain.last) - first + 1;
     run_chain(all_stages.subspan(first, count),
               all_prepared.subspan(first, count), config, slots,
               std::span<Image<f32>>(interiors).subspan(first, count - 1),
               output_of(first + count - 1), engine, bands,
               std::span<ExecutorResult::Stage>(result.stages)
                   .subspan(first, count));
-  };
-
-  const i32 concurrency = prepared->concurrency;
-  if (concurrency <= 1 || units == 1) {
-    // Inline: chain order is already topological.
-    for (std::size_t u = 0; u < units; ++u) run_unit(u);
-  } else {
-    // Kahn scheduling of chains over a dedicated pool (see header for why
-    // not the global pool). A chain depends on what its first stage reads.
-    std::vector<i32> unit_of(n);
-    for (std::size_t u = 0; u < units; ++u) {
-      for (i32 i = chains[u].first; i <= chains[u].last; ++i) {
-        unit_of[static_cast<std::size_t>(i)] = static_cast<i32>(u);
-      }
-    }
-    std::vector<i32> remaining(units, 0);
-    std::vector<std::vector<i32>> dependents(units);
-    for (std::size_t u = 0; u < units; ++u) {
-      const std::vector<i32>& deps =
-          run_graph.stages[static_cast<std::size_t>(chains[u].first)].deps;
-      remaining[u] = static_cast<i32>(deps.size());
-      for (i32 dep : deps) {
-        dependents[static_cast<std::size_t>(
-                       unit_of[static_cast<std::size_t>(dep)])]
-            .push_back(static_cast<i32>(u));
-      }
-    }
-
-    ThreadPool pool(static_cast<unsigned>(concurrency));
-    std::mutex mu;
-    std::condition_variable done_cv;
-    std::size_t pending = units;
-    std::exception_ptr first_error;
-
-    std::function<void(i32)> submit_unit;
-
-    // Called under `mu` when a chain's last dependency settled: run it, or —
-    // once a failure is recorded — settle it unrun and cascade.
-    std::function<void(i32)> on_ready = [&](i32 unit) {
-      if (first_error == nullptr) {
-        submit_unit(unit);
-        return;
-      }
-      if (--pending == 0) done_cv.notify_all();
-      for (i32 dependent : dependents[static_cast<std::size_t>(unit)]) {
-        if (--remaining[static_cast<std::size_t>(dependent)] == 0) {
-          on_ready(dependent);
-        }
-      }
-    };
-
-    // Pool workers are fresh threads with empty trace contexts and no stop
-    // time; carry the caller's (the request this run belongs to) onto each
-    // chain task so stage spans stay in the request's tree and a cut stops
-    // every chain. Each task writes only its own chain's entries of
-    // result.stages.
-    const obs::TraceContext trace_ctx = obs::TraceContext::current();
-    const StopClock::time_point stop = stop_time();
-    submit_unit = [&, trace_ctx, stop](i32 unit) {
-      pool.submit([&, trace_ctx, stop, unit] {
-        obs::TraceContext::Scope trace_scope(trace_ctx);
-        StopScope stop_scope(stop);
-        const auto idx = static_cast<std::size_t>(unit);
-        std::exception_ptr error;
-        try {
-          run_unit(idx);
-        } catch (...) {
-          error = std::current_exception();
-        }
-        std::lock_guard lock(mu);
-        if (error != nullptr && first_error == nullptr) first_error = error;
-        if (--pending == 0) done_cv.notify_all();
-        for (i32 dependent : dependents[idx]) {
-          if (--remaining[static_cast<std::size_t>(dependent)] == 0) {
-            on_ready(dependent);
-          }
-        }
-      });
-    };
-
-    {
-      std::lock_guard lock(mu);
-      for (std::size_t u = 0; u < units; ++u) {
-        if (remaining[u] == 0) submit_unit(static_cast<i32>(u));
-      }
-    }
-    std::unique_lock lock(mu);
-    done_cv.wait(lock, [&] { return pending == 0; });
-    lock.unlock();
-    pool.wait_idle();  // let the last task fully exit its closure
-    if (first_error != nullptr) std::rethrow_exception(first_error);
   }
 
   check_stop();  // an output that arrives past the stop is late: a cut

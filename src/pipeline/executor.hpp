@@ -1,24 +1,18 @@
-// PipelineExecutor: runs a KernelGraph on the simulator, scheduling stages
-// whose dependencies are satisfied concurrently on a common::ThreadPool.
+// PipelineExecutor: runs a KernelGraph on the simulator or the native
+// engine, one stage after another in stage order on the calling thread.
 //
-// On the interpreted engine Sobel's two derivative kernels execute in
-// parallel and the magnitude stage starts the moment both finish (the
-// native engine fuses all three into one kernel, KernelGraph::fused);
-// Night's Atrous chain degrades to sequential execution naturally (each
-// stage unblocks the next); on the native engine it runs as one chain,
-// band by band, with band-local intermediates. Stage results are bit-identical to
-// filters::run_app_reference regardless of schedule: stages only share
-// images through completed dependencies, a buffer is reused only after
-// every reader of its previous contents has finished
-// (KernelGraph::buffer_plan), and each launch is deterministic.
-//
-// Threading: the executor owns a pool sized to the graph's parallelism. It
-// deliberately does NOT run stage bodies on ThreadPool::global() — the
-// simulator's block loop parallelizes over that pool via parallel_for, and
-// parallel_for's wait would self-deadlock if its caller occupied a global
-// worker slot. With concurrency 1 stages run inline on the caller's thread
-// (no pool at all) — the right mode for serving, where parallelism comes
-// from concurrent requests instead.
+// The paper runs a multi-kernel app as a sequence of launches, and all of
+// its parallelism is inside each kernel, across thread blocks: the
+// simulator's block loop and the native row bands parallelize each launch
+// over ThreadPool::global(), and a server gets more from concurrent
+// requests. On the interpreted engine Sobel runs dx, dy and the magnitude
+// as three launches (the native engine fuses all three into one kernel,
+// KernelGraph::fused); on the native engine Night runs as one chain, band
+// by band, with band-local intermediates. Stage results are bit-identical
+// to filters::run_app_reference: stages only read images of earlier
+// stages, a buffer is reused only after every reader of its previous
+// contents has run (KernelGraph::buffer_plan), and each launch is
+// deterministic.
 #pragma once
 
 #include <memory>
@@ -38,9 +32,10 @@ namespace ispb::pipeline {
 struct ExecutorConfig {
   /// Device/block/variant/pattern knobs shared by every stage.
   filters::AppSimConfig sim;
-  /// Max stages in flight: 1 = inline (no pool), 0 = one worker per
-  /// independent root, capped at 8.
-  i32 concurrency = 0;
+  /// Must be 1 (the constructor rejects anything else): stages always run
+  /// in order on the calling thread. Kept only because perfbench still
+  /// assigns it; the field goes with perfbench's next change.
+  i32 concurrency = 1;
   /// Compile cache; nullptr = KernelCache::global(). Ignored when
   /// use_cache is false (every stage compiles from scratch — the
   /// cold-compile baseline the benches compare against).
@@ -92,7 +87,7 @@ struct ExecutorResult {
 /// Runs KernelGraphs. A run's plan — what depends only on the graph and
 /// its keys (engine, variant override, source size), not on the pixels:
 /// the graph that runs (graph.fused() on the native engine), validated; its
-/// chains, buffer plan, band count and concurrency; each stage's breaker;
+/// chains, buffer plan and band count; each stage's breaker;
 /// and, on the native engine, each stage's module, pinned — is built once
 /// and memoized inside the executor (at most 32 plans, least recently used
 /// dropped first), so a repeated run pays only for its kernels. The memo's
@@ -104,11 +99,12 @@ struct ExecutorResult {
 /// DESIGN.md §12.
 class PipelineExecutor {
  public:
+  /// Throws ContractError unless config.concurrency is 1.
   explicit PipelineExecutor(ExecutorConfig config = {});
 
-  /// Runs every stage of `graph` over `source`, honoring the dependency
-  /// structure. Throws ContractError for an invalid graph and rethrows the
-  /// first stage failure after in-flight stages drain. `source` is read in
+  /// Runs every stage of `graph` over `source` in stage order on the
+  /// calling thread. Throws ContractError for an invalid graph and rethrows
+  /// the first stage failure; later stages do not run. `source` is read in
   /// place, never copied: stages reading image 0 read the caller's buffer
   /// (any pitch); the run is synchronous, so the caller's reference
   /// outlives it. Stage outputs live in the graph's buffer_plan(): one

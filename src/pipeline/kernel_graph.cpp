@@ -117,26 +117,6 @@ std::optional<std::pair<std::size_t, std::size_t>> next_fusion(
 
 }  // namespace
 
-std::vector<i32> KernelGraph::roots() const {
-  std::vector<i32> out;
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    if (stages[i].deps.empty()) out.push_back(static_cast<i32>(i));
-  }
-  return out;
-}
-
-i32 KernelGraph::depth() const {
-  std::vector<i32> level(stages.size(), 1);
-  i32 max_level = stages.empty() ? 0 : 1;
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    for (i32 dep : stages[i].deps) {
-      level[i] = std::max(level[i], level[static_cast<std::size_t>(dep)] + 1);
-    }
-    max_level = std::max(max_level, level[i]);
-  }
-  return max_level;
-}
-
 KernelGraph::BufferPlan KernelGraph::buffer_plan() const {
   std::vector<Chain> each(stages.size());
   for (std::size_t i = 0; i < each.size(); ++i) {
@@ -177,20 +157,13 @@ KernelGraph::BufferPlan KernelGraph::buffer_plan(
       unit_of[static_cast<std::size_t>(i)] = static_cast<i32>(u);
     }
   }
-  // ancestor[u][v]: chain v (transitively) produces an input of chain u. A
-  // chain reads only what its first stage reads, and deps point to earlier
-  // stages, so one pass in chain order closes it.
-  std::vector<std::vector<bool>> ancestor(n, std::vector<bool>(n, false));
-  std::vector<std::vector<i32>> readers(n);
+  // last_reader[v]: the latest chain reading chain v's output, -1 for none.
+  // A chain reads only what its first stage reads.
+  std::vector<i32> last_reader(n, -1);
   for (std::size_t u = 0; u < n; ++u) {
     for (i32 dep : stages[static_cast<std::size_t>(chains[u].first)].deps) {
-      const auto d =
-          static_cast<std::size_t>(unit_of[static_cast<std::size_t>(dep)]);
-      readers[d].push_back(static_cast<i32>(u));
-      ancestor[u][d] = true;
-      for (std::size_t k = 0; k < d; ++k) {
-        if (ancestor[d][k]) ancestor[u][k] = true;
-      }
+      last_reader[static_cast<std::size_t>(
+          unit_of[static_cast<std::size_t>(dep)])] = static_cast<i32>(u);
     }
   }
 
@@ -198,12 +171,9 @@ KernelGraph::BufferPlan KernelGraph::buffer_plan(
   plan.stage_buffer.assign(stages.size(), -1);
   std::vector<i32> holder;  // holder[b]: latest chain assigned buffer b
   for (std::size_t u = 0; u < n; ++u) {
-    const auto is_ancestor = [&](i32 v) {
-      return ancestor[u][static_cast<std::size_t>(v)];
-    };
+    // The holder comes before u; so must its last reader (not u itself).
     const auto free_for_u = [&](i32 h) {
-      const std::vector<i32>& r = readers[static_cast<std::size_t>(h)];
-      return is_ancestor(h) && std::all_of(r.begin(), r.end(), is_ancestor);
+      return last_reader[static_cast<std::size_t>(h)] < static_cast<i32>(u);
     };
     const auto reuse = std::find_if(holder.begin(), holder.end(), free_for_u);
     i32& buffer =

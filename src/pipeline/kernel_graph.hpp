@@ -3,10 +3,10 @@
 // filters::MultiKernelApp orders stages linearly and encodes data flow in
 // input_bindings (image 0 is the source, image k > 0 the output of stage
 // k-1). The graph makes the dependencies first-class: each stage lists the
-// stage indices it reads from, so independent branches — Sobel's dx and dy
-// derivative kernels both reading the source — are visible to a scheduler
-// instead of hidden behind the linear order. Night's Atrous chain derives
-// as a pure sequence; Gaussian/Laplace/Bilateral are single nodes.
+// stage indices it reads from, which fusion, chains and the buffer plan
+// read. Sobel's dx and dy derivative kernels both read the source; Night's
+// Atrous chain derives as a pure sequence; Gaussian/Laplace/Bilateral are
+// single nodes.
 //
 // Stage indices are a topological order by construction (a stage may only
 // read images produced by earlier stages), which validate() re-checks.
@@ -36,19 +36,12 @@ struct KernelGraph {
     return static_cast<i32>(stages.size()) + 1;
   }
 
-  /// Stages with no producing dependency (they read only the source).
-  [[nodiscard]] std::vector<i32> roots() const;
-
-  /// Number of dependency levels: 1 for a single stage or a pure fan-out,
-  /// stages.size() for a chain. The executor can run one level's stages
-  /// concurrently.
-  [[nodiscard]] i32 depth() const;
-
-  /// Which output buffer each stage writes. Stage i may reuse the buffer of
-  /// its latest earlier holder j only if j and every stage reading j's
-  /// output are ancestors of i: under any schedule those reads have then
-  /// finished before i starts. A stage is never its own ancestor, so no
-  /// stage writes a buffer it reads.
+  /// Which output buffer each stage writes, for stages run one after
+  /// another in stage order. Stage i may take a buffer when the buffer's
+  /// latest holder j and every stage reading j's output come before i: j's
+  /// output has then been read for the last time before i starts. A stage
+  /// that reads j does not come before itself, so no stage writes a buffer
+  /// it reads.
   struct BufferPlan {
     i32 buffers = 0;                ///< distinct buffers to allocate
     std::vector<i32> stage_buffer;  ///< stage i writes stage_buffer[i]

@@ -11,9 +11,9 @@
 // and the caller poll (submit() returns a fleet::Pending handle), latency
 // histograms and an SloWindow, and request-scoped tracing.
 //
-// Workers execute stages inline (executor concurrency 1) by default:
-// throughput comes from request-level parallelism, and the simulator's
-// block loop still parallelizes each launch over the global pool.
+// A worker runs a request's stages in order on its own thread: throughput
+// comes from request-level parallelism, and each launch still parallelizes
+// over the global pool.
 #pragma once
 
 #include <memory>
@@ -63,7 +63,6 @@ enum class ServeStatus : u8 {
 struct ServeResponse {
   ServeStatus status = ServeStatus::kOk;
   Image<f32> output;        ///< valid iff status == kOk
-  f64 sim_time_ms = 0.0;    ///< modeled GPU time (kOk only)
   f64 queue_ms = 0.0;       ///< submit -> dequeue wall time
   f64 exec_ms = 0.0;        ///< dequeue -> finish wall time (failover incl.)
   f64 total_ms = 0.0;       ///< submit -> finish wall time
@@ -98,20 +97,12 @@ struct ServerStats {
   obs::StreamingHistogram exec_latency_ms;
 };
 
-/// The executor defaults the server wants: stages inline, parallelism from
-/// concurrent requests (see the class comment).
-[[nodiscard]] inline ExecutorConfig serving_executor_config() {
-  ExecutorConfig config;
-  config.concurrency = 1;
-  return config;
-}
-
 /// A PipelineServer's configuration, and a fleet's per-device template
 /// (FleetConfig::shard), where workers and queue_capacity count per device.
 struct ServerConfig {
   i32 workers = 4;                ///< >= 1
   std::size_t queue_capacity = 64;  ///< pending requests before rejection
-  ExecutorConfig executor = serving_executor_config();
+  ExecutorConfig executor;
   /// When true the workers start idle; queued requests run only after
   /// resume(). Gives tests deterministic control over overflow and
   /// deadline paths. (The deadline sweeper still runs while paused.)

@@ -514,7 +514,6 @@ TEST(ExecutorNative, BitIdenticalToReferenceAcrossAppsPatternsVariants) {
         pipeline::ExecutorConfig cfg;
         cfg.sim.pattern = pattern;
         cfg.sim.variant = variant;
-        cfg.concurrency = 1;
         cfg.cache = &cache;
         cfg.backend = exec::Backend::kNative;
         const pipeline::PipelineExecutor executor(cfg);
@@ -637,7 +636,6 @@ TEST(ExecutorInterpreted, TiledBitIdenticalToReferenceAcrossAppsPatterns) {
       pipeline::ExecutorConfig cfg;
       cfg.sim.pattern = pattern;
       cfg.sim.variant = codegen::Variant::kIspTiled;
-      cfg.concurrency = 1;
       cfg.cache = &cache;
       cfg.backend = exec::Backend::kInterpreted;
       const pipeline::PipelineExecutor executor(cfg);
@@ -656,8 +654,7 @@ TEST(ExecutorInterpreted, TiledBitIdenticalToReferenceAcrossAppsPatterns) {
 }
 
 // The executor reads the caller's source in place. Sobel's dx and dy read
-// image 0 and the magnitude reads images 1 and 2, on both engines and both
-// schedules. The source is 77 wide, so each row ends in padding up to the
+// image 0 and the magnitude reads images 1 and 2, on both engines. The source is 77 wide, so each row ends in padding up to the
 // pitch; the padding holds NaN, which would reach the output if any stage
 // addressed the source with the wrong pitch. The source is never written.
 TEST(Executor, ReadsPaddedSourceInPlace) {
@@ -681,22 +678,18 @@ TEST(Executor, ReadsPaddedSourceInPlace) {
 
   for (exec::Backend backend :
        {exec::Backend::kNative, exec::Backend::kInterpreted}) {
-    for (i32 concurrency : {1, 2}) {
-      pipeline::ExecutorConfig cfg;
-      cfg.sim.pattern = BorderPattern::kMirror;
-      cfg.sim.variant = codegen::Variant::kIsp;
-      cfg.concurrency = concurrency;
-      cfg.cache = &cache;
-      cfg.backend = backend;
-      const pipeline::PipelineExecutor executor(cfg);
-      const pipeline::ExecutorResult result = executor.run(graph, source);
-      const std::string combo = std::string(exec::to_string(backend)) +
-                                "/concurrency " + std::to_string(concurrency);
-      EXPECT_TRUE(bit_identical(result.output, reference)) << combo;
-      for (const auto& stage : result.stages) {
-        EXPECT_EQ(stage.backend_used, backend) << combo << " " << stage.kernel;
-        EXPECT_FALSE(stage.backend_fallback) << combo << " " << stage.kernel;
-      }
+    pipeline::ExecutorConfig cfg;
+    cfg.sim.pattern = BorderPattern::kMirror;
+    cfg.sim.variant = codegen::Variant::kIsp;
+    cfg.cache = &cache;
+    cfg.backend = backend;
+    const pipeline::PipelineExecutor executor(cfg);
+    const pipeline::ExecutorResult result = executor.run(graph, source);
+    const std::string_view combo = exec::to_string(backend);
+    EXPECT_TRUE(bit_identical(result.output, reference)) << combo;
+    for (const auto& stage : result.stages) {
+      EXPECT_EQ(stage.backend_used, backend) << combo << " " << stage.kernel;
+      EXPECT_FALSE(stage.backend_fallback) << combo << " " << stage.kernel;
     }
   }
   EXPECT_EQ(std::memcmp(before.data(), source.buffer().data(),
@@ -744,7 +737,6 @@ void expect_every_pixel_written(exec::Backend backend,
         pipeline::ExecutorConfig cfg;
         cfg.sim.pattern = pattern;
         cfg.sim.variant = variant;
-        cfg.concurrency = 1;
         cfg.cache = &cache;
         cfg.backend = backend;
         const pipeline::PipelineExecutor executor(cfg);
@@ -788,7 +780,6 @@ TEST(ExecutorPoisonedHeap, SampledInterpretedMatchesZeroFilledLaunch) {
   const Image<f32> source = make_noise_image({131, 75}, 9);
   pipeline::ExecutorConfig cfg;
   cfg.sim.sampled = true;
-  cfg.concurrency = 1;
   cfg.backend = exec::Backend::kInterpreted;
   const pipeline::PipelineExecutor executor(cfg);
   for (const filters::MultiKernelApp& app : filters::all_apps()) {
@@ -831,7 +822,6 @@ TEST(ExecutorNative, DegenerateGeometryServesAllChecksNaive) {
 
   pipeline::ExecutorConfig cfg;
   cfg.sim.variant = codegen::Variant::kIsp;
-  cfg.concurrency = 1;
   cfg.cache = &cache;
   cfg.backend = exec::Backend::kNative;
   const pipeline::PipelineExecutor executor(cfg);
@@ -866,7 +856,6 @@ TEST(ExecutorNative, CompileFaultFallsBackToInterpreted) {
 
   pipeline::ExecutorConfig cfg;
   cfg.sim.variant = codegen::Variant::kIsp;
-  cfg.concurrency = 1;
   cfg.cache = &cache;
   cfg.backend = exec::Backend::kNative;
   cfg.breakers = &breakers;
@@ -1234,8 +1223,7 @@ std::pair<pipeline::ExecutorResult, i32> run_traced(
 
 // The native executor runs night's fused stages as one chain when the
 // pattern allows it over several bands, and stage by stage under repeat,
-// bit-identical either way, inline and on the executor's pool. A chain
-// launches once and reports its wall time on its last stage.
+// bit-identical either way. A chain launches once and reports its wall time on its last stage.
 TEST(ExecutorChain, NightRunsAsOneChainExceptRepeatOverBands) {
   const TempDir dir("exec-chain");
   pipeline::KernelCache cache(64);
@@ -1249,26 +1237,21 @@ TEST(ExecutorChain, NightRunsAsOneChainExceptRepeatOverBands) {
     const Image<f32> reference =
         filters::run_app_reference(night, source, pattern, -2.0f);
     const bool chained = pattern != BorderPattern::kRepeat;
-    for (i32 concurrency : {1, 0}) {
-      pipeline::ExecutorConfig cfg;
-      cfg.sim.pattern = pattern;
-      cfg.sim.constant = -2.0f;
-      cfg.sim.variant = codegen::Variant::kIsp;
-      cfg.concurrency = concurrency;
-      cfg.cache = &cache;
-      cfg.backend = exec::Backend::kNative;
-      const auto [result, runs] = run_traced(cfg, night, source);
-      const std::string combo = std::string(to_string(pattern)) +
-                                " at concurrency " +
-                                std::to_string(concurrency);
-      EXPECT_EQ(first_mismatch(result.output, reference), "") << combo;
-      ASSERT_EQ(result.stages.size(), 4u) << combo;
-      EXPECT_EQ(runs, chained ? 1 : 4) << combo;
-      for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(result.stages[i].backend_used, exec::Backend::kNative);
-        EXPECT_EQ(result.stages[i].stats.time_ms > 0.0, !chained || i == 3)
-            << combo << " stage " << i;
-      }
+    pipeline::ExecutorConfig cfg;
+    cfg.sim.pattern = pattern;
+    cfg.sim.constant = -2.0f;
+    cfg.sim.variant = codegen::Variant::kIsp;
+    cfg.cache = &cache;
+    cfg.backend = exec::Backend::kNative;
+    const auto [result, runs] = run_traced(cfg, night, source);
+    const std::string_view combo = to_string(pattern);
+    EXPECT_EQ(first_mismatch(result.output, reference), "") << combo;
+    ASSERT_EQ(result.stages.size(), 4u) << combo;
+    EXPECT_EQ(runs, chained ? 1 : 4) << combo;
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(result.stages[i].backend_used, exec::Backend::kNative);
+      EXPECT_EQ(result.stages[i].stats.time_ms > 0.0, !chained || i == 3)
+          << combo << " stage " << i;
     }
   }
 }
@@ -1293,7 +1276,6 @@ TEST(ExecutorChain, FailingStageMidChainFallsBackBitIdentically) {
   pipeline::ExecutorConfig cfg;
   cfg.sim.pattern = BorderPattern::kMirror;
   cfg.sim.variant = codegen::Variant::kIsp;
-  cfg.concurrency = 1;
   cfg.cache = &cache;
   cfg.backend = exec::Backend::kNative;
   cfg.breakers = &breakers;

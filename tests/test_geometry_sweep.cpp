@@ -84,7 +84,6 @@ pipeline::ExecutorResult run_simulated(const filters::MultiKernelApp& app,
                                        const filters::AppSimConfig& sim) {
   pipeline::ExecutorConfig cfg;
   cfg.sim = sim;
-  cfg.concurrency = 1;
   cfg.backend = exec::Backend::kInterpreted;
   return pipeline::PipelineExecutor(cfg).run(pipeline::build_graph(app),
                                              source);

@@ -41,6 +41,36 @@ CodegenOptions opts(Variant variant,
   return o;
 }
 
+/// A JIT directory for this binary, removed at exit. -O0 keeps the compiles
+/// short; the emitted float sequence does not depend on the level.
+exec::JitConfig test_jit() {
+  static const struct Dir {
+    std::filesystem::path path = std::filesystem::temp_directory_path() /
+                                 ("ispb-test-pipeline-" +
+                                  std::to_string(::getpid()));
+    Dir() { std::filesystem::create_directories(path); }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } dir;
+  return {dir.path.string(), "", "-O0"};
+}
+
+/// Whether two images hold the same bits in every pixel (compare() reads
+/// 0.0f and -0.0f as equal).
+bool same_bits(const Image<f32>& a, const Image<f32>& b) {
+  if (a.size() != b.size()) return false;
+  for (i32 y = 0; y < a.height(); ++y) {
+    for (i32 x = 0; x < a.width(); ++x) {
+      if (std::bit_cast<u32>(a(x, y)) != std::bit_cast<u32>(b(x, y))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 // ---- fingerprint / key ------------------------------------------------------
 
 TEST(SpecFingerprint, StableAcrossIndependentTraces) {
@@ -171,8 +201,8 @@ TEST(KernelGraph, SobelExposesParallelBranches) {
   const pipeline::KernelGraph g = pipeline::build_graph(filters::make_sobel_app());
   ASSERT_EQ(g.stages.size(), 3u);
   g.validate();
-  EXPECT_EQ(g.roots(), (std::vector<i32>{0, 1}));  // dx, dy read the source
-  EXPECT_EQ(g.depth(), 2);
+  EXPECT_TRUE(g.stages[0].deps.empty());  // dx, dy read the source
+  EXPECT_TRUE(g.stages[1].deps.empty());
   EXPECT_EQ(g.stages[2].deps, (std::vector<i32>{0, 1}));
   EXPECT_EQ(g.stages[2].input_images, (std::vector<i32>{1, 2}));
 }
@@ -181,8 +211,7 @@ TEST(KernelGraph, NightIsAPureChain) {
   const pipeline::KernelGraph g = pipeline::build_graph(filters::make_night_app());
   ASSERT_EQ(g.stages.size(), 5u);
   g.validate();
-  EXPECT_EQ(g.roots(), (std::vector<i32>{0}));
-  EXPECT_EQ(g.depth(), 5);
+  EXPECT_TRUE(g.stages[0].deps.empty());
   for (std::size_t i = 1; i < g.stages.size(); ++i) {
     EXPECT_EQ(g.stages[i].deps, (std::vector<i32>{static_cast<i32>(i) - 1}));
   }
@@ -194,7 +223,7 @@ TEST(KernelGraph, SingleKernelAppsAreSingleNodes) {
       if (app.name != name) continue;
       const pipeline::KernelGraph g = pipeline::build_graph(app);
       EXPECT_EQ(g.stages.size(), 1u) << name;
-      EXPECT_EQ(g.depth(), 1) << name;
+      EXPECT_TRUE(g.stages[0].deps.empty()) << name;
     }
   }
 }
@@ -231,24 +260,16 @@ filters::MultiKernelApp synthetic_app(
   return app;
 }
 
-/// Ancestors of stage i, by a walk over deps independent of the plan's.
-std::set<i32> ancestors_of(const pipeline::KernelGraph& g, i32 i) {
-  std::set<i32> out;
-  std::vector<i32> stack = g.stages[static_cast<std::size_t>(i)].deps;
-  while (!stack.empty()) {
-    const i32 s = stack.back();
-    stack.pop_back();
-    if (!out.insert(s).second) continue;
-    for (i32 dep : g.stages[static_cast<std::size_t>(s)].deps) {
-      stack.push_back(dep);
-    }
-  }
-  return out;
+/// Whether stage r reads stage j's output.
+bool reads(const pipeline::KernelGraph& g, i32 r, i32 j) {
+  const std::vector<i32>& deps = g.stages[static_cast<std::size_t>(r)].deps;
+  return std::find(deps.begin(), deps.end(), j) != deps.end();
 }
 
-/// The two properties the executor's schedules rely on: no stage writes the
-/// buffer of one of its inputs, and every earlier stage sharing a stage's
-/// buffer — and every reader of that earlier stage — is its ancestor.
+/// The in-order property the executor relies on, running stages one after
+/// another in stage order: no stage writes the buffer of one of its inputs,
+/// and every earlier stage sharing a stage's buffer — with every reader of
+/// that earlier stage — comes before it.
 void expect_plan_safe(const pipeline::KernelGraph& g) {
   const pipeline::KernelGraph::BufferPlan plan = g.buffer_plan();
   const auto n = static_cast<i32>(g.stages.size());
@@ -263,16 +284,12 @@ void expect_plan_safe(const pipeline::KernelGraph& g) {
       EXPECT_NE(plan.stage_buffer[static_cast<std::size_t>(dep)], b)
           << g.name << ": stage " << i << " writes input stage " << dep;
     }
-    const std::set<i32> anc = ancestors_of(g, i);
     for (i32 j = 0; j < i; ++j) {
       if (plan.stage_buffer[static_cast<std::size_t>(j)] != b) continue;
-      EXPECT_TRUE(anc.count(j)) << g.name << ": " << i << " shares with " << j;
       for (i32 r = 0; r < n; ++r) {
-        const auto& deps = g.stages[static_cast<std::size_t>(r)].deps;
-        if (std::find(deps.begin(), deps.end(), j) == deps.end()) continue;
-        EXPECT_TRUE(anc.count(r))
-            << g.name << ": " << i << " overwrites " << j
-            << " before its reader " << r;
+        if (!reads(g, r, j)) continue;
+        EXPECT_LT(r, i) << g.name << ": " << i << " overwrites " << j
+                        << " before its reader " << r;
       }
     }
   }
@@ -300,9 +317,11 @@ TEST(KernelGraph, BufferPlanIsSafeOnSyntheticGraphs) {
       {synthetic_app("chain", {{0}, {1}, {2}, {3}, {4}, {5}}), 2},
       // Stage 3 reads stage 0 again: stage 2 may not take stage 0's buffer.
       {synthetic_app("skip-chain", {{0}, {1}, {2}, {1, 3}}), 3},
-      {synthetic_app("fan-out", {{0}, {1}, {1}, {1}}), 4},
+      // Stage 1's output has no reader: stages 2 and 3 take its buffer.
+      {synthetic_app("fan-out", {{0}, {1}, {1}, {1}}), 2},
       {synthetic_app("diamond", {{0}, {1}, {1}, {2, 3}, {4}}), 3},
-      {synthetic_app("two-sink", {{0}, {1}, {1}, {2}}), 4},
+      // Stage 3 takes stage 0's buffer once stages 1 and 2 have read it.
+      {synthetic_app("two-sink", {{0}, {1}, {1}, {2}}), 3},
       {synthetic_app("source-fan", {{0}, {0}, {0}, {1, 2}, {3, 4}}), 4},
   };
   for (const auto& [app, buffers] : cases) {
@@ -375,9 +394,7 @@ TEST(KernelGraph, ChainsNeedASingleReaderOfASingleProducer) {
     const pipeline::KernelGraph::BufferPlan plan = g.buffer_plan(chains);
     // Only a chain's last stage writes a buffer; a chain never writes the
     // buffer of an image its first stage reads, and takes a buffer over only
-    // from an earlier chain whose output every reader has consumed: each
-    // of those readers is an earlier chain that writes a different buffer
-    // or the taker itself.
+    // from an earlier chain whose every reader is an earlier chain too.
     for (std::size_t u = 0; u < chains.size(); ++u) {
       for (i32 i = chains[u].first; i < chains[u].last; ++i) {
         EXPECT_EQ(plan.stage_buffer[static_cast<std::size_t>(i)], -1)
@@ -391,16 +408,12 @@ TEST(KernelGraph, ChainsNeedASingleReaderOfASingleProducer) {
         EXPECT_NE(plan.stage_buffer[static_cast<std::size_t>(dep)], b)
             << app.name << ": chain " << u << " writes its input";
       }
-      const std::set<i32> anc = ancestors_of(g, chains[u].first);
       for (std::size_t v = 0; v < u; ++v) {
         const i32 tail = chains[v].last;
         if (plan.stage_buffer[static_cast<std::size_t>(tail)] != b) continue;
-        EXPECT_TRUE(anc.count(tail)) << app.name << ": " << u << " takes "
-                                     << v << "'s buffer";
-        for (std::size_t r = 0; r < g.stages.size(); ++r) {
-          const auto& deps = g.stages[r].deps;
-          if (std::find(deps.begin(), deps.end(), tail) == deps.end()) continue;
-          EXPECT_TRUE(anc.count(static_cast<i32>(r)))
+        for (i32 r = 0; r < static_cast<i32>(g.stages.size()); ++r) {
+          if (!reads(g, r, tail)) continue;
+          EXPECT_LT(r, chains[u].first)
               << app.name << ": " << u << " overwrites " << v
               << " before its reader " << r;
         }
@@ -409,31 +422,38 @@ TEST(KernelGraph, ChainsNeedASingleReaderOfASingleProducer) {
   }
 }
 
-// Branches fan out of one stage and run two at a time on the pool while the
-// plan hands dead buffers to later stages; the output stays bit-identical
-// to the reference. (The TSan CI job runs this test too.)
+// Branches fan out of one stage while the plan hands dead buffers to later
+// stages; on both engines the output stays bit-identical to the reference.
+// In fan-out and two-sink a stage takes the buffer of a stage that is not
+// its ancestor, which only the in-order rule allows. (The TSan CI job runs
+// this test too.)
 TEST(PipelineExecutor, FanOutWithReusedBuffersMatchesReference) {
-  const filters::MultiKernelApp app = synthetic_app(
-      "fan-out-join", {{0}, {1}, {1}, {1}, {2, 3}, {5, 4}});
-  const pipeline::KernelGraph graph = pipeline::build_graph(app);
-  const pipeline::KernelGraph::BufferPlan plan = graph.buffer_plan();
-  ASSERT_LT(plan.buffers, static_cast<i32>(graph.stages.size()));
-  expect_plan_safe(graph);
-
+  const std::vector<filters::MultiKernelApp> apps = {
+      synthetic_app("fan-out-join", {{0}, {1}, {1}, {1}, {2, 3}, {5, 4}}),
+      synthetic_app("fan-out", {{0}, {1}, {1}, {1}}),
+      synthetic_app("two-sink", {{0}, {1}, {1}, {2}}),
+  };
+  pipeline::KernelCache cache(16);
+  cache.set_jit(test_jit());
   const auto src = make_noise_image({48, 40}, 5);
-  const Image<f32> expect =
-      filters::run_app_reference(app, src, BorderPattern::kClamp);
-  pipeline::ExecutorConfig cfg;
-  cfg.concurrency = 2;
-  const pipeline::PipelineExecutor exec(cfg);
-  for (i32 round = 0; round < 3; ++round) {
-    const pipeline::ExecutorResult result = exec.run(graph, src);
-    ASSERT_EQ(result.output.size(), expect.size());
-    for (i32 y = 0; y < expect.height(); ++y) {
-      for (i32 x = 0; x < expect.width(); ++x) {
-        ASSERT_EQ(std::bit_cast<u32>(result.output(x, y)),
-                  std::bit_cast<u32>(expect(x, y)))
-            << "round " << round << " (" << x << ", " << y << ")";
+  for (const filters::MultiKernelApp& app : apps) {
+    const pipeline::KernelGraph graph = pipeline::build_graph(app);
+    const pipeline::KernelGraph::BufferPlan plan = graph.buffer_plan();
+    ASSERT_LT(plan.buffers, static_cast<i32>(graph.stages.size())) << app.name;
+    expect_plan_safe(graph);
+
+    const Image<f32> expect =
+        filters::run_app_reference(app, src, BorderPattern::kClamp);
+    for (exec::Backend backend :
+         {exec::Backend::kInterpreted, exec::Backend::kNative}) {
+      pipeline::ExecutorConfig cfg;
+      cfg.cache = &cache;
+      cfg.backend = backend;
+      const pipeline::PipelineExecutor exec(cfg);
+      for (i32 round = 0; round < 2; ++round) {
+        EXPECT_TRUE(same_bits(exec.run(graph, src).output, expect))
+            << app.name << " on " << exec::to_string(backend) << ", round "
+            << round;
       }
     }
   }
@@ -489,7 +509,6 @@ TEST(KernelGraph, FusedStagesForThePaperApps) {
                                       "atrous17+tonemap"}));
   EXPECT_EQ(night.stages[3].input_images, (std::vector<i32>{3}));
   EXPECT_EQ(night.stages[3].spec.window(), (Window{17, 17}));
-  EXPECT_EQ(night.depth(), 4);
 
   for (const char* name : {"gaussian", "laplace", "bilateral"}) {
     for (const auto& app : filters::all_apps()) {
@@ -605,7 +624,6 @@ TEST(PipelineExecutor, MatchesReferenceForAllAppsAndPatterns) {
       pipeline::ExecutorConfig cfg;
       cfg.sim.pattern = pattern;
       cfg.sim.constant = constant;
-      cfg.concurrency = 2;  // exercise the pool path even for chains
       const pipeline::PipelineExecutor exec(cfg);
       const pipeline::ExecutorResult result = exec.run(graph, src);
 
@@ -618,28 +636,55 @@ TEST(PipelineExecutor, MatchesReferenceForAllAppsAndPatterns) {
   }
 }
 
-TEST(PipelineExecutor, ConcurrentSobelMatchesInline) {
-  const Size2 size{64, 48};
-  const auto src = make_noise_image(size, 11);
+// Every stage runs on the caller's thread: under a trace session, each span
+// of a default-config run but the simulator's per-block spans (which come
+// from the global pool's parallel_for) carries the caller's thread. An
+// executor configured for any concurrency but 1 is refused.
+TEST(PipelineExecutor, StagesRunOnTheCallersThread) {
   const auto graph = pipeline::build_graph(filters::make_sobel_app());
+  const auto src = make_gradient_image({16, 16});
+  pipeline::KernelCache cache(8);  // cold: every stage compiles
+  pipeline::ExecutorConfig cfg;
+  cfg.cache = &cache;
+  cfg.sim.sampled = true;
+  const pipeline::PipelineExecutor exec(cfg);
 
-  pipeline::ExecutorConfig inline_cfg;
-  inline_cfg.concurrency = 1;
-  pipeline::ExecutorConfig wide_cfg;
-  wide_cfg.concurrency = 4;
-
-  const auto inline_out =
-      pipeline::PipelineExecutor(inline_cfg).run(graph, src);
-  const auto wide_out = pipeline::PipelineExecutor(wide_cfg).run(graph, src);
-  EXPECT_EQ(compare(inline_out.output, wide_out.output).max_abs, 0.0);
-  for (const auto& stage : wide_out.stages) {
+  obs::TraceSession::start();
+  pipeline::ExecutorResult result;
+  {
+    obs::ScopedSpan caller("test.caller");
+    result = exec.run(graph, src);
+  }
+  const std::vector<obs::TraceEvent> events = obs::TraceSession::stop();
+  for (const auto& stage : result.stages) {
     EXPECT_GT(stage.regs_per_thread, 0) << stage.kernel;
   }
+  const auto caller = std::find_if(
+      events.begin(), events.end(),
+      [](const obs::TraceEvent& ev) { return ev.name == "test.caller"; });
+  ASSERT_NE(caller, events.end());
+  i32 compiles = 0;
+  i32 launches = 0;
+  i32 executes = 0;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.name == "sim.block") continue;
+    EXPECT_EQ(ev.tid, caller->tid) << ev.name;
+    compiles += ev.name == "dsl.compile_kernel" ? 1 : 0;
+    launches += ev.name.starts_with("sim.launch") ? 1 : 0;
+    executes += ev.name == "pipeline.execute" ? 1 : 0;
+  }
+  EXPECT_GE(compiles, 3);  // dx, dy and the magnitude, at least
+  EXPECT_EQ(launches, 3);
+  EXPECT_EQ(executes, 1);
+
+  pipeline::ExecutorConfig wide = cfg;
+  wide.concurrency = 2;
+  EXPECT_THROW((void)pipeline::PipelineExecutor(wide), ContractError);
 }
 
-// A failing branch must propagate as an exception, not hang the scheduler:
-// atrous17 (radius 8) under Mirror on a 6x6 image fails validation while the
-// parallel gaussian branch succeeds; the join stage must settle unrun.
+// A failing first stage's error reaches the caller: atrous17 (radius 8)
+// under Mirror on a 6x6 image fails validation, and the gaussian branch and
+// the join stage after it never run.
 TEST(PipelineExecutor, BranchFailurePropagatesWithoutDeadlock) {
   pipeline::KernelGraph g;
   g.name = "failing-branch";
@@ -650,7 +695,6 @@ TEST(PipelineExecutor, BranchFailurePropagatesWithoutDeadlock) {
   const auto src = make_gradient_image({6, 6});
   pipeline::ExecutorConfig cfg;
   cfg.sim.pattern = BorderPattern::kMirror;
-  cfg.concurrency = 2;
   const pipeline::PipelineExecutor exec(cfg);
   EXPECT_ANY_THROW((void)exec.run(g, src));
 }
@@ -667,7 +711,6 @@ TEST(PipelineExecutor, InterpretedRunsReuseGlobalKernelCache) {
   // deltas from other tests sharing the global cache.
   cfg.sim.pattern = BorderPattern::kConstant;
   cfg.sim.constant = 123.5f;
-  cfg.concurrency = 1;
   cfg.backend = exec::Backend::kInterpreted;
   ASSERT_EQ(cfg.cache, nullptr);
   const pipeline::PipelineExecutor exec(cfg);
@@ -881,12 +924,11 @@ TEST(PipelineServer, LatencyMemoryBoundedInRequestCount) {
 }
 
 TEST(PipelineServer, TracePropagationAcrossWorkers) {
-  // Multi-worker serve with stage-level executor concurrency: spans for one
-  // request are emitted on the submitting thread, a server worker, and
-  // executor pool threads. Every span must still link into exactly one tree
-  // per request.
+  // Multi-worker serve: spans for one request are emitted on the submitting
+  // thread and a server worker. Every span must still link into exactly one
+  // tree per request.
   const auto graph = std::make_shared<const pipeline::KernelGraph>(
-      pipeline::build_graph(filters::make_sobel_app()));  // parallel branches
+      pipeline::build_graph(filters::make_sobel_app()));
   const auto src =
       std::make_shared<const Image<f32>>(make_gradient_image({16, 16}));
 
@@ -896,7 +938,6 @@ TEST(PipelineServer, TracePropagationAcrossWorkers) {
     pipeline::ServerConfig cfg;
     cfg.workers = 3;
     cfg.executor.sim.sampled = true;
-    cfg.executor.concurrency = 2;  // stages hop to the shared thread pool
     pipeline::PipelineServer server(cfg);
     std::vector<fleet::Pending<pipeline::ServeResponse>> futures;
     for (int i = 0; i < kRequests; ++i) {
@@ -911,7 +952,6 @@ TEST(PipelineServer, TracePropagationAcrossWorkers) {
 
   const std::vector<u64> ids = obs::request_ids(events);
   ASSERT_EQ(ids.size(), static_cast<std::size_t>(kRequests));
-  u64 spans_across_threads = 0;
   for (u64 id : ids) {
     const obs::RequestBreakdown b = obs::request_breakdown(events, id);
     EXPECT_TRUE(b.has_root) << "request " << id << " lost its root span";
@@ -921,39 +961,14 @@ TEST(PipelineServer, TracePropagationAcrossWorkers) {
     EXPECT_GT(b.total_us, 0.0);
     // Exactly one root per request.
     int roots = 0;
-    std::vector<u32> tids;
     for (const obs::TraceEvent& ev : events) {
-      if (ev.request_id != id) continue;
-      if (ev.parent_span_id == 0) ++roots;
-      tids.push_back(ev.tid);
+      if (ev.request_id == id && ev.parent_span_id == 0) ++roots;
     }
     EXPECT_EQ(roots, 1);
-    std::sort(tids.begin(), tids.end());
-    tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
-    if (tids.size() > 1) ++spans_across_threads;
   }
-  // With 3 workers and pool-executed stages, request trees must span
-  // threads (that is the propagation being tested).
-  EXPECT_GT(spans_across_threads, 0u);
 }
 
 // ---- prepared runs ----------------------------------------------------------
-
-/// A JIT directory for this binary, removed at exit. -O0 keeps the compiles
-/// short; the emitted float sequence does not depend on the level.
-exec::JitConfig test_jit() {
-  static const struct Dir {
-    std::filesystem::path path = std::filesystem::temp_directory_path() /
-                                 ("ispb-test-pipeline-" +
-                                  std::to_string(::getpid()));
-    Dir() { std::filesystem::create_directories(path); }
-    ~Dir() {
-      std::error_code ec;
-      std::filesystem::remove_all(path, ec);
-    }
-  } dir;
-  return {dir.path.string(), "", "-O0"};
-}
 
 // A server's executor reuses a graph's plan: once the module is in the
 // cache, requests after the second look nothing up. KernelCache::clear()
@@ -1049,25 +1064,10 @@ TEST(PreparedRun, HotGraphKeepsItsModuleThroughEvictions) {
   server.shutdown();
 }
 
-/// Whether two images hold the same bits in every pixel (compare() reads
-/// 0.0f and -0.0f as equal).
-bool same_bits(const Image<f32>& a, const Image<f32>& b) {
-  if (a.size() != b.size()) return false;
-  for (i32 y = 0; y < a.height(); ++y) {
-    for (i32 x = 0; x < a.width(); ++x) {
-      if (std::bit_cast<u32>(a(x, y)) != std::bit_cast<u32>(b(x, y))) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 /// A native executor over `cache`, JITting at -O0.
 pipeline::PipelineExecutor native_executor(pipeline::KernelCache& cache) {
   cache.set_jit(test_jit());
   pipeline::ExecutorConfig cfg;
-  cfg.concurrency = 1;
   cfg.cache = &cache;
   cfg.backend = exec::Backend::kNative;
   return pipeline::PipelineExecutor(cfg);

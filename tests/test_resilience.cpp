@@ -668,7 +668,6 @@ TEST(ServerResilience, CutStopsTheWork) {
   cfg.workers = 1;
   cfg.executor.cache = &cache;
   cfg.executor.sim.sampled = true;
-  ASSERT_EQ(cfg.executor.concurrency, 1);
   pipeline::PipelineServer server(cfg);
   // Warm the cache: after its delay, stage 1 is a launch, not a compile.
   ASSERT_EQ(server.submit({graph, src, 0.0, std::nullopt}).get().status,
@@ -760,9 +759,8 @@ TEST(ServerResilience, CutIsBreakerNeutral) {
 /// with one failed attempt at the first stage, lets an executor.stage
 /// throw land on that breaker's half-open probe after the cooldown, and
 /// returns what the next run after a further cooldown reads. Interpreted,
-/// the breaker is sobel_dx's variant breaker and the run's stages share the
-/// executor's pool (sobel_dx and sobel_dy run at once); native, it is
-/// gaussian3's "#native" breaker.
+/// the breaker is sobel_dx's variant breaker; native, it is gaussian3's
+/// "#native" breaker.
 struct ProbeOutcome {
   pipeline::ExecutorResult result;
   resilience::BreakerSnapshot breaker;
@@ -797,7 +795,6 @@ ProbeOutcome stage_fault_on_half_open_probe(exec::Backend backend) {
   pipeline::KernelCache cache(8);
   cache.set_jit({jit_dir.string(), "", "-O0"});
   pipeline::ExecutorConfig cfg;
-  cfg.concurrency = 0;
   cfg.cache = &cache;
   cfg.backend = backend;
   cfg.breakers = &breakers;
@@ -886,7 +883,6 @@ TEST(PreparedRun, NativeBreakerTripAndCloseTakeEffectOnTheNextReuse) {
                                         /*half_open_probes=*/1},
                                        &clock);
   pipeline::ExecutorConfig cfg;
-  cfg.concurrency = 1;
   cfg.cache = &cache;
   cfg.backend = exec::Backend::kNative;
   cfg.breakers = &breakers;
@@ -942,7 +938,6 @@ TEST(PreparedRun, VariantBreakerTripAndCloseTakeEffectOnTheNextReuse) {
   resilience::VirtualClock clock;
   resilience::BreakerRegistry breakers({1, 100, 1}, &clock);
   pipeline::ExecutorConfig cfg;
-  cfg.concurrency = 1;
   cfg.cache = &cache;
   cfg.breakers = &breakers;
   cfg.clock = &clock;
@@ -994,7 +989,6 @@ TEST(PreparedRun, CorruptCacheInsertNeverReachesALaunch) {
       filters::make_gaussian_app(), *src, BorderPattern::kClamp);
   pipeline::KernelCache cache(8);
   pipeline::ExecutorConfig cfg;
-  cfg.concurrency = 1;
   cfg.cache = &cache;
   const pipeline::PipelineExecutor executor(cfg);
   for (int i = 0; i < 3; ++i) {

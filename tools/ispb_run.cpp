@@ -839,7 +839,6 @@ pipeline::ExecutorResult run_simulated(const filters::MultiKernelApp& app,
                                        const filters::AppSimConfig& sim) {
   pipeline::ExecutorConfig config;
   config.sim = sim;
-  config.concurrency = 1;
   config.backend = exec::Backend::kInterpreted;
   return pipeline::PipelineExecutor(config).run(pipeline::build_graph(app),
                                                 source);
@@ -1072,7 +1071,6 @@ int run_serve(int argc, char** argv) {
   shard.workers = concurrency;
   shard.queue_capacity = queue_capacity;
   shard.executor.sim = cfg;
-  shard.executor.concurrency = 1;  // parallelism across requests
   shard.executor.cache = &cache;
   shard.executor.backend = backend;
   // Without --devices, the one-device fleet a PipelineServer runs; with
@@ -1272,7 +1270,6 @@ fleet::FleetConfig loadtest_fleet_config(const LoadSetup& setup,
   cfg.shard.workers = setup.workers;
   cfg.shard.queue_capacity = setup.queue_capacity;
   cfg.shard.executor.sim = slice.sim;  // per-shard device overwritten inside
-  cfg.shard.executor.concurrency = 1;  // parallelism across requests
   cfg.shard.executor.cache = setup.cache;
   cfg.shard.executor.backend = setup.backend;
   cfg.admission.tiers = setup.shed_tiers;
